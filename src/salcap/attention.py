@@ -138,18 +138,6 @@ def combine_saliency_context(e_sal, e_ctx, sal):
     )
 
 
-def context_vector(alpha, grid):
-    """v_hat = sum_i alpha_i a_i."""
-    alpha = nm.as_tensor(alpha)
-    if alpha.data.shape[0] != grid.num_locations:
-        raise ShapeError(
-            "alpha length %r does not match grid L=%d" % (alpha.dims, grid.num_locations)
-        )
-    if abs(alpha.data.sum() - 1.0) > 1e-6:
-        raise ValueError("alpha must sum to 1 within 1e-6, got %.9f" % alpha.data.sum())
-    return nm.matmul(nm.transpose(grid.a), alpha)
-
-
 def attend(variant, grid, sal, h_prev, params):
     """One attention pass; returns scores, weights and the context vector."""
     if variant not in VARIANTS:

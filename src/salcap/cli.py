@@ -168,51 +168,26 @@ def cmd_trace(args):
     return 0
 
 
-def _read_caption_lines(path):
-    """JSONL of {"image_id", "caption"} -> dict image_id -> caption."""
-    captions = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            obj = json.loads(line)
-            captions[obj["image_id"]] = obj["caption"]
-    return captions
-
-
-def _read_reference_lines(path):
-    """JSONL of {"image_id", "references": [...]} -> dict id -> [refs]."""
-    refs = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            obj = json.loads(line)
-            refs[obj["image_id"]] = obj["references"]
-    return refs
+def _read_by_id(path, field):
+    """JSONL of {"image_id", field} -> dict image_id -> value of field."""
+    records = data_io.read_jsonl(path, ("image_id", field), key="image_id")
+    return {r["image_id"]: r[field] for r in records}
 
 
 def _read_caption_pool(path):
     """Flatten any JSONL carrying caption/captions/references fields."""
     pool = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            obj = json.loads(line)
-            if "caption" in obj:
-                pool.append(obj["caption"])
-            for key in ("captions", "references"):
-                pool.extend(obj.get(key, []))
+    for obj in data_io.read_jsonl(path):
+        if "caption" in obj:
+            pool.append(obj["caption"])
+        for key in ("captions", "references"):
+            pool.extend(obj.get(key, []))
     return pool
 
 
 def cmd_evaluate(args):
-    candidates = _read_caption_lines(args.candidates)
-    references = _read_reference_lines(args.references)
+    candidates = _read_by_id(args.candidates, "caption")
+    references = _read_by_id(args.references, "references")
     missing = set(candidates) - set(references)
     if missing:
         raise ValueError("candidates without references: %s" % ", ".join(sorted(missing)))
@@ -227,7 +202,7 @@ def cmd_evaluate(args):
         )
     if args.compare:
         report["difference_pct"] = metrics.difference_pct(
-            candidates, _read_caption_lines(args.compare)
+            candidates, _read_by_id(args.compare, "caption")
         )
     with open(args.out, "w", encoding="utf-8") as fh:
         json.dump(report, fh, indent=2, sort_keys=True)

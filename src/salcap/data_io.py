@@ -293,6 +293,46 @@ def load_manifest(path):
     return manifest
 
 
+def read_jsonl(path, fields=(), key=None):
+    """The JSON objects of a JSON-lines file, one per non-blank line.
+
+    Every line must be an object holding each name in ``fields``.  With
+    ``key``, that field must be a string no other line repeats.  The
+    first line that breaks a rule raises FormatError naming path:line.
+    """
+    records = []
+    first_seen = {}
+    with open(path, "r", encoding="utf-8") as fh:
+        for number, line in enumerate(fh, start=1):
+            line = line.strip()
+            if not line:
+                continue
+            where = "%s:%d" % (path, number)
+            try:
+                obj = json.loads(line)
+            except json.JSONDecodeError as exc:
+                raise FormatError(
+                    "%s: malformed JSON at column %d (%s)" % (where, exc.colno, exc.msg)
+                ) from exc
+            if not isinstance(obj, dict):
+                raise FormatError("%s: expected a JSON object, got %s" % (where, type(obj).__name__))
+            missing = [name for name in fields if name not in obj]
+            if missing:
+                raise FormatError("%s: missing field %s" % (where, ", ".join(map(repr, missing))))
+            if key is not None:
+                value = obj[key]
+                if not isinstance(value, str):
+                    raise FormatError("%s: %s must be a string, got %r" % (where, key, value))
+                if value in first_seen:
+                    raise FormatError(
+                        "%s: duplicate %s %r (first on line %d)"
+                        % (where, key, value, first_seen[value])
+                    )
+                first_seen[value] = number
+            records.append(obj)
+    return records
+
+
 def load_entry(manifest, entry):
     """(raw feature array [L x D_raw], SaliencyGrid) for one manifest entry."""
     raw = read_tensor(manifest.resolve(entry.features)).data

@@ -1,8 +1,9 @@
 """The generative captioner: feature projection, embeddings, LSTM, output layer.
 
-Per timestep the decoder attends over the feature grid using the state
-h_{t-1}, embeds the previous word, runs one LSTM step on (v_hat, w,
-h_{t-1}) and maps h_t through W_p to a softmax over the vocabulary.
+Per timestep (``step``) the decoder attends over the feature grid using
+the state h_{t-1}, embeds the previous word, runs one LSTM step on
+(v_hat, w, h_{t-1}) and maps h_t through W_p to a softmax over the
+vocabulary.
 """
 
 import json
@@ -11,7 +12,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from . import data_io
+from . import attention, data_io
 from . import numerics as nm
 from .attention import AttentionParams, AttentionPathParams, FeatureGrid, VARIANTS
 from .numerics import ParamStore, ShapeError
@@ -207,6 +208,17 @@ def lstm_step(v_hat, w, state, p):
 def output_distribution(h, params):
     """Softmax over vocabulary logits W_p h."""
     return nm.softmax_vec(nm.matmul(params.w_p, h))
+
+
+def step(params, grid, sal, state, prev_id):
+    """One timestep from state h_{t-1} and the previous word id.
+
+    Returns the attention output, the new LSTM state and the word
+    distribution.  Training, decoding and tracing all run this step.
+    """
+    out = attention.attend(params.config.variant, grid, sal, state.h, params.attention)
+    state = lstm_step(out.v_hat, embed_word(prev_id, params), state, params.lstm)
+    return out, state, output_distribution(state.h, params)
 
 
 # ---------------------------------------------------------------------------

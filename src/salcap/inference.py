@@ -13,7 +13,7 @@ import numpy as np
 
 from . import decoder as dec
 from . import numerics as nm
-from .attention import TWO_PATH_VARIANTS, attend
+from .attention import TWO_PATH_VARIANTS
 from .vocab import BOS_ID, EOS_ID, PAD_ID
 
 
@@ -44,45 +44,30 @@ class AttentionTrace:
         return len(self.steps)
 
 
-def _decode_loop(params, raw, sal, max_len, capture_trace):
-    config = params.config
+def _greedy_steps(params, raw, sal, max_len):
+    """Yield (emitted id, attention output) per step, through EOS or max_len steps."""
     grid = dec.project_features(nm.as_tensor(raw), params)
-    state = dec.LstmState.initial(config.hidden_size)
-    trace = AttentionTrace() if capture_trace else None
-    body = []
-    previous = BOS_ID
-    truncated = True
-    for t in range(1, max_len + 1):
-        out = attend(config.variant, grid, sal, state.h, params.attention)
-        w = dec.embed_word(previous, params)
-        state = dec.lstm_step(out.v_hat, w, state, params.lstm)
-        probs = dec.output_distribution(state.h, params)
+    state = dec.LstmState.initial(params.config.hidden_size)
+    emitted = BOS_ID
+    for _ in range(max_len):
+        out, state, probs = dec.step(params, grid, sal, state, emitted)
         emitted = int(np.argmax(probs.data))  # ties resolve to the lowest id
-        if capture_trace:
-            trace.steps.append(
-                TraceStep(
-                    t=t,
-                    token_id=emitted,
-                    mean_e_sal=float(out.e_sal.data.mean()),
-                    mean_e_ctx=float(out.e_ctx.data.mean()),
-                    alpha=out.alpha.data.copy(),
-                )
-            )
+        yield emitted, out
         if emitted == EOS_ID:
-            truncated = False
-            break
-        if emitted not in (BOS_ID, PAD_ID):
-            body.append(emitted)
-        previous = emitted
-    return DecodeResult(ids=body, truncated=truncated), trace
+            return
+
+
+def _decode_result(emitted):
+    """Caption body of the emitted ids; truncated unless the last one is EOS."""
+    body = [i for i in emitted if i not in (BOS_ID, EOS_ID, PAD_ID)]
+    return DecodeResult(ids=body, truncated=emitted[-1] != EOS_ID)
 
 
 def greedy_decode(raw, sal, params, max_len=20):
     """Most-probable-word decoding; returns the caption body and a cap flag."""
     if max_len < 1:
         raise ValueError("max_len must be >= 1")
-    result, _ = _decode_loop(params, raw, sal, max_len, capture_trace=False)
-    return result
+    return _decode_result([emitted for emitted, _ in _greedy_steps(params, raw, sal, max_len)])
 
 
 def trace_attention(raw, sal, params, max_len=20):
@@ -93,7 +78,18 @@ def trace_attention(raw, sal, params, max_len=20):
         )
     if max_len < 1:
         raise ValueError("max_len must be >= 1")
-    return _decode_loop(params, raw, sal, max_len, capture_trace=True)
+    steps = list(_greedy_steps(params, raw, sal, max_len))
+    trace = AttentionTrace([
+        TraceStep(
+            t=t,
+            token_id=emitted,
+            mean_e_sal=float(out.e_sal.data.mean()),
+            mean_e_ctx=float(out.e_ctx.data.mean()),
+            alpha=out.alpha.data.copy(),
+        )
+        for t, (emitted, out) in enumerate(steps, start=1)
+    ])
+    return _decode_result([emitted for emitted, _ in steps]), trace
 
 
 def write_trace_csv(trace, vocabulary, path):

@@ -7,11 +7,11 @@ n-gram orders and entries (unscaled, in [0,1], with an optional report
 multiplier for comparability with published tables).
 """
 
-import json
 import math
 from collections import Counter, defaultdict
 from dataclasses import dataclass
 
+from . import data_io
 from .vocab import tokenize
 
 ROUGE_BETA = 1.2
@@ -55,15 +55,8 @@ class CaptionCorpus:
     @classmethod
     def from_jsonl(cls, path):
         """One JSON object per line: {"image_id", "candidate", "references"}."""
-        pairs = []
-        with open(path, "r", encoding="utf-8") as fh:
-            for line in fh:
-                line = line.strip()
-                if not line:
-                    continue
-                obj = json.loads(line)
-                pairs.append((obj["image_id"], obj["candidate"], obj["references"]))
-        return cls.from_pairs(pairs)
+        records = data_io.read_jsonl(path, ("image_id", "candidate", "references"), key="image_id")
+        return cls.from_pairs([(r["image_id"], r["candidate"], r["references"]) for r in records])
 
 
 def ngram_counts(tokens, n):

@@ -308,24 +308,6 @@ def relu(x):
     return out
 
 
-_ELEMENTWISE = {
-    "sigmoid": sigmoid,
-    "tanh": tanh,
-    "relu": relu,
-    "hadamard": hadamard,
-    "add": add,
-}
-
-
-def elementwise(op, *args):
-    """Dispatch by name: sigmoid|tanh|relu|hadamard|add."""
-    try:
-        fn = _ELEMENTWISE[op]
-    except KeyError:
-        raise ValueError("unknown elementwise op %r" % (op,)) from None
-    return fn(*args)
-
-
 def softmax_vec(e):
     """Max-shifted softmax over a vector; output sums to 1."""
     e = as_tensor(e)

@@ -14,7 +14,7 @@ import numpy as np
 
 from . import decoder as dec
 from . import numerics as nm
-from .attention import SaliencyGrid, attend
+from .attention import SaliencyGrid
 from .vocab import BOS_ID, EOS_ID, PAD_ID
 
 ADAM_BETA1 = 0.9
@@ -59,23 +59,21 @@ class OptimizerState:
         return self.m[slot.name], self.v[slot.name]
 
 
-def sequence_nll(step_probs, targets, pad_mask=None):
+def sequence_nll(step_probs, targets):
     """Scalar mean NLL over non-pad targets; a recorded graph node.
 
     ``step_probs[t]`` is the vocabulary distribution scoring target
-    ``targets[t]``.  PAD targets (or positions with a false mask) are
-    skipped and do not count toward the normalizer.
+    ``targets[t]``.  PAD targets are skipped and do not count toward the
+    normalizer.
     """
     if len(step_probs) != len(targets):
         raise ValueError(
             "got %d distributions for %d targets" % (len(step_probs), len(targets))
         )
-    if pad_mask is None:
-        pad_mask = [t != PAD_ID for t in targets]
     total = None
     count = 0
-    for probs, target, keep in zip(step_probs, targets, pad_mask):
-        if not keep or target == PAD_ID:
+    for probs, target in zip(step_probs, targets):
+        if target == PAD_ID:
             continue
         term = nm.log(nm.pick(probs, target))
         total = term if total is None else nm.add(total, term)
@@ -86,28 +84,28 @@ def sequence_nll(step_probs, targets, pad_mask=None):
 
 
 def forward_caption(params, raw, sal, token_ids):
-    """Teacher-forced rollout; returns per-step distributions and targets.
+    """Teacher-forced rollout; returns per-step distributions, targets and
+    attention outputs.
 
     ``token_ids`` is BOS + words + EOS (+ optional right PADs, which end
     the rollout).  Attention at step t uses the state from step t-1.
     """
     grid = dec.project_features(nm.as_tensor(raw), params)
     state = dec.LstmState.initial(params.config.hidden_size)
-    probs, targets = [], []
+    probs, targets, attended = [], [], []
     for t in range(1, len(token_ids)):
         target = token_ids[t]
         if target == PAD_ID:
             break
-        out = attend(params.config.variant, grid, sal, state.h, params.attention)
-        w = dec.embed_word(token_ids[t - 1], params)
-        state = dec.lstm_step(out.v_hat, w, state, params.lstm)
-        probs.append(dec.output_distribution(state.h, params))
+        out, state, step_probs = dec.step(params, grid, sal, state, token_ids[t - 1])
+        probs.append(step_probs)
         targets.append(target)
-    return probs, targets
+        attended.append(out)
+    return probs, targets, attended
 
 
 def caption_loss(params, raw, sal, token_ids):
-    probs, targets = forward_caption(params, raw, sal, token_ids)
+    probs, targets, _ = forward_caption(params, raw, sal, token_ids)
     return sequence_nll(probs, targets)
 
 
@@ -210,23 +208,20 @@ def train_epoch(examples, params, opt_state, config, epoch_index=0):
     epoch_tokens = 0
     for batch in _batches(examples, config, epoch_index):
         params.store.zero_grads()
-        total = None
-        tokens = 0
+        probs, targets = [], []
         for index in batch:
             ex = examples[index]
-            probs, targets = forward_caption(params, ex.raw, ex.sal, ex.token_ids)
-            for p, y in zip(probs, targets):
-                term = nm.log(nm.pick(p, y))
-                total = term if total is None else nm.add(total, term)
-                tokens += 1
-        loss = nm.scale(total, -1.0 / tokens)
+            ex_probs, ex_targets, _ = forward_caption(params, ex.raw, ex.sal, ex.token_ids)
+            probs += ex_probs
+            targets += ex_targets
+        loss = sequence_nll(probs, targets)
         nm.backward(loss)
         if config.learning_rate > 0:
             optimizer_step(params.store.slots(), opt_state, config)
         else:
             params.store.zero_grads()
-        epoch_nll += loss.item() * tokens
-        epoch_tokens += tokens
+        epoch_nll += loss.item() * len(targets)
+        epoch_tokens += len(targets)
     elapsed = max(time.perf_counter() - started, 1e-9)
     return EpochStats(
         mean_loss=epoch_nll / epoch_tokens,

@@ -18,12 +18,7 @@ import numpy.testing as npt
 import pytest
 
 from salcap import data_io, decoder, inference, metrics, optim, salstats
-from salcap.attention import (
-    AttentionParams,
-    AttentionPathParams,
-    SaliencyGrid,
-    attend,
-)
+from salcap.attention import SaliencyGrid
 from salcap.numerics import Tensor
 from salcap.vocab import BOS_ID, EOS_ID, build_vocab
 
@@ -101,17 +96,8 @@ def _ctx_as_soft(full, seed):
 
 def _forward_outputs(params, raw, sal, token_ids):
     """Per-step (e, alpha, v_hat) plus the sequence loss."""
-    grid = decoder.project_features(Tensor(raw), params)
-    state = decoder.LstmState.initial(params.config.hidden_size)
-    outputs = []
-    probs, targets = [], []
-    for t in range(1, len(token_ids)):
-        out = attend(params.config.variant, grid, sal, state.h, params.attention)
-        outputs.append((out.e.data.copy(), out.alpha.data.copy(), out.v_hat.data.copy()))
-        w = decoder.embed_word(token_ids[t - 1], params)
-        state = decoder.lstm_step(out.v_hat, w, state, params.lstm)
-        probs.append(decoder.output_distribution(state.h, params))
-        targets.append(token_ids[t])
+    probs, targets, attended = optim.forward_caption(params, raw, sal, token_ids)
+    outputs = [(out.e.data, out.alpha.data, out.v_hat.data) for out in attended]
     return outputs, optim.sequence_nll(probs, targets).item()
 
 
@@ -159,11 +145,9 @@ def test_criterion_3_saliency_pooling_time_invariance():
     previous_word = BOS_ID
     v_hats = []
     for _ in range(20):
-        out = attend("saliency_pooling", grid, sal, state.h, params.attention)
+        out, state, probs = decoder.step(params, grid, sal, state, previous_word)
         v_hats.append(out.v_hat.data.copy())
-        w = decoder.embed_word(previous_word, params)
-        state = decoder.lstm_step(out.v_hat, w, state, params.lstm)
-        previous_word = int(np.argmax(decoder.output_distribution(state.h, params).data))
+        previous_word = int(np.argmax(probs.data))
     identical = all(np.array_equal(v, v_hats[0]) for v in v_hats[1:])
     report(3, identical, "v_hat bit-identical across 20 decode steps")
 

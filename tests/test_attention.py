@@ -10,7 +10,6 @@ from salcap.attention import (
     SaliencyGrid,
     attend,
     combine_saliency_context,
-    context_vector,
     score_path,
 )
 from salcap.numerics import ShapeError, Tensor
@@ -90,30 +89,36 @@ class TestCombine:
 
 
 class TestContextVector:
+    """v_hat = sum_i alpha_i a_i, as ``attend`` computes it."""
+
     def test_one_hot(self):
         grid = FeatureGrid(np.array([[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]]))
-        v = context_vector(Tensor([0.0, 1.0, 0.0]), grid)
+        sal = SaliencyGrid(np.array([0.0, 1.0, 0.0]))
+        v = attend("saliency_pooling", grid, sal, None, AttentionParams("saliency_pooling")).v_hat
         npt.assert_array_equal(v.data, [3.0, 4.0])
 
     def test_even_mix(self):
         grid = FeatureGrid(np.array([[1.0, 0.0], [0.0, 1.0]]))
-        v = context_vector(Tensor([0.5, 0.5]), grid)
-        npt.assert_array_equal(v.data, [0.5, 0.5])
+        path = AttentionPathParams(np.ones((2, 2)), np.ones((2, 3)), np.zeros(2))  # uniform alpha
+        out = attend("soft", grid, SaliencyGrid(np.array([0.3, 0.9])), Tensor(np.ones(3)),
+                     AttentionParams("soft", single=path))
+        npt.assert_array_equal(out.v_hat.data, [0.5, 0.5])
 
     def test_matches_loop_oracle(self):
         rng = np.random.default_rng(2)
         a = rng.normal(size=(5, 3))
-        alpha = rng.uniform(size=5)
-        alpha /= alpha.sum()
-        expected = np.zeros(3)
-        for i in range(5):
-            expected += alpha[i] * a[i]
-        v = context_vector(Tensor(alpha), FeatureGrid(a))
-        npt.assert_allclose(v.data, expected, atol=1e-12)
-
-    def test_requires_normalized_alpha(self):
-        with pytest.raises(ValueError, match="sum to 1"):
-            context_vector(Tensor([0.7, 0.7]), FeatureGrid(np.ones((2, 2))))
+        sal = SaliencyGrid(rng.uniform(size=5))
+        h_prev = Tensor(rng.normal(size=4))
+        for params in (
+            AttentionParams("soft", single=random_path(rng, 3, 4, 2)),
+            AttentionParams("attention_on_saliency", single=random_path(rng, 3, 4, 2)),
+            make_two_path(rng, 3, 4, 2),
+        ):
+            out = attend(params.variant, FeatureGrid(a), sal, h_prev, params)
+            expected = np.zeros(3)
+            for i in range(5):
+                expected += out.alpha.data[i] * a[i]
+            npt.assert_allclose(out.v_hat.data, expected, atol=1e-12)
 
 
 def make_two_path(rng, d, h, d_att, tied=False):

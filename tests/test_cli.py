@@ -163,6 +163,62 @@ class TestEvaluate:
         ]) == 1
 
 
+class TestEvaluateInputErrors:
+    """A bad JSONL line exits 1 with a message naming path:line."""
+
+    def _evaluate(self, tmp_path, capsys, candidates, train_captions=None):
+        cands = tmp_path / "c.jsonl"
+        refs = tmp_path / "r.jsonl"
+        cands.write_text(candidates)
+        refs.write_text("".join(
+            json.dumps({"image_id": i, "references": [c]}) + "\n"
+            for i, c in (("a", "a cat"), ("b", "a dog"))
+        ))
+        argv = [
+            "evaluate", "--candidates", str(cands), "--references", str(refs),
+            "--out", str(tmp_path / "rep.json"),
+        ]
+        if train_captions is not None:
+            train = tmp_path / "t.jsonl"
+            train.write_text(train_captions)
+            argv += ["--train-captions", str(train)]
+        code = main(argv)
+        return code, capsys.readouterr().err
+
+    def test_malformed_json(self, tmp_path, capsys):
+        good = json.dumps({"image_id": "a", "caption": "a cat"}) + "\n"
+        code, err = self._evaluate(tmp_path, capsys, good + '{"image_id": "b" "caption": "x"}\n')
+        assert code == 1
+        assert "c.jsonl:2: malformed JSON at column 18" in err
+
+    def test_missing_field(self, tmp_path, capsys):
+        code, err = self._evaluate(tmp_path, capsys, json.dumps({"image_id": "a"}) + "\n")
+        assert code == 1
+        assert "c.jsonl:1: missing field 'caption'" in err
+
+    def test_line_not_an_object(self, tmp_path, capsys):
+        cands = "".join(
+            json.dumps({"image_id": i, "caption": c}) + "\n"
+            for i, c in (("a", "a cat"), ("b", "a dog"))
+        )
+        code, err = self._evaluate(tmp_path, capsys, cands, train_captions='["a cat"]\n')
+        assert code == 1
+        assert "t.jsonl:1: expected a JSON object, got list" in err
+
+    def test_image_id_not_a_string(self, tmp_path, capsys):
+        code, err = self._evaluate(tmp_path, capsys, '{"image_id": ["a"], "caption": "x"}\n')
+        assert code == 1
+        assert "c.jsonl:1: image_id must be a string" in err
+
+    def test_duplicate_image_id(self, tmp_path, capsys):
+        cands = "".join(
+            json.dumps({"image_id": "a", "caption": c}) + "\n" for c in ("a cat", "a dog")
+        )
+        code, err = self._evaluate(tmp_path, capsys, cands)
+        assert code == 1
+        assert "c.jsonl:2: duplicate image_id 'a' (first on line 1)" in err
+
+
 class TestAnalyzeSaliency:
     def test_end_to_end(self, tmp_path):
         seg = np.zeros((4, 4), dtype=int)

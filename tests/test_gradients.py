@@ -21,7 +21,6 @@ from salcap.attention import (
     SaliencyGrid,
     attend,
     combine_saliency_context,
-    context_vector,
     score_path,
 )
 from salcap.numerics import Tensor
@@ -96,16 +95,6 @@ def build_combine(rng):
         nm.hadamard(combine_saliency_context(e_sal, e_ctx, sal), Tensor(weights))
     )
     return [e_sal, e_ctx], loss
-
-
-def build_context_vector(rng):
-    grid = FeatureGrid(Tensor(rng.normal(size=(3, 2))))
-    logits = Tensor(rng.normal(size=3))
-    weights = rng.normal(size=2)
-    loss = lambda: nm.tsum(
-        nm.hadamard(context_vector(nm.softmax_vec(logits), grid), Tensor(weights))
-    )
-    return [grid.a, logits], loss
 
 
 def build_attend(variant):
@@ -207,7 +196,6 @@ def build_sequence_nll(rng):
 CASES = [
     ("score_path", build_score_path),
     ("combine_saliency_context", build_combine),
-    ("context_vector", build_context_vector),
     ("attend_soft", build_attend("soft")),
     ("attend_saliency_pooling", build_attend("saliency_pooling")),
     ("attend_on_saliency", build_attend("attention_on_saliency")),

@@ -6,6 +6,7 @@ import numpy.testing as npt
 import pytest
 
 from salcap import metrics
+from salcap.data_io import FormatError
 from salcap.metrics import CaptionCorpus
 
 FIXTURES = os.path.join(os.path.dirname(os.path.abspath(__file__)), "fixtures")
@@ -219,3 +220,10 @@ class TestCorpusValidation:
         corpus = CaptionCorpus.from_jsonl(path)
         assert corpus.entries[0].candidate == ["a", "cat"]
         assert corpus.entries[0].references == [["a", "cat"], ["the", "cat"]]
+
+    def test_jsonl_bad_line_names_path_and_line(self, tmp_path):
+        path = tmp_path / "c.jsonl"
+        path.write_text('{"image_id": "x", "candidate": "a cat", "references": ["a cat"]}\n'
+                        '{"image_id": "y", "references": ["a dog"]}\n')
+        with pytest.raises(FormatError, match="c.jsonl:2: missing field 'candidate'"):
+            CaptionCorpus.from_jsonl(path)

@@ -99,11 +99,6 @@ class TestElementwise:
         with pytest.raises(ShapeError):
             nm.hadamard(Tensor([1.0]), Tensor([1.0, 2.0]))
 
-    def test_dispatcher(self):
-        assert nm.elementwise("sigmoid", Tensor([0.0])).data[0] == 0.5
-        with pytest.raises(ValueError, match="unknown elementwise"):
-            nm.elementwise("exp", Tensor([0.0]))
-
 
 class TestSoftmax:
     def test_uniform(self):

@@ -52,11 +52,6 @@ class TestSequenceNll:
         padded = optim.sequence_nll(probs, [4, 5, PAD_ID])
         assert base.item() == padded.item()
 
-    def test_mask_argument(self):
-        probs = [Tensor([0.5, 0.5]), Tensor([0.1, 0.9])]
-        masked = optim.sequence_nll(probs, [1, 1], pad_mask=[True, False])
-        npt.assert_allclose(masked.item(), math.log(2), atol=1e-12)
-
     def test_all_pad_rejected(self):
         with pytest.raises(ValueError, match="non-pad"):
             optim.sequence_nll(uniform_probs(4, 2), [PAD_ID, PAD_ID])
@@ -172,6 +167,23 @@ class TestTrainEpoch:
             )
             results.append(stats.mean_loss)
         assert abs(results[0] - results[1]) < 1e-12
+
+    def test_mean_loss_is_token_weighted_caption_loss(self):
+        # training scores the same loss that grad-check differentiates
+        config = tiny_config()
+        params = dec.init_params(config, rng_seed=7)
+        examples = synthetic_examples(config)
+        stats = optim.train_epoch(
+            examples, params, optim.OptimizerState(),
+            optim.TrainConfig(learning_rate=0.0, batch_size=len(examples)), 0,
+        )
+        tokens = [len(ex.token_ids) - 1 for ex in examples]
+        weighted = sum(
+            n * optim.caption_loss(params, ex.raw, ex.sal, ex.token_ids).item()
+            for n, ex in zip(tokens, examples)
+        )
+        assert stats.num_tokens == sum(tokens)
+        assert abs(stats.mean_loss - weighted / sum(tokens)) < 1e-12
 
     def test_loss_decreases_on_tiny_overfit(self):
         config = tiny_config()
