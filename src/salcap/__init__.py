@@ -10,7 +10,7 @@ Library layout:
 - ``inference``  greedy decoding and per-step attention-path tracing
 - ``metrics``    BLEU / ROUGE_L / CIDEr and corpus diversity statistics
 - ``salstats``   saliency-vs-segmentation hit rates and size statistics
-- ``data_io``    tensor/PGM file formats, manifests, synthetic data
+- ``data_io``    every file format, dataset manifests, synthetic data
 - ``cli``        command-line surface tying the pipeline together
 """
 

@@ -6,11 +6,10 @@ SALCAP_SEED overrides the configured seed.
 """
 
 import argparse
-import csv
 import json
 import os
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 from . import data_io, decoder, inference, metrics, optim, salstats
 from .attention import VARIANTS
@@ -38,22 +37,13 @@ class RunConfig:
 
     @classmethod
     def load(cls, path=None, overrides=None):
-        values = {}
-        if path:
-            with open(path, "r", encoding="utf-8") as fh:
-                values = json.load(fh)
+        values = data_io.read_json(path) if path else {}
         overrides = {k: v for k, v in (overrides or {}).items() if v is not None}
         values.update(overrides)
         if "SALCAP_SEED" in os.environ:
             values["seed"] = int(os.environ["SALCAP_SEED"])
-        train_keys = {
-            "learning_rate", "batch_size", "epochs", "seed", "optimizer",
-            "grad_clip_norm", "max_caption_len", "checkpoint_every",
-        }
-        model_keys = {
-            "hidden_size", "embed_size", "feature_size", "attention_size",
-            "min_count", "variant",
-        }
+        train_keys = {f.name for f in fields(optim.TrainConfig)}
+        model_keys = {f.name for f in fields(cls)} - {"train"}
         unknown = set(values) - train_keys - model_keys
         if unknown:
             raise ValueError("unknown config keys: %s" % ", ".join(sorted(unknown)))
@@ -76,9 +66,7 @@ def _model_config(run, manifest, vocab_size):
 
 
 def cmd_gen_synth(args):
-    with open(args.spec, "r", encoding="utf-8") as fh:
-        spec = SyntheticSpec.from_json(json.load(fh))
-    manifest = data_io.gen_synthetic(spec, args.out)
+    manifest = data_io.gen_synthetic(data_io.read_dataclass(SyntheticSpec, args.spec), args.out)
     print("wrote %d entries to %s" % (len(manifest.entries), args.out))
     return 0
 
@@ -106,20 +94,20 @@ def cmd_train(args):
     examples = optim.build_examples(manifest, vocabulary, "train", run.train)
     opt_state = optim.OptimizerState()
 
-    os.makedirs(args.out, exist_ok=True)
-    log_path = os.path.join(args.out, "train_log.csv")
-    with open(log_path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["epoch", "mean_loss", "tokens_per_sec"])
+    def log_rows():
+        """Trains one epoch per row, so the log is written as training goes on."""
         for epoch in range(run.train.epochs):
             stats = optim.train_epoch(examples, params, opt_state, run.train, epoch)
-            writer.writerow([epoch, "%.9f" % stats.mean_loss, "%.1f" % stats.tokens_per_sec])
-            fh.flush()
+            yield [[epoch, "%.9f" % stats.mean_loss, "%.1f" % stats.tokens_per_sec]]
             every = run.train.checkpoint_every
             if every and (epoch + 1) % every == 0:
                 decoder.save_checkpoint(
                     params, os.path.join(args.out, "epoch_%04d" % (epoch + 1)), vocabulary
                 )
+
+    os.makedirs(args.out, exist_ok=True)
+    log_path = os.path.join(args.out, "train_log.csv")
+    data_io.write_csv(["epoch", "mean_loss", "tokens_per_sec"], log_rows(), log_path)
     decoder.save_checkpoint(params, os.path.join(args.out, "final"), vocabulary)
     print("trained %d epochs; checkpoint at %s" % (run.train.epochs, os.path.join(args.out, "final")))
     return 0
@@ -138,15 +126,18 @@ def cmd_caption(args):
     entries = manifest.split_entries(args.split)
     if not entries:
         raise ValueError("manifest has no %r split entries" % args.split)
-    with open(args.out, "w", encoding="utf-8") as fh:
+
+    def records():
         for entry in entries:
             raw, sal = data_io.load_entry(manifest, entry)
             result = inference.greedy_decode(raw, sal, params, max_len=args.max_len)
-            fh.write(json.dumps({
+            yield {
                 "image_id": entry.id,
                 "caption": vocabulary.decode(result.ids),
                 "truncated": result.truncated,
-            }, sort_keys=True) + "\n")
+            }
+
+    data_io.write_jsonl(records(), args.out)
     print("captioned %d images into %s" % (len(entries), args.out))
     return 0
 
@@ -168,16 +159,16 @@ def cmd_trace(args):
     return 0
 
 
-def _read_by_id(path, field):
-    """JSONL of {"image_id", field} -> dict image_id -> value of field."""
-    records = data_io.read_jsonl(path, ("image_id", field), key="image_id")
+def _read_by_id(path, field, kind):
+    """JSONL of {"image_id", field} -> dict image_id -> value of field (a str or list)."""
+    records = data_io.read_jsonl(path, {"image_id": str, field: kind}, key="image_id")
     return {r["image_id"]: r[field] for r in records}
 
 
 def _read_caption_pool(path):
     """Flatten any JSONL carrying caption/captions/references fields."""
     pool = []
-    for obj in data_io.read_jsonl(path):
+    for obj in data_io.read_jsonl(path, {}):
         if "caption" in obj:
             pool.append(obj["caption"])
         for key in ("captions", "references"):
@@ -186,8 +177,8 @@ def _read_caption_pool(path):
 
 
 def cmd_evaluate(args):
-    candidates = _read_by_id(args.candidates, "caption")
-    references = _read_by_id(args.references, "references")
+    candidates = _read_by_id(args.candidates, "caption", str)
+    references = _read_by_id(args.references, "references", list)
     missing = set(candidates) - set(references)
     if missing:
         raise ValueError("candidates without references: %s" % ", ".join(sorted(missing)))
@@ -202,39 +193,26 @@ def cmd_evaluate(args):
         )
     if args.compare:
         report["difference_pct"] = metrics.difference_pct(
-            candidates, _read_by_id(args.compare, "caption")
+            candidates, _read_by_id(args.compare, "caption", str)
         )
-    with open(args.out, "w", encoding="utf-8") as fh:
-        json.dump(report, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    data_io.write_json(report, args.out)
     print(json.dumps(report, indent=2, sort_keys=True))
     return 0
 
 
-def _sniff_segmentation(path, names):
-    with open(path, "rb") as fh:
-        magic = fh.read(4)
-    if magic[:4] == data_io.SEGM_MAGIC:
-        labels = data_io.read_segm(path)
-    elif magic[:2] == b"P5":
-        labels = data_io.read_pgm(path).astype(int)
-    else:
-        raise FormatError("%s: neither a SEGM grid nor a PGM" % path)
-    return salstats.SegmentationMap(labels, names)
-
-
 def cmd_analyze_saliency(args):
-    with open(args.pairs, "r", encoding="utf-8") as fh:
-        spec = json.load(fh)
+    spec = data_io.read_json(args.pairs)
     base = os.path.dirname(os.path.abspath(args.pairs))
     table = spec.get("label_table", {})
     if isinstance(table, str):
-        with open(os.path.join(base, table), "r", encoding="utf-8") as fh:
-            table = json.load(fh)
+        table = data_io.read_json(os.path.join(base, table))
     names = {int(k): v for k, v in table.items()}
     pairs = []
     for item in spec["pairs"]:
-        seg = _sniff_segmentation(os.path.join(base, item["segmentation"]), names)
+        labels, _ = data_io.read_map(
+            os.path.join(base, item["segmentation"]), (data_io.SEGM_MAGIC, data_io.PGM_MAGIC)
+        )
+        seg = salstats.SegmentationMap(labels, names)
         sal = salstats.SaliencyMap(data_io.read_pgm(os.path.join(base, item["saliency"])))
         pairs.append((seg, sal))
     if not pairs:
@@ -248,12 +226,10 @@ def cmd_analyze_saliency(args):
     points = salstats.size_saliency_distribution(pairs)
     salstats.write_size_saliency_csv(points, os.path.join(args.out, "size_saliency.csv"))
     if args.per_pixel:
-        with open(os.path.join(args.out, "pixel_saliency.csv"), "w", encoding="utf-8", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["class", "image", "saliency"])
-            for label, name, image, values in salstats.pixel_saliency_values(pairs):
-                for v in values:
-                    writer.writerow([name, image, "%.9f" % v])
+        data_io.write_csv(["class", "image", "saliency"], (
+            [[name, image, "%.9f" % v] for v in values]
+            for _, name, image, values in salstats.pixel_saliency_values(pairs)
+        ), os.path.join(args.out, "pixel_saliency.csv"))
     print("analyzed %d pairs into %s" % (len(pairs), args.out))
     return 0
 

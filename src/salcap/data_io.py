@@ -1,29 +1,49 @@
-"""File formats, dataset manifests, saliency preparation, synthetic data.
+"""Every file salcap reads or writes, and the synthetic dataset generator.
 
+No other module opens a file.  A file that breaks its format raises
+FormatError naming the file and the byte offset, or line and column.
 Formats (all multi-byte integers little-endian unless noted):
 
 - tensor files: magic ``TNSR``, version u8=1, dtype u8 (0 = float32 LE,
   1 = float64 LE), rank u8, rank x u32 dims, then the row-major payload
-- PGM (P5): 8-bit maps, or 16-bit with big-endian samples as in netpbm
+- PGM (P5): 8-bit maps, or 16-bit with big-endian samples as in netpbm;
+  a saliency map is scaled to [0,1] by its own maxval
 - raw segmentation grids: magic ``SEGM``, u32 width, u32 height, then
   width*height u16 labels, row-major
+- JSON (indent 2, sorted keys, trailing newline), JSON lines and CSV
 - dataset manifest: JSON with a grid size, a feature dimension and one
   entry per image (paths relative to the manifest file)
 """
 
+import csv
+import dataclasses
 import json
+import math
 import os
+import re
 import struct
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
 from . import numerics as nm
+from .attention import SaliencyGrid
 from .numerics import Tensor
 
 
 class FormatError(ValueError):
     """A file does not conform to its declared format."""
+
+
+def _read_bytes(path):
+    with open(path, "rb") as fh:
+        return fh.read()
+
+
+def _check_payload(path, offset, actual, expected):
+    if actual != expected:
+        raise FormatError("%s: payload at byte %d holds %d bytes, expected %d"
+                          % (path, offset, actual, expected))
 
 
 TENSOR_MAGIC = b"TNSR"
@@ -44,52 +64,51 @@ def write_tensor(t, path, dtype_code=1):
         fh.write(payload)
 
 
-def read_tensor(path):
-    with open(path, "rb") as fh:
-        blob = fh.read()
-    if blob[:4] != TENSOR_MAGIC:
-        raise FormatError("%s: bad magic at byte 0 (got %r)" % (path, blob[:4]))
-    if len(blob) < 7:
-        raise FormatError("%s: truncated header at byte %d" % (path, len(blob)))
-    version, dtype_code, rank = struct.unpack_from("<BBB", blob, 4)
+def _tensor_header(head, size, path):
+    """(dims, dtype, payload offset) of a file of ``size`` bytes starting with ``head``."""
+    if head[:4] != TENSOR_MAGIC:
+        raise FormatError("%s: bad magic at byte 0 (got %r)" % (path, head[:4]))
+    if len(head) < 7:
+        raise FormatError("%s: truncated header at byte %d" % (path, len(head)))
+    version, dtype_code, rank = struct.unpack_from("<BBB", head, 4)
     if version != TENSOR_VERSION:
         raise FormatError("%s: unsupported version %d at byte 4" % (path, version))
     if dtype_code not in _DTYPES:
         raise FormatError("%s: unknown dtype code %d at byte 5" % (path, dtype_code))
-    offset = 7
-    if len(blob) < offset + 4 * rank:
-        raise FormatError("%s: truncated dims at byte %d" % (path, len(blob)))
-    dims = struct.unpack_from("<%dI" % rank, blob, offset)
-    offset += 4 * rank
+    offset = 7 + 4 * rank
+    if len(head) < offset:
+        raise FormatError("%s: truncated dims at byte %d" % (path, len(head)))
+    dims = struct.unpack_from("<%dI" % rank, head, 7)
     if any(d == 0 for d in dims):
         raise FormatError("%s: zero extent in dims %r at byte 7" % (path, list(dims)))
     dtype = _DTYPES[dtype_code]
-    expected = int(np.prod(dims, dtype=np.int64)) * dtype.itemsize
-    actual = len(blob) - offset
-    if actual != expected:
-        raise FormatError(
-            "%s: payload at byte %d holds %d bytes, expected %d" % (path, offset, actual, expected)
-        )
-    data = np.frombuffer(blob, dtype=dtype, count=int(np.prod(dims, dtype=np.int64)), offset=offset)
-    return Tensor(data.astype(np.float64).reshape(dims))
+    _check_payload(path, offset, size - offset, math.prod(dims) * dtype.itemsize)
+    return dims, dtype, offset
+
+
+def _parse_tensor(blob, path):
+    dims, dtype, offset = _tensor_header(blob, len(blob), path)
+    return np.frombuffer(blob, dtype=dtype, offset=offset).astype(np.float64).reshape(dims)
+
+
+def read_tensor(path):
+    return Tensor(_parse_tensor(_read_bytes(path), path))
 
 
 def read_tensor_dims(path):
     """Dims from the header only, without loading the payload."""
-    with open(path, "rb") as fh:
-        head = fh.read(7)
-        if head[:4] != TENSOR_MAGIC or len(head) < 7:
-            raise FormatError("%s: bad or truncated header" % path)
-        rank = head[6]
-        raw = fh.read(4 * rank)
-        if len(raw) < 4 * rank:
-            raise FormatError("%s: truncated dims" % path)
-        return list(struct.unpack("<%dI" % rank, raw))
+    with open(path, "rb", buffering=0) as fh:
+        head = fh.read(7 + 4 * 255)  # the longest header
+        size = fh.seek(0, os.SEEK_END)
+    return list(_tensor_header(head, size, path)[0])
 
 
 # ---------------------------------------------------------------------------
 # PGM (P5) and raw segmentation grids
 # ---------------------------------------------------------------------------
+
+PGM_MAGIC = b"P5"
+
 
 def write_pgm(values, path, maxval=255):
     values = np.asarray(values)
@@ -104,41 +123,29 @@ def write_pgm(values, path, maxval=255):
         fh.write(np.ascontiguousarray(values, dtype=dtype).tobytes())
 
 
-def read_pgm(path):
-    with open(path, "rb") as fh:
-        blob = fh.read()
-    if blob[:2] != b"P5":
-        raise FormatError("%s: not a binary PGM (magic %r)" % (path, blob[:2]))
+# width, height and maxval, each after whitespace or '#' comments, then one whitespace byte
+_PGM_HEADER = re.compile(PGM_MAGIC + rb"(?:\s|#[^\n]*\n)+(\d+)" * 3 + rb"\s")
 
-    # header tokens: width, height, maxval; '#' comments run to end of line
-    tokens, pos = [], 2
-    while len(tokens) < 3:
-        if pos >= len(blob):
-            raise FormatError("%s: truncated PGM header" % path)
-        ch = blob[pos:pos + 1]
-        if ch == b"#":
-            while pos < len(blob) and blob[pos:pos + 1] != b"\n":
-                pos += 1
-        elif ch.isspace():
-            pos += 1
-        else:
-            start = pos
-            while pos < len(blob) and not blob[pos:pos + 1].isspace():
-                pos += 1
-            tokens.append(blob[start:pos])
-    pos += 1  # single whitespace byte after maxval
-    width, height, maxval = (int(t) for t in tokens)
+
+def _parse_pgm(blob, path):
+    """(samples, maxval); samples are uint8, or uint16 when maxval > 255."""
+    if blob[:2] != PGM_MAGIC:
+        raise FormatError("%s: not a binary PGM (magic %r)" % (path, blob[:2]))
+    header = _PGM_HEADER.match(blob)
+    if header is None:
+        raise FormatError("%s: PGM header at byte 2 is not width, height and maxval" % path)
+    width, height, maxval = (int(t) for t in header.groups())
+    pos = header.end()
     if width <= 0 or height <= 0 or not 0 < maxval < 65536:
         raise FormatError("%s: bad PGM dimensions %dx%d maxval %d" % (path, width, height, maxval))
     dtype = np.dtype(">u2") if maxval > 255 else np.dtype("u1")
-    expected = width * height * dtype.itemsize
-    if len(blob) - pos != expected:
-        raise FormatError(
-            "%s: PGM payload at byte %d holds %d bytes, expected %d"
-            % (path, pos, len(blob) - pos, expected)
-        )
-    data = np.frombuffer(blob, dtype=dtype, count=width * height, offset=pos)
-    return data.reshape(height, width).astype(np.uint16 if maxval > 255 else np.uint8)
+    _check_payload(path, pos, len(blob) - pos, width * height * dtype.itemsize)
+    data = np.frombuffer(blob, dtype=dtype, offset=pos)
+    return data.reshape(height, width).astype(np.uint16 if maxval > 255 else np.uint8), maxval
+
+
+def read_pgm(path):
+    return _parse_pgm(_read_bytes(path), path)[0]
 
 
 SEGM_MAGIC = b"SEGM"
@@ -156,21 +163,129 @@ def write_segm(labels, path):
         fh.write(np.ascontiguousarray(labels, dtype="<u2").tobytes())
 
 
-def read_segm(path):
-    with open(path, "rb") as fh:
-        blob = fh.read()
+def _parse_segm(blob, path):
     if blob[:4] != SEGM_MAGIC:
         raise FormatError("%s: bad magic at byte 0 (got %r)" % (path, blob[:4]))
     if len(blob) < 12:
         raise FormatError("%s: truncated header at byte %d" % (path, len(blob)))
     width, height = struct.unpack_from("<II", blob, 4)
-    expected = width * height * 2
-    if len(blob) - 12 != expected:
-        raise FormatError(
-            "%s: payload at byte 12 holds %d bytes, expected %d" % (path, len(blob) - 12, expected)
-        )
-    data = np.frombuffer(blob, dtype="<u2", count=width * height, offset=12)
-    return data.reshape(height, width).astype(np.int64)
+    _check_payload(path, 12, len(blob) - 12, width * height * 2)
+    return np.frombuffer(blob, dtype="<u2", offset=12).reshape(height, width).astype(np.int64)
+
+
+def read_segm(path):
+    return _parse_segm(_read_bytes(path), path)
+
+
+def read_map(path, kinds):
+    """(values, maxval) of a map file in one of the formats whose magics ``kinds`` lists.
+
+    maxval is a PGM's own; it is None for tensor values and SEGM labels.
+    """
+    blob = _read_bytes(path)
+    if not any(blob.startswith(magic) for magic in kinds):
+        raise FormatError("%s: bad magic at byte 0 (got %r, expected %s)"
+                          % (path, blob[:4], " or ".join(repr(m) for m in kinds)))
+    if blob.startswith(PGM_MAGIC):
+        return _parse_pgm(blob, path)
+    return (_parse_tensor if blob.startswith(TENSOR_MAGIC) else _parse_segm)(blob, path), None
+
+
+# ---------------------------------------------------------------------------
+# JSON, JSON lines and CSV
+# ---------------------------------------------------------------------------
+
+def read_json(path):
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
+            return json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise FormatError("%s: malformed JSON at line %d column %d (%s)"
+                              % (path, exc.lineno, exc.colno, exc.msg)) from exc
+
+
+def write_json(obj, path):
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(obj, fh, indent=2, sort_keys=True)
+        fh.write("\n")
+
+
+def read_dataclass(cls, path):
+    """cls(**obj) for the JSON object in a file; a key or value cls rejects names the file."""
+    obj = read_json(path)
+    try:
+        return cls(**obj)
+    except (TypeError, ValueError) as exc:
+        raise FormatError("%s: %s" % (path, exc)) from exc
+
+
+def _check_fields(where, obj, types):
+    """Each field of ``types`` is in obj: ``str`` a string, ``list`` a non-empty string list."""
+    missing = [name for name in types if name not in obj]
+    if missing:
+        raise FormatError("%s: missing field %s" % (where, ", ".join(map(repr, missing))))
+    for name, kind in types.items():
+        value = obj[name]
+        if kind is str and not isinstance(value, str):
+            raise FormatError("%s: %s must be a string, got %r" % (where, name, value))
+        if kind is list and not (
+            isinstance(value, list) and value and all(isinstance(v, str) for v in value)
+        ):
+            raise FormatError(
+                "%s: %s must be a non-empty list of strings, got %r" % (where, name, value)
+            )
+
+
+def read_jsonl(path, fields, key=None):
+    """The JSON objects of a JSON-lines file, one per non-blank line.
+
+    Every line must be an object holding each field of ``fields``, a dict
+    of name -> ``str`` or ``list`` (see _check_fields).  With ``key``, a
+    ``str`` field, no two lines may share its value.  The first line that
+    breaks a rule raises FormatError naming path:line.
+    """
+    records = []
+    first_seen = {}
+    with open(path, "r", encoding="utf-8") as fh:
+        for number, line in enumerate(fh, start=1):
+            line = line.strip()
+            if not line:
+                continue
+            where = "%s:%d" % (path, number)
+            try:
+                obj = json.loads(line)
+            except json.JSONDecodeError as exc:
+                raise FormatError(
+                    "%s: malformed JSON at column %d (%s)" % (where, exc.colno, exc.msg)
+                ) from exc
+            if not isinstance(obj, dict):
+                raise FormatError("%s: expected a JSON object, got %s" % (where, type(obj).__name__))
+            _check_fields(where, obj, fields)
+            if key is not None:
+                if obj[key] in first_seen:
+                    raise FormatError(
+                        "%s: duplicate %s %r (first on line %d)"
+                        % (where, key, obj[key], first_seen[obj[key]])
+                    )
+                first_seen[obj[key]] = number
+            records.append(obj)
+    return records
+
+
+def write_jsonl(records, path):
+    with open(path, "w", encoding="utf-8") as fh:
+        for record in records:
+            fh.write(json.dumps(record, sort_keys=True) + "\n")
+
+
+def write_csv(header, row_groups, path):
+    """Header, then row groups, each flushed once written: a log written as it runs stays whole."""
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        for rows in row_groups:
+            writer.writerows(rows)
+            fh.flush()
 
 
 # ---------------------------------------------------------------------------
@@ -191,19 +306,14 @@ def _axis_overlap_weights(src, dst):
 def prepare_saliency(source, rows, cols):
     """Area-average a saliency map down to a rows x cols grid, flattened row-major.
 
-    8-bit inputs (integer arrays, e.g. from PGM) are divided by 255;
-    float inputs are taken as already normalized to [0,1].
+    Float inputs are taken as already normalized to [0,1]; integer arrays
+    are 8-bit intensities and are divided by 255 first.
     """
-    from .attention import SaliencyGrid
-
-    if hasattr(source, "intensity"):  # salstats.SaliencyMap
-        source = source.intensity
-    if isinstance(source, Tensor):
-        source = source.data
     source = np.asarray(source)
     if source.ndim != 2:
         raise ValueError("saliency source must be 2-D, got shape %r" % (list(source.shape),))
-    eight_bit = np.issubdtype(source.dtype, np.integer)
+    if np.issubdtype(source.dtype, np.integer):
+        source = source / 255.0
     source = source.astype(np.float64)
     if source.shape[0] < rows or source.shape[1] < cols:
         raise ValueError(
@@ -214,8 +324,6 @@ def prepare_saliency(source, rows, cols):
     w_cols = _axis_overlap_weights(source.shape[1], cols)
     cell_area = (source.shape[0] / rows) * (source.shape[1] / cols)
     means = (w_rows @ source @ w_cols.T) / cell_area
-    if eight_bit:
-        means = means / 255.0
     return SaliencyGrid(means.reshape(-1))
 
 
@@ -256,11 +364,14 @@ class DatasetManifest:
 
 def load_manifest(path):
     """Load and validate a manifest, rejecting on the first violation."""
-    with open(path, "r", encoding="utf-8") as fh:
-        obj = json.load(fh)
+    obj = read_json(path)
     base = os.path.dirname(os.path.abspath(path))
+    # each entry field is a string, except captions: a non-empty list of strings
+    entry_fields = {f.name: f.type for f in dataclasses.fields(ManifestEntry)}
     try:
         grid = obj["grid"]
+        for index, e in enumerate(obj["entries"]):
+            _check_fields("%s: entry %d" % (path, index), e, entry_fields)
         manifest = DatasetManifest(
             grid_rows=int(grid["rows"]),
             grid_cols=int(grid["cols"]),
@@ -279,8 +390,6 @@ def load_manifest(path):
         seen.add(entry.id)
         if entry.split not in VALID_SPLITS:
             raise FormatError("%s: entry %r has unknown split %r" % (path, entry.id, entry.split))
-        if not entry.captions:
-            raise FormatError("%s: entry %r has no captions" % (path, entry.id))
         fpath = manifest.resolve(entry.features)
         dims = read_tensor_dims(fpath)
         if len(dims) != 2 or dims[0] != manifest.num_locations or dims[1] != manifest.feature_dim:
@@ -293,56 +402,13 @@ def load_manifest(path):
     return manifest
 
 
-def read_jsonl(path, fields=(), key=None):
-    """The JSON objects of a JSON-lines file, one per non-blank line.
-
-    Every line must be an object holding each name in ``fields``.  With
-    ``key``, that field must be a string no other line repeats.  The
-    first line that breaks a rule raises FormatError naming path:line.
-    """
-    records = []
-    first_seen = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for number, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            where = "%s:%d" % (path, number)
-            try:
-                obj = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise FormatError(
-                    "%s: malformed JSON at column %d (%s)" % (where, exc.colno, exc.msg)
-                ) from exc
-            if not isinstance(obj, dict):
-                raise FormatError("%s: expected a JSON object, got %s" % (where, type(obj).__name__))
-            missing = [name for name in fields if name not in obj]
-            if missing:
-                raise FormatError("%s: missing field %s" % (where, ", ".join(map(repr, missing))))
-            if key is not None:
-                value = obj[key]
-                if not isinstance(value, str):
-                    raise FormatError("%s: %s must be a string, got %r" % (where, key, value))
-                if value in first_seen:
-                    raise FormatError(
-                        "%s: duplicate %s %r (first on line %d)"
-                        % (where, key, value, first_seen[value])
-                    )
-                first_seen[value] = number
-            records.append(obj)
-    return records
-
-
 def load_entry(manifest, entry):
-    """(raw feature array [L x D_raw], SaliencyGrid) for one manifest entry."""
+    """(raw feature array [L x D_raw], SaliencyGrid); a PGM map is divided by its maxval."""
     raw = read_tensor(manifest.resolve(entry.features)).data
-    spath = manifest.resolve(entry.saliency)
-    if spath.endswith(".pgm"):
-        smap = read_pgm(spath)
-    else:
-        smap = read_tensor(spath).data
-    grid = prepare_saliency(smap, manifest.grid_rows, manifest.grid_cols)
-    return raw, grid
+    values, maxval = read_map(manifest.resolve(entry.saliency), (PGM_MAGIC, TENSOR_MAGIC))
+    if maxval is not None:
+        values = values / maxval
+    return raw, prepare_saliency(values, manifest.grid_rows, manifest.grid_cols)
 
 
 # ---------------------------------------------------------------------------
@@ -390,16 +456,7 @@ class SyntheticSpec:
                 raise ValueError("unknown split %r" % split)
 
     def to_json(self):
-        return {
-            "n_images": self.n_images,
-            "grid_rows": self.grid_rows,
-            "grid_cols": self.grid_cols,
-            "feature_dim": self.feature_dim,
-            "salient_words": self.salient_words,
-            "context_words": self.context_words,
-            "seed": self.seed,
-            "split_counts": self.split_counts,
-        }
+        return asdict(self)
 
     @classmethod
     def from_json(cls, obj):
@@ -507,9 +564,7 @@ def gen_synthetic(spec, out_dir):
         "entries": entries,
     }
     manifest_path = os.path.join(out_dir, "manifest.json")
-    with open(manifest_path, "w", encoding="utf-8") as fh:
-        json.dump(manifest_obj, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(manifest_obj, manifest_path)
     return load_manifest(manifest_path)
 
 

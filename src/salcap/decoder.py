@@ -6,7 +6,6 @@ the state h_{t-1}, embeds the previous word, runs one LSTM step on
 vocabulary.
 """
 
-import json
 import os
 from dataclasses import asdict, dataclass
 
@@ -55,13 +54,6 @@ class ModelConfig:
     @property
     def num_locations(self):
         return self.grid_rows * self.grid_cols
-
-    def to_json(self):
-        return asdict(self)
-
-    @classmethod
-    def from_json(cls, obj):
-        return cls(**obj)
 
 
 class LstmState:
@@ -232,25 +224,20 @@ def save_checkpoint(params, directory, vocabulary=None):
         fname = slot.name.replace(".", "_") + ".tnsr"
         data_io.write_tensor(nm.as_tensor(slot.value.data), os.path.join(directory, fname))
         index.append({"name": slot.name, "dims": slot.value.dims, "file": fname})
-    with open(os.path.join(directory, "params.json"), "w", encoding="utf-8") as fh:
-        json.dump(index, fh, indent=2)
-        fh.write("\n")
-    with open(os.path.join(directory, "config.json"), "w", encoding="utf-8") as fh:
-        json.dump(params.config.to_json(), fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    data_io.write_json(index, os.path.join(directory, "params.json"))
+    data_io.write_json(asdict(params.config), os.path.join(directory, "config.json"))
     if vocabulary is not None:
         vocabulary.save(os.path.join(directory, "vocab.json"))
 
 
 def load_checkpoint(directory):
     """Rebuild DecoderParams (and the vocabulary, if stored) from a checkpoint."""
-    with open(os.path.join(directory, "config.json"), "r", encoding="utf-8") as fh:
-        config = ModelConfig.from_json(json.load(fh))
+    config = data_io.read_dataclass(ModelConfig, os.path.join(directory, "config.json"))
     params = init_params(config, rng_seed=0)
-    with open(os.path.join(directory, "params.json"), "r", encoding="utf-8") as fh:
-        index = json.load(fh)
     seen = set()
-    for entry in index:
+    for entry in data_io.read_json(os.path.join(directory, "params.json")):
+        if entry["name"] not in params.store:
+            raise ValueError("checkpoint %s: unknown parameter %r" % (directory, entry["name"]))
         slot = params.store[entry["name"]]
         tensor = data_io.read_tensor(os.path.join(directory, entry["file"]))
         if tensor.dims != slot.value.dims:

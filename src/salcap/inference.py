@@ -6,11 +6,11 @@ per emitted word, the spatial means of the salient and contextual path
 scores together with the combined attention distribution.
 """
 
-import csv
 from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import data_io
 from . import decoder as dec
 from . import numerics as nm
 from .attention import TWO_PATH_VARIANTS
@@ -93,24 +93,14 @@ def trace_attention(raw, sal, params, max_len=20):
 
 
 def write_trace_csv(trace, vocabulary, path):
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["t", "word", "mean_e_sal", "mean_e_ctx"])
-        for step in trace.steps:
-            writer.writerow(
-                [
-                    step.t,
-                    vocabulary.word(step.token_id),
-                    "%.12g" % step.mean_e_sal,
-                    "%.12g" % step.mean_e_ctx,
-                ]
-            )
+    data_io.write_csv(["t", "word", "mean_e_sal", "mean_e_ctx"], [
+        [[s.t, vocabulary.word(s.token_id), "%.12g" % s.mean_e_sal, "%.12g" % s.mean_e_ctx]
+         for s in trace.steps]
+    ], path)
 
 
 def write_trace_alphas(trace, path):
     """Dump the per-step attention distributions as one T x L tensor file."""
-    from . import data_io
-
     if not trace.steps:
         raise ValueError("cannot export an empty trace")
     data_io.write_tensor(nm.Tensor(np.stack([step.alpha for step in trace.steps])), path)

@@ -55,7 +55,9 @@ class CaptionCorpus:
     @classmethod
     def from_jsonl(cls, path):
         """One JSON object per line: {"image_id", "candidate", "references"}."""
-        records = data_io.read_jsonl(path, ("image_id", "candidate", "references"), key="image_id")
+        records = data_io.read_jsonl(
+            path, {"image_id": str, "candidate": str, "references": list}, key="image_id"
+        )
         return cls.from_pairs([(r["image_id"], r["candidate"], r["references"]) for r in records])
 
 

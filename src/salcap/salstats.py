@@ -7,10 +7,11 @@ the binary mask (by at least ``min_overlap_frac`` of the class area,
 default: any single pixel).
 """
 
-import csv
 from dataclasses import dataclass, field
 
 import numpy as np
+
+from . import data_io
 
 
 @dataclass
@@ -144,16 +145,13 @@ def pixel_saliency_values(pairs):
 
 
 def write_hit_rates_csv(rates, path):
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["class", "occurrences", "hits", "rate"])
-        for c in rates:
-            writer.writerow([c.name, c.occurrences, c.hits, "%.6f" % c.rate])
+    data_io.write_csv(["class", "occurrences", "hits", "rate"], [
+        [[c.name, c.occurrences, c.hits, "%.6f" % c.rate] for c in rates]
+    ], path)
 
 
 def write_size_saliency_csv(points, path):
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["class", "image", "size", "saliency"])
-        for p in points:
-            writer.writerow([p.name, p.image_index, "%.9f" % p.normalized_size, "%.9f" % p.mean_saliency])
+    data_io.write_csv(["class", "image", "size", "saliency"], [
+        [[p.name, p.image_index, "%.9f" % p.normalized_size, "%.9f" % p.mean_saliency]
+         for p in points]
+    ], path)

@@ -6,8 +6,9 @@ Corpus words get ids from 4 upward in descending frequency order, ties
 broken lexicographically.
 """
 
-import json
 from collections import Counter
+
+from . import data_io
 
 PAD_ID = 0
 BOS_ID = 1
@@ -78,22 +79,13 @@ class Vocabulary:
             words.append(self.word(i))
         return " ".join(words)
 
-    def to_json(self):
-        return {"min_count": self.min_count, "words": self.words}
-
-    @classmethod
-    def from_json(cls, obj):
-        return cls(obj["words"], obj["min_count"])
-
     def save(self, path):
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(self.to_json(), fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        data_io.write_json({"min_count": self.min_count, "words": self.words}, path)
 
     @classmethod
     def load(cls, path):
-        with open(path, "r", encoding="utf-8") as fh:
-            return cls.from_json(json.load(fh))
+        obj = data_io.read_json(path)
+        return cls(obj["words"], obj["min_count"])
 
 
 def build_vocab(captions, min_count):

@@ -1,3 +1,4 @@
+import csv
 import json
 import os
 
@@ -166,11 +167,11 @@ class TestEvaluate:
 class TestEvaluateInputErrors:
     """A bad JSONL line exits 1 with a message naming path:line."""
 
-    def _evaluate(self, tmp_path, capsys, candidates, train_captions=None):
+    def _evaluate(self, tmp_path, capsys, candidates, train_captions=None, references=None):
         cands = tmp_path / "c.jsonl"
         refs = tmp_path / "r.jsonl"
         cands.write_text(candidates)
-        refs.write_text("".join(
+        refs.write_text(references or "".join(
             json.dumps({"image_id": i, "references": [c]}) + "\n"
             for i, c in (("a", "a cat"), ("b", "a dog"))
         ))
@@ -218,6 +219,18 @@ class TestEvaluateInputErrors:
         assert code == 1
         assert "c.jsonl:2: duplicate image_id 'a' (first on line 1)" in err
 
+    def test_caption_not_a_string(self, tmp_path, capsys):
+        code, err = self._evaluate(tmp_path, capsys, '{"image_id": "a", "caption": 5}\n')
+        assert code == 1
+        assert "c.jsonl:1: caption must be a string, got 5" in err
+
+    def test_references_not_a_list(self, tmp_path, capsys):
+        cands = json.dumps({"image_id": "a", "caption": "a cat"}) + "\n"
+        refs = json.dumps({"image_id": "a", "references": "a cat"}) + "\n"
+        code, err = self._evaluate(tmp_path, capsys, cands, references=refs)
+        assert code == 1
+        assert "r.jsonl:1: references must be a non-empty list of strings" in err
+
 
 class TestAnalyzeSaliency:
     def test_end_to_end(self, tmp_path):
@@ -257,6 +270,91 @@ class TestAnalyzeSaliency:
         out = tmp_path / "stats"
         assert main(["analyze-saliency", "--pairs", str(pairs), "--min-occ", "1", "--out", str(out)]) == 0
         assert "tower" in (out / "most_salient.csv").read_text()
+
+
+class TestPerPixelExport:
+    def test_one_row_per_pixel_at_intensity_over_255(self, tmp_path):
+        seg = np.array([[0, 1, 1], [2, 2, 1]])
+        sal = np.array([[0, 7, 255], [128, 64, 3]], dtype=np.uint8)
+        data_io.write_segm(seg, tmp_path / "img0.segm")
+        data_io.write_pgm(sal, tmp_path / "img0.pgm")
+        data_io.write_segm(seg[::-1], tmp_path / "img1.segm")
+        data_io.write_pgm(sal, tmp_path / "img1.pgm")
+        pairs = tmp_path / "pairs.json"
+        pairs.write_text(json.dumps({
+            "label_table": {"0": "bg", "1": "cat", "2": "sky"},
+            "pairs": [{"segmentation": "img%d.segm" % i, "saliency": "img%d.pgm" % i}
+                      for i in range(2)],
+        }))
+        out = tmp_path / "stats"
+        assert main([
+            "analyze-saliency", "--pairs", str(pairs), "--min-occ", "1",
+            "--out", str(out), "--per-pixel",
+        ]) == 0
+        with open(out / "pixel_saliency.csv", newline="") as fh:
+            rows = list(csv.reader(fh))
+        assert rows[0] == ["class", "image", "saliency"]
+        expected = []
+        for image, labels in enumerate((seg, seg[::-1])):
+            for label, name in ((0, "bg"), (1, "cat"), (2, "sky")):
+                expected += [[name, str(image), "%.9f" % (v / 255)] for v in sal[labels == label]]
+        assert rows[1:] == expected
+        assert len(rows) - 1 == 2 * seg.size
+
+
+class TestMalformedInputs:
+    """A malformed JSON input exits 1 naming the file, line and column."""
+
+    def _run(self, capsys, argv):
+        code = main(argv)
+        return code, capsys.readouterr().err
+
+    def test_manifest(self, tmp_path, capsys):
+        bad = tmp_path / "manifest.json"
+        bad.write_text('{"grid": {"rows": 2,}}')
+        code, err = self._run(capsys, ["train", "--manifest", str(bad), "--out", str(tmp_path / "r")])
+        assert code == 1
+        assert "%s: malformed JSON at line 1 column 21" % bad in err
+
+    def test_gen_synth_spec(self, tmp_path, capsys):
+        bad = tmp_path / "spec.json"
+        bad.write_text('{\n"n_images": 4\n"seed": 1}')
+        code, err = self._run(capsys, ["gen-synth", "--spec", str(bad), "--out", str(tmp_path / "d")])
+        assert code == 1
+        assert "%s: malformed JSON at line 3 column 1" % bad in err
+
+    def test_gen_synth_spec_unknown_key(self, tmp_path, capsys):
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps({
+            "n_images": 2, "grid_rows": 2, "grid_cols": 2, "feature_dim": 3,
+            "salient_words": ["cat"], "context_words": ["lake"], "seed": 1, "colour": "red",
+        }))
+        code, err = self._run(capsys, ["gen-synth", "--spec", str(spec), "--out", str(tmp_path / "d")])
+        assert code == 1
+        assert str(spec) in err and "'colour'" in err
+
+    def test_pairs_file(self, tmp_path, capsys):
+        bad = tmp_path / "pairs.json"
+        bad.write_text('{"pairs": [}')
+        code, err = self._run(capsys, ["analyze-saliency", "--pairs", str(bad), "--out", str(tmp_path / "s")])
+        assert code == 1
+        assert "%s: malformed JSON at line 1 column 12" % bad in err
+
+    def test_checkpoint_config(self, dataset, tmp_path, capsys):
+        _, out_dir = dataset
+        ckpt = tmp_path / "ckpt"
+        params = decoder.init_params(decoder.ModelConfig(
+            variant="soft", vocab_size=6, hidden_size=4, embed_size=3, feature_size=3,
+            raw_feature_size=5, grid_rows=2, grid_cols=2,
+        ), rng_seed=0)
+        decoder.save_checkpoint(params, ckpt)
+        (ckpt / "config.json").write_text('{"variant": "soft",\n\n  "vocab_size": 6,,}')
+        code, err = self._run(capsys, [
+            "caption", "--ckpt", str(ckpt), "--manifest", str(out_dir / "manifest.json"),
+            "--out", str(tmp_path / "c.jsonl"),
+        ])
+        assert code == 1
+        assert "%s: malformed JSON at line 3 column 19" % (ckpt / "config.json") in err
 
 
 class TestGradCheckCommand:

@@ -1,6 +1,7 @@
 import filecmp
 import json
 import os
+from pathlib import Path
 
 import numpy as np
 import numpy.testing as npt
@@ -269,3 +270,101 @@ class TestManifestValidation:
         spec = small_spec()
         again = SyntheticSpec.from_json(spec.to_json())
         assert again == spec
+
+
+class TestManifestInputs:
+    def test_feature_header_checked_at_load(self, tmp_path):
+        import struct
+
+        manifest = gen_synthetic(small_spec(), tmp_path / "v")
+        fpath = Path(manifest.resolve(manifest.entries[0].features))
+        blob = bytearray(fpath.read_bytes())
+        blob[4:6] = struct.pack("<BB", 9, 7)  # version 9, dtype code 7
+        fpath.write_bytes(bytes(blob))
+        with pytest.raises(FormatError, match=r"img_000\.tnsr: unsupported version 9 at byte 4"):
+            load_manifest(tmp_path / "v" / "manifest.json")
+
+    def test_truncated_features_rejected_at_load(self, tmp_path):
+        manifest = gen_synthetic(small_spec(), tmp_path / "t")
+        fpath = Path(manifest.resolve(manifest.entries[0].features))
+        fpath.write_bytes(fpath.read_bytes()[:-8])
+        with pytest.raises(FormatError, match=r"img_000\.tnsr: payload at byte 15 .* expected 576"):
+            load_manifest(tmp_path / "t" / "manifest.json")
+
+    def test_captions_must_be_a_list_of_strings(self, tmp_path):
+        gen_synthetic(small_spec(), tmp_path / "c")
+        path = tmp_path / "c" / "manifest.json"
+        obj = json.loads(path.read_text())
+        obj["entries"][2]["captions"] = "a cat in a lake"
+        path.write_text(json.dumps(obj))
+        with pytest.raises(FormatError, match="entry 2: captions must be a non-empty list of strings"):
+            load_manifest(path)
+
+    def test_malformed_json_names_line_and_column(self, tmp_path):
+        path = tmp_path / "manifest.json"
+        path.write_text('{"grid": {"rows": 2,\n  "cols" 2}}\n')
+        with pytest.raises(FormatError, match=r"manifest\.json: malformed JSON at line 2 column 10"):
+            load_manifest(path)
+
+
+class TestLoadEntrySaliency:
+    """A PGM saliency map is scaled by its own maxval; a tensor map is taken as is."""
+
+    def _entry(self, tmp_path, write_map):
+        manifest = gen_synthetic(small_spec(), tmp_path / "d")
+        entry = manifest.entries[0]
+        write_map(manifest.resolve(entry.saliency))
+        return data_io.load_entry(manifest, entry)[1]
+
+    def test_eight_bit_maxval_100_all_white(self, tmp_path):
+        sal = self._entry(tmp_path, lambda p: write_pgm(np.full((3, 4), 100), p, maxval=100))
+        assert np.all(sal.s == 1.0)
+
+    def test_sixteen_bit(self, tmp_path):
+        values = np.random.default_rng(5).integers(0, 65536, (3, 4)).astype(np.uint16)
+        sal = self._entry(tmp_path, lambda p: write_pgm(values, p, maxval=65535))
+        npt.assert_array_equal(sal.s, values.reshape(-1) / 65535)
+
+    def test_tensor_map(self, tmp_path):
+        values = np.linspace(0.0, 1.0, 12).reshape(3, 4)
+        sal = self._entry(tmp_path, lambda p: write_tensor(Tensor(values), p))
+        npt.assert_array_equal(sal.s, values.reshape(-1))
+
+    def test_segmentation_file_rejected(self, tmp_path):
+        with pytest.raises(FormatError, match="bad magic at byte 0"):
+            self._entry(tmp_path, lambda p: write_segm(np.zeros((3, 4), dtype=int), p))
+
+
+class TestReadMap:
+    def test_kind_from_magic(self, tmp_path):
+        labels = np.arange(6).reshape(2, 3)
+        write_segm(labels, tmp_path / "a.pgm")  # the suffix does not decide
+        write_pgm(labels, tmp_path / "b.segm", maxval=5)
+        values, maxval = data_io.read_map(tmp_path / "a.pgm", (data_io.SEGM_MAGIC, data_io.PGM_MAGIC))
+        npt.assert_array_equal(values, labels)
+        assert maxval is None
+        values, maxval = data_io.read_map(tmp_path / "b.segm", (data_io.SEGM_MAGIC, data_io.PGM_MAGIC))
+        npt.assert_array_equal(values, labels)
+        assert maxval == 5
+
+    def test_pgm_header_not_numeric(self, tmp_path):
+        path = tmp_path / "m.pgm"
+        path.write_bytes(b"P5\n3 x\n255\n" + bytes(6))
+        with pytest.raises(FormatError, match="PGM header at byte 2"):
+            read_pgm(path)
+
+
+class TestJsonFiles:
+    def test_write_json_layout(self, tmp_path):
+        path = tmp_path / "o.json"
+        data_io.write_json({"b": [1], "a": 2}, path)
+        assert path.read_text() == '{\n  "a": 2,\n  "b": [\n    1\n  ]\n}\n'
+        assert data_io.read_json(path) == {"a": 2, "b": [1]}
+
+    def test_read_dataclass_names_file_and_key(self, tmp_path):
+        path = tmp_path / "spec.json"
+        obj = small_spec().to_json()
+        obj["colour"] = "red"
+        path.write_text(json.dumps(obj))
+        with pytest.raises(FormatError, match=r"spec\.json: .*unexpected keyword argument 'colour'"):
+            data_io.read_dataclass(SyntheticSpec, path)

@@ -231,3 +231,14 @@ class TestCheckpoint:
         index_path.write_text(json.dumps(index[:-1]))
         with pytest.raises(ValueError, match="missing parameters"):
             dec.load_checkpoint(tmp_path / "ckpt")
+
+    def test_unknown_parameter_named(self, tmp_path):
+        params = dec.init_params(tiny_config(), rng_seed=0)
+        dec.save_checkpoint(params, tmp_path / "ckpt")
+        index_path = tmp_path / "ckpt" / "params.json"
+        import json
+        index = json.loads(index_path.read_text())
+        index[0]["name"] = "proj.Wx"
+        index_path.write_text(json.dumps(index))
+        with pytest.raises(ValueError, match=r"ckpt: unknown parameter 'proj\.Wx'"):
+            dec.load_checkpoint(tmp_path / "ckpt")
