@@ -10,6 +10,7 @@ import json
 import os
 import sys
 from dataclasses import dataclass, fields
+from typing import Optional
 
 from . import data_io, decoder, inference, metrics, optim, salstats
 from .attention import VARIANTS
@@ -37,7 +38,7 @@ class RunConfig:
 
     @classmethod
     def load(cls, path=None, overrides=None):
-        values = data_io.read_json(path) if path else {}
+        values = data_io.read_json_object(path, {}) if path else {}
         overrides = {k: v for k, v in (overrides or {}).items() if v is not None}
         values.update(overrides)
         if "SALCAP_SEED" in os.environ:
@@ -168,11 +169,12 @@ def _read_by_id(path, field, kind):
 def _read_caption_pool(path):
     """Flatten any JSONL carrying caption/captions/references fields."""
     pool = []
-    for obj in data_io.read_jsonl(path, {}):
-        if "caption" in obj:
+    kinds = {"caption": Optional[str], "captions": Optional[list], "references": Optional[list]}
+    for obj in data_io.read_jsonl(path, kinds):
+        if obj.get("caption") is not None:
             pool.append(obj["caption"])
         for key in ("captions", "references"):
-            pool.extend(obj.get(key, []))
+            pool.extend(obj.get(key) or [])
     return pool
 
 
@@ -201,7 +203,7 @@ def cmd_evaluate(args):
 
 
 def cmd_analyze_saliency(args):
-    spec = data_io.read_json(args.pairs)
+    spec = data_io.read_json_object(args.pairs, {"pairs": [{"segmentation": str, "saliency": str}]})
     base = os.path.dirname(os.path.abspath(args.pairs))
     table = spec.get("label_table", {})
     if isinstance(table, str):

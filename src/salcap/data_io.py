@@ -23,6 +23,7 @@ import os
 import re
 import struct
 from dataclasses import asdict, dataclass, field
+from typing import Union, get_args, get_origin
 
 import numpy as np
 
@@ -210,9 +211,16 @@ def write_json(obj, path):
         fh.write("\n")
 
 
+def read_json_object(path, fields):
+    """The JSON object in a file, holding each field of ``fields`` (see _check_fields)."""
+    obj = read_json(path)
+    _check_fields(path, obj, fields)
+    return obj
+
+
 def read_dataclass(cls, path):
     """cls(**obj) for the JSON object in a file; a key or value cls rejects names the file."""
-    obj = read_json(path)
+    obj = read_json_object(path, {})
     try:
         return cls(**obj)
     except (TypeError, ValueError) as exc:
@@ -220,12 +228,25 @@ def read_dataclass(cls, path):
 
 
 def _check_fields(where, obj, types):
-    """Each field of ``types`` is in obj: ``str`` a string, ``list`` a non-empty string list."""
-    missing = [name for name in types if name not in obj]
+    """obj is a JSON object holding each field of ``types``.
+
+    A field's kind is ``str`` (a string), ``list`` (a non-empty list of
+    strings) or ``[types]`` (a list of objects, each checked against
+    ``types``).  ``Optional[kind]`` marks a field that may be absent or
+    null; when present it must match ``kind``.
+    """
+    if not isinstance(obj, dict):
+        raise FormatError("%s: expected a JSON object, got %s" % (where, type(obj).__name__))
+    missing = [name for name, kind in types.items()
+               if name not in obj and get_origin(kind) is not Union]
     if missing:
         raise FormatError("%s: missing field %s" % (where, ", ".join(map(repr, missing))))
     for name, kind in types.items():
-        value = obj[name]
+        value = obj.get(name)
+        if get_origin(kind) is Union:
+            if value is None:
+                continue
+            kind = get_args(kind)[0]
         if kind is str and not isinstance(value, str):
             raise FormatError("%s: %s must be a string, got %r" % (where, name, value))
         if kind is list and not (
@@ -234,13 +255,18 @@ def _check_fields(where, obj, types):
             raise FormatError(
                 "%s: %s must be a non-empty list of strings, got %r" % (where, name, value)
             )
+        if isinstance(kind, list):
+            if not isinstance(value, list):
+                raise FormatError("%s: %s must be a list, got %r" % (where, name, value))
+            for index, item in enumerate(value):
+                _check_fields("%s: %s[%d]" % (where, name, index), item, kind[0])
 
 
 def read_jsonl(path, fields, key=None):
     """The JSON objects of a JSON-lines file, one per non-blank line.
 
     Every line must be an object holding each field of ``fields``, a dict
-    of name -> ``str`` or ``list`` (see _check_fields).  With ``key``, a
+    of name -> kind (see _check_fields).  With ``key``, a
     ``str`` field, no two lines may share its value.  The first line that
     breaks a rule raises FormatError naming path:line.
     """
@@ -258,8 +284,6 @@ def read_jsonl(path, fields, key=None):
                 raise FormatError(
                     "%s: malformed JSON at column %d (%s)" % (where, exc.colno, exc.msg)
                 ) from exc
-            if not isinstance(obj, dict):
-                raise FormatError("%s: expected a JSON object, got %s" % (where, type(obj).__name__))
             _check_fields(where, obj, fields)
             if key is not None:
                 if obj[key] in first_seen:

@@ -207,10 +207,14 @@ def step(params, grid, sal, state, prev_id):
 
     Returns the attention output, the new LSTM state and the word
     distribution.  Training, decoding and tracing all run this step.
+    In checked mode every value recorded so far is tested before it
+    returns (``numerics.check_recorded``).
     """
     out = attention.attend(params.config.variant, grid, sal, state.h, params.attention)
     state = lstm_step(out.v_hat, embed_word(prev_id, params), state, params.lstm)
-    return out, state, output_distribution(state.h, params)
+    probs = output_distribution(state.h, params)
+    nm.check_recorded()
+    return out, state, probs
 
 
 # ---------------------------------------------------------------------------

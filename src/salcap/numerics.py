@@ -7,9 +7,19 @@ order.  Leaf tensors (no parents) accumulate gradients across backward
 calls until explicitly zeroed; intermediate nodes get a fresh gradient
 buffer on every call.
 
+Checked mode (the default, see ``set_checked``) tests every value for
+NaN/Inf.  A leaf is tested when it is built.  A recorded value is queued
+and tested, together with everything queued since, before it leaves the
+tape: at the end of ``decoder.step``, at the start of ``backward``, in
+``Tensor.item()`` or at an explicit ``check_recorded()``.  So one check
+covers a whole decoder step instead of each of its ops, and a failure
+names the first op, in recording order, that went non-finite.
+
 Tensors must be treated as immutable once another recorded operation has
-consumed them.  A recording (one forward pass) is single-threaded;
-independent recordings on disjoint tensors may run concurrently.
+consumed them.  A recording (one forward pass) is single-threaded.
+Independent recordings on disjoint tensors could run concurrently if it
+were not for the queue of values awaiting the check, which is shared by
+the whole module; nothing in salcap records from two threads.
 """
 
 from collections import OrderedDict
@@ -23,17 +33,45 @@ class ShapeError(ValueError):
 
 _CHECKED = True
 
+# Recorded tensors whose values have not been tested yet (checked mode).
+_PENDING = []
+# A recording that never reaches a check point is tested once the queue
+# holds this many tensors, so the queue cannot grow without bound.
+_PENDING_LIMIT = 4096
+
 
 def set_checked(flag):
     """Toggle finite-value validation of every operation output.
 
-    Checked mode raises on NaN/Inf as soon as they appear, which keeps
-    failures local.  Returns the previous setting.
+    Checked mode raises on NaN/Inf before any value leaves the tape: a
+    leaf when it is built, a recorded value at the next check point
+    (``decoder.step``, ``backward``, ``item()`` or ``check_recorded()``).
+    Unchecked mode queues nothing; values queued before the switch are
+    still tested at the next check point.  Returns the previous setting.
     """
     global _CHECKED
     previous = _CHECKED
     _CHECKED = bool(flag)
     return previous
+
+
+def check_recorded():
+    """Test every queued recorded value for NaN/Inf, then empty the queue.
+
+    Raises ValueError naming the first op, in recording order, whose
+    output is not finite, and the dims of that output.
+    """
+    if not _PENDING:
+        return
+    pending = _PENDING[:]
+    _PENDING.clear()
+    if np.isfinite(np.concatenate([t.data for t in pending], axis=None)).all():
+        return
+    for tensor in pending:
+        if not np.isfinite(tensor.data).all():
+            fn = tensor._backward_fn  # the op's closure: "log.<locals>._bw" names log
+            op = fn.__qualname__.split(".")[0] if fn is not None else "recorded op"
+            raise ValueError("non-finite value from %s, output dims %r" % (op, tensor.dims))
 
 
 class Tensor:
@@ -43,8 +81,13 @@ class Tensor:
 
     def __init__(self, data, parents=(), backward_fn=None):
         arr = np.asarray(data, dtype=np.float64)
-        if _CHECKED and not np.all(np.isfinite(arr)):
-            raise ValueError("non-finite value in tensor of dims %r" % (list(arr.shape),))
+        if _CHECKED:
+            if parents:
+                if len(_PENDING) >= _PENDING_LIMIT:
+                    check_recorded()
+                _PENDING.append(self)
+            elif not np.isfinite(arr).all():
+                raise ValueError("non-finite value in tensor of dims %r" % (list(arr.shape),))
         self.data = arr
         self.grad = None
         self._parents = tuple(parents)
@@ -61,6 +104,7 @@ class Tensor:
     def item(self):
         if self.data.size != 1:
             raise ValueError("item() on tensor of dims %r" % (self.dims,))
+        check_recorded()
         return float(self.data.reshape(-1)[0])
 
     def __repr__(self):
@@ -137,19 +181,19 @@ class ParamStore:
 def _toposort(root):
     """Iterative postorder over the recorded graph rooted at ``root``."""
     order = []
-    visited = set()
+    visited = set()  # Tensor hashes by identity
     stack = [(root, False)]
     while stack:
         node, expanded = stack.pop()
         if expanded:
             order.append(node)
             continue
-        if id(node) in visited:
+        if node in visited:
             continue
-        visited.add(id(node))
+        visited.add(node)
         stack.append((node, True))
         for parent in node._parents:
-            if id(parent) not in visited:
+            if parent not in visited:
                 stack.append((parent, False))
     return order
 
@@ -159,17 +203,17 @@ def backward(loss):
 
     Intermediate node gradients are reset per call; leaf gradients
     accumulate, so repeated calls without zeroing double parameter grads.
+    Every queued recorded value is checked first (see ``check_recorded``).
     """
+    check_recorded()
     if not isinstance(loss, Tensor):
         raise TypeError("backward expects a Tensor")
     if loss.data.size != 1:
         raise ValueError("backward requires a scalar loss, got dims %r" % (loss.dims,))
     order = _toposort(loss)
     for node in order:
-        if node._parents:
-            node.grad = np.zeros_like(node.data)
-        elif node.grad is None:
-            node.grad = np.zeros_like(node.data)
+        if node._parents or node.grad is None:
+            node.grad = np.zeros(node.data.shape)
     loss.grad = loss.grad + np.ones_like(loss.data)
     for node in reversed(order):
         if node._backward_fn is not None:

@@ -231,6 +231,34 @@ class TestEvaluateInputErrors:
         assert code == 1
         assert "r.jsonl:1: references must be a non-empty list of strings" in err
 
+    def _novelty_pool(self, tmp_path, capsys, train_captions):
+        cands = "".join(
+            json.dumps({"image_id": i, "caption": c}) + "\n"
+            for i, c in (("a", "a cat"), ("b", "a dog"))
+        )
+        return self._evaluate(tmp_path, capsys, cands, train_captions=train_captions)
+
+    def test_train_caption_not_a_string(self, tmp_path, capsys):
+        code, err = self._novelty_pool(tmp_path, capsys, '{"caption": "a cat"}\n{"caption": 5}\n')
+        assert code == 1
+        assert "t.jsonl:2: caption must be a string, got 5" in err
+
+    def test_train_captions_not_a_list(self, tmp_path, capsys):
+        code, err = self._novelty_pool(tmp_path, capsys, '{"captions": "a cat"}\n')
+        assert code == 1
+        assert "t.jsonl:1: captions must be a non-empty list of strings, got 'a cat'" in err
+
+    def test_train_references_not_a_list(self, tmp_path, capsys):
+        code, err = self._novelty_pool(tmp_path, capsys, '{"references": [5]}\n')
+        assert code == 1
+        assert "t.jsonl:1: references must be a non-empty list of strings, got [5]" in err
+
+    def test_train_caption_fields_are_optional(self, tmp_path, capsys):
+        pool = '{"caption": "a cat"}\n{"captions": ["a dog"]}\n{"image_id": "z"}\n'
+        code, _ = self._novelty_pool(tmp_path, capsys, pool)
+        assert code == 0
+        assert json.loads((tmp_path / "rep.json").read_text())["novelty_pct"] == 0.0
+
 
 class TestAnalyzeSaliency:
     def test_end_to_end(self, tmp_path):
@@ -339,6 +367,31 @@ class TestMalformedInputs:
         code, err = self._run(capsys, ["analyze-saliency", "--pairs", str(bad), "--out", str(tmp_path / "s")])
         assert code == 1
         assert "%s: malformed JSON at line 1 column 12" % bad in err
+
+    def test_pairs_file_without_pairs(self, tmp_path, capsys):
+        pairs = tmp_path / "pairs.json"
+        pairs.write_text(json.dumps({"label_table": {}}))
+        code, err = self._run(capsys, ["analyze-saliency", "--pairs", str(pairs), "--out", str(tmp_path / "s")])
+        assert code == 1
+        assert "%s: missing field 'pairs'" % pairs in err
+
+    def test_pair_without_saliency(self, tmp_path, capsys):
+        pairs = tmp_path / "pairs.json"
+        pairs.write_text(json.dumps({"pairs": [{"segmentation": "img0.segm"}]}))
+        code, err = self._run(capsys, ["analyze-saliency", "--pairs", str(pairs), "--out", str(tmp_path / "s")])
+        assert code == 1
+        assert "%s: pairs[0]: missing field 'saliency'" % pairs in err
+
+    def test_run_config_not_an_object(self, dataset, tmp_path, capsys):
+        _, out_dir = dataset
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text("[1]\n")
+        code, err = self._run(capsys, [
+            "train", "--manifest", str(out_dir / "manifest.json"), "--config", str(cfg),
+            "--out", str(tmp_path / "run"),
+        ])
+        assert code == 1
+        assert "%s: expected a JSON object, got list" % cfg in err
 
     def test_checkpoint_config(self, dataset, tmp_path, capsys):
         _, out_dir = dataset

@@ -4,8 +4,10 @@ import pytest
 
 from salcap import decoder as dec
 from salcap import numerics as nm
+from salcap import optim
+from salcap.attention import VARIANTS, SaliencyGrid
 from salcap.numerics import ShapeError, Tensor
-from salcap.vocab import build_vocab
+from salcap.vocab import BOS_ID, EOS_ID, build_vocab
 
 
 def tiny_config(variant="saliency_context", **overrides):
@@ -142,6 +144,52 @@ class TestOutputDistribution:
         for _ in range(20):
             p = dec.output_distribution(Tensor(rng.normal(size=config.hidden_size) * 5), params)
             assert abs(p.data.sum() - 1.0) < 1e-9
+
+
+class TestCheckedStep:
+    def test_step_names_first_non_finite_op(self):
+        config = tiny_config()
+        params = dec.init_params(config, rng_seed=0)
+        params.lstm.w_h["i"].data[0, 0] = 1e308
+        rng = np.random.default_rng(12)
+        grid = dec.project_features(
+            Tensor(rng.normal(size=(config.num_locations, config.raw_feature_size))), params
+        )
+        sal = SaliencyGrid(rng.uniform(0.0, 1.0, config.num_locations))
+        # h entries of 2 take W_h.i h past the float64 range
+        state = dec.LstmState(Tensor(np.full(config.hidden_size, 2.0)),
+                              Tensor(np.zeros(config.hidden_size)))
+        expected = r"non-finite value from matmul, output dims \[16\]"
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(ValueError, match=expected) as info:
+                dec.step(params, grid, sal, state, 4)
+        assert "step" in [entry.name for entry in info.traceback]
+
+    @pytest.mark.parametrize("variant", VARIANTS)
+    def test_checked_and_unchecked_agree_bitwise(self, variant):
+        config = tiny_config(variant=variant)
+        rng = np.random.default_rng(13)
+        raw = rng.normal(size=(config.num_locations, config.raw_feature_size))
+        sal = SaliencyGrid(rng.uniform(0.0, 1.0, config.num_locations))
+        token_ids = [BOS_ID, 4, 7, 5, EOS_ID]
+        results = []
+        for checked in (True, False):
+            params = dec.init_params(config, rng_seed=14)
+            kick = np.random.default_rng(15)  # off the init, where many gradients are 0
+            for slot in params.store.slots():
+                slot.value.data += kick.normal(0.0, 0.25, slot.value.data.shape)
+            prev = nm.set_checked(checked)
+            try:
+                loss = optim.caption_loss(params, raw, sal, token_ids)
+                nm.backward(loss)
+            finally:
+                nm.set_checked(prev)
+            results.append((loss.data, [slot.grad.copy() for slot in params.store.slots()]))
+        (loss_c, grads_c), (loss_u, grads_u) = results
+        npt.assert_array_equal(loss_c, loss_u)
+        assert len(grads_c) == len(grads_u)
+        for g_c, g_u in zip(grads_c, grads_u):
+            npt.assert_array_equal(g_c, g_u)
 
 
 class TestInitParams:

@@ -253,6 +253,63 @@ class TestCheckedMode:
         finally:
             nm.set_checked(prev)
 
+    @staticmethod
+    def _log_of_zero():
+        """A recorded op whose output is -inf; recording it does not raise."""
+        nm.check_recorded()
+        with np.errstate(divide="ignore"):
+            return nm.log(Tensor([0.0]))
+
+    def test_recorded_value_checked_at_item(self):
+        y = self._log_of_zero()
+        with pytest.raises(ValueError, match=r"non-finite value from log, output dims \[1\]"):
+            y.item()
+
+    def test_recorded_value_checked_at_backward(self):
+        y = self._log_of_zero()
+        with np.errstate(invalid="ignore"):
+            loss = nm.tsum(nm.scale(y, 2.0))
+        with pytest.raises(ValueError, match="non-finite value from log"):
+            nm.backward(loss)
+
+    def test_recorded_value_checked_explicitly(self):
+        self._log_of_zero()
+        with pytest.raises(ValueError, match="non-finite value from log"):
+            nm.check_recorded()
+        nm.check_recorded()  # the failed check emptied the queue
+
+    def test_first_non_finite_op_is_named(self):
+        x = Tensor([1.0, 2.0])
+        nm.check_recorded()
+        with np.errstate(divide="ignore", invalid="ignore"):
+            nm.sigmoid(nm.log(nm.sub(x, x)))
+        with pytest.raises(ValueError, match="from log"):
+            nm.check_recorded()
+
+    def test_nothing_queued_when_unchecked(self):
+        nm.check_recorded()
+        prev = nm.set_checked(False)
+        try:
+            with np.errstate(divide="ignore"):
+                y = nm.log(Tensor([0.0]))
+            assert nm._PENDING == []
+            assert y.item() == -np.inf
+        finally:
+            nm.set_checked(prev)
+
+    def test_queue_is_bounded(self):
+        y = self._log_of_zero()
+        x = Tensor([1.0])
+        with pytest.raises(ValueError, match="from log"):
+            for _ in range(10_000):
+                nm.scale(x, 1.0)
+                assert len(nm._PENDING) <= nm._PENDING_LIMIT
+        for _ in range(10_000):
+            nm.scale(x, 1.0)
+            assert len(nm._PENDING) <= nm._PENDING_LIMIT
+        nm.check_recorded()
+        assert y.data[0] == -np.inf
+
 
 class TestParamStore:
     def test_slot_grad_shape_and_zero(self):
