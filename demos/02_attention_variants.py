@@ -26,7 +26,7 @@ for variant in ("soft", "saliency_pooling", "attention_on_saliency",
     for slot in params.store.slots():  # kick away from the near-zero init
         slot.value.data += rng.normal(0, 0.3, slot.value.data.shape)
     grid = decoder.project_features(Tensor(raw), params)
-    out = attend(variant, grid, sal, h_prev, params.attention)
+    out = attend(grid, sal, h_prev, params.attention)
     if out.alpha is None:
         print("%-22s alpha: (none: static pooling)  v_hat[:3] %s"
               % (variant, np.round(out.v_hat.data[:3], 3)))
@@ -40,7 +40,7 @@ for slot in params.store.slots():
     slot.value.data += rng.normal(0, 0.3, slot.value.data.shape)
 grid = decoder.project_features(Tensor(raw), params)
 ones = SaliencyGrid(np.ones(6))
-full = attend("saliency_context", grid, ones, h_prev, params.attention)
+full = attend(grid, ones, h_prev, params.attention)
 
 soft_params = decoder.init_params(decoder.ModelConfig(variant="soft", **SIZES), rng_seed=3)
 for name in ("w_ae", "w_he", "v_e"):
@@ -49,7 +49,7 @@ for slot in soft_params.store.slots():
     if slot.name in params.store:
         slot.value.data[...] = params.store[slot.name].value.data
 grid2 = decoder.project_features(Tensor(raw), soft_params)
-plain = attend("soft", grid2, ones, h_prev, soft_params.attention)
+plain = attend(grid2, ones, h_prev, soft_params.attention)
 
 print("\ns = 1 everywhere: |alpha_full - alpha_soft| =",
       np.max(np.abs(full.alpha.data - plain.alpha.data)))

@@ -138,14 +138,12 @@ def combine_saliency_context(e_sal, e_ctx, sal):
     )
 
 
-def attend(variant, grid, sal, h_prev, params):
-    """One attention pass; returns scores, weights and the context vector."""
-    if variant not in VARIANTS:
-        raise ValueError("unknown attention variant %r" % (variant,))
-    if params.variant != variant:
-        raise ValueError(
-            "parameters built for %r used with variant %r" % (params.variant, variant)
-        )
+def attend(grid, sal, h_prev, params):
+    """One attention pass of the variant ``params`` was built for.
+
+    Returns the scores, the mixing weights and the context vector.
+    """
+    variant = params.variant
     if len(sal) != grid.num_locations:
         raise ShapeError(
             "saliency length %d does not match grid L=%d" % (len(sal), grid.num_locations)

@@ -38,18 +38,16 @@ class RunConfig:
 
     @classmethod
     def load(cls, path=None, overrides=None):
-        values = data_io.read_json_object(path, {}) if path else {}
+        kinds = {f.name: f.type for c in (optim.TrainConfig, cls) for f in fields(c)
+                 if f.name != "train"}
+        values = data_io.read_settings(path, kinds) if path else {}
         overrides = {k: v for k, v in (overrides or {}).items() if v is not None}
         values.update(overrides)
         if "SALCAP_SEED" in os.environ:
             values["seed"] = int(os.environ["SALCAP_SEED"])
         train_keys = {f.name for f in fields(optim.TrainConfig)}
-        model_keys = {f.name for f in fields(cls)} - {"train"}
-        unknown = set(values) - train_keys - model_keys
-        if unknown:
-            raise ValueError("unknown config keys: %s" % ", ".join(sorted(unknown)))
         train = optim.TrainConfig(**{k: v for k, v in values.items() if k in train_keys})
-        return cls(train=train, **{k: v for k, v in values.items() if k in model_keys})
+        return cls(train=train, **{k: v for k, v in values.items() if k not in train_keys})
 
 
 def _model_config(run, manifest, vocab_size):
@@ -207,7 +205,11 @@ def cmd_analyze_saliency(args):
     base = os.path.dirname(os.path.abspath(args.pairs))
     table = spec.get("label_table", {})
     if isinstance(table, str):
-        table = data_io.read_json(os.path.join(base, table))
+        table = data_io.read_json_object(os.path.join(base, table), {})
+    elif not isinstance(table, dict):
+        raise FormatError(
+            "%s: label_table must be an object or a path, got %r" % (args.pairs, table)
+        )
     names = {int(k): v for k, v in table.items()}
     pairs = []
     for item in spec["pairs"]:
@@ -215,7 +217,10 @@ def cmd_analyze_saliency(args):
             os.path.join(base, item["segmentation"]), (data_io.SEGM_MAGIC, data_io.PGM_MAGIC)
         )
         seg = salstats.SegmentationMap(labels, names)
-        sal = salstats.SaliencyMap(data_io.read_pgm(os.path.join(base, item["saliency"])))
+        intensity, maxval = data_io.read_map(
+            os.path.join(base, item["saliency"]), (data_io.PGM_MAGIC,)
+        )
+        sal = salstats.SaliencyMap(intensity * 255.0 / maxval)
         pairs.append((seg, sal))
     if not pairs:
         raise ValueError("%s lists no pairs" % args.pairs)

@@ -5,7 +5,8 @@ FormatError naming the file and the byte offset, or line and column.
 Formats (all multi-byte integers little-endian unless noted):
 
 - tensor files: magic ``TNSR``, version u8=1, dtype u8 (0 = float32 LE,
-  1 = float64 LE), rank u8, rank x u32 dims, then the row-major payload
+  1 = float64 LE; salcap writes float64), rank u8, rank x u32 dims, then
+  the row-major payload, which must hold finite values only
 - PGM (P5): 8-bit maps, or 16-bit with big-endian samples as in netpbm;
   a saliency map is scaled to [0,1] by its own maxval
 - raw segmentation grids: magic ``SEGM``, u32 width, u32 height, then
@@ -22,7 +23,7 @@ import math
 import os
 import re
 import struct
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from typing import Union, get_args, get_origin
 
 import numpy as np
@@ -52,14 +53,13 @@ TENSOR_VERSION = 1
 _DTYPES = {0: np.dtype("<f4"), 1: np.dtype("<f8")}
 
 
-def write_tensor(t, path, dtype_code=1):
+def write_tensor(t, path):
+    """A float64 tensor file (dtype code 1)."""
     t = nm.as_tensor(t)
-    if dtype_code not in _DTYPES:
-        raise ValueError("unknown tensor dtype code %d" % dtype_code)
     dims = t.data.shape
-    header = TENSOR_MAGIC + struct.pack("<BBB", TENSOR_VERSION, dtype_code, len(dims))
+    header = TENSOR_MAGIC + struct.pack("<BBB", TENSOR_VERSION, 1, len(dims))
     header += struct.pack("<%dI" % len(dims), *dims)
-    payload = np.ascontiguousarray(t.data, dtype=_DTYPES[dtype_code]).tobytes()
+    payload = np.ascontiguousarray(t.data, dtype=_DTYPES[1]).tobytes()
     with open(path, "wb") as fh:
         fh.write(header)
         fh.write(payload)
@@ -71,25 +71,31 @@ def _tensor_header(head, size, path):
         raise FormatError("%s: bad magic at byte 0 (got %r)" % (path, head[:4]))
     if len(head) < 7:
         raise FormatError("%s: truncated header at byte %d" % (path, len(head)))
-    version, dtype_code, rank = struct.unpack_from("<BBB", head, 4)
+    version, dtype_id, rank = struct.unpack_from("<BBB", head, 4)
     if version != TENSOR_VERSION:
         raise FormatError("%s: unsupported version %d at byte 4" % (path, version))
-    if dtype_code not in _DTYPES:
-        raise FormatError("%s: unknown dtype code %d at byte 5" % (path, dtype_code))
+    if dtype_id not in _DTYPES:
+        raise FormatError("%s: unknown dtype code %d at byte 5" % (path, dtype_id))
     offset = 7 + 4 * rank
     if len(head) < offset:
         raise FormatError("%s: truncated dims at byte %d" % (path, len(head)))
     dims = struct.unpack_from("<%dI" % rank, head, 7)
     if any(d == 0 for d in dims):
         raise FormatError("%s: zero extent in dims %r at byte 7" % (path, list(dims)))
-    dtype = _DTYPES[dtype_code]
+    dtype = _DTYPES[dtype_id]
     _check_payload(path, offset, size - offset, math.prod(dims) * dtype.itemsize)
     return dims, dtype, offset
 
 
 def _parse_tensor(blob, path):
     dims, dtype, offset = _tensor_header(blob, len(blob), path)
-    return np.frombuffer(blob, dtype=dtype, offset=offset).astype(np.float64).reshape(dims)
+    values = np.frombuffer(blob, dtype=dtype, offset=offset).astype(np.float64)
+    if not np.isfinite(values).all():
+        first = int(np.flatnonzero(~np.isfinite(values))[0])
+        raise FormatError(
+            "%s: non-finite value at byte %d" % (path, offset + first * dtype.itemsize)
+        )
+    return values.reshape(dims)
 
 
 def read_tensor(path):
@@ -130,8 +136,6 @@ _PGM_HEADER = re.compile(PGM_MAGIC + rb"(?:\s|#[^\n]*\n)+(\d+)" * 3 + rb"\s")
 
 def _parse_pgm(blob, path):
     """(samples, maxval); samples are uint8, or uint16 when maxval > 255."""
-    if blob[:2] != PGM_MAGIC:
-        raise FormatError("%s: not a binary PGM (magic %r)" % (path, blob[:2]))
     header = _PGM_HEADER.match(blob)
     if header is None:
         raise FormatError("%s: PGM header at byte 2 is not width, height and maxval" % path)
@@ -143,10 +147,6 @@ def _parse_pgm(blob, path):
     _check_payload(path, pos, len(blob) - pos, width * height * dtype.itemsize)
     data = np.frombuffer(blob, dtype=dtype, offset=pos)
     return data.reshape(height, width).astype(np.uint16 if maxval > 255 else np.uint8), maxval
-
-
-def read_pgm(path):
-    return _parse_pgm(_read_bytes(path), path)[0]
 
 
 SEGM_MAGIC = b"SEGM"
@@ -165,17 +165,11 @@ def write_segm(labels, path):
 
 
 def _parse_segm(blob, path):
-    if blob[:4] != SEGM_MAGIC:
-        raise FormatError("%s: bad magic at byte 0 (got %r)" % (path, blob[:4]))
     if len(blob) < 12:
         raise FormatError("%s: truncated header at byte %d" % (path, len(blob)))
     width, height = struct.unpack_from("<II", blob, 4)
     _check_payload(path, 12, len(blob) - 12, width * height * 2)
     return np.frombuffer(blob, dtype="<u2", offset=12).reshape(height, width).astype(np.int64)
-
-
-def read_segm(path):
-    return _parse_segm(_read_bytes(path), path)
 
 
 def read_map(path, kinds):
@@ -218,22 +212,50 @@ def read_json_object(path, fields):
     return obj
 
 
-def read_dataclass(cls, path):
-    """cls(**obj) for the JSON object in a file; a key or value cls rejects names the file."""
+def read_settings(path, kinds):
+    """The JSON object in a file whose every key is a field of ``kinds``.
+
+    ``kinds`` maps field name -> kind (see _check_fields).  A field may
+    be absent; a present one must hold a value of its kind.
+    """
     obj = read_json_object(path, {})
+    unknown = sorted(set(obj) - set(kinds))
+    if unknown:
+        raise FormatError("%s: unknown field %s" % (path, ", ".join(map(repr, unknown))))
+    _check_fields(path, obj, {name: kinds[name] for name in obj})
+    return obj
+
+
+def read_dataclass(cls, path):
+    """cls(**obj) for the JSON object in a file, its values checked against cls's field types.
+
+    A key or value cls rejects raises FormatError naming the file.
+    """
+    obj = read_settings(path, {f.name: f.type for f in dataclasses.fields(cls)})
     try:
         return cls(**obj)
     except (TypeError, ValueError) as exc:
         raise FormatError("%s: %s" % (path, exc)) from exc
 
 
-def _check_fields(where, obj, types):
-    """obj is a JSON object holding each field of ``types``.
+_SCALAR_KINDS = {
+    str: ("a string", lambda v: isinstance(v, str)),
+    int: ("an integer", lambda v: isinstance(v, int) and not isinstance(v, bool)),
+    float: ("a number", lambda v: isinstance(v, (int, float)) and not isinstance(v, bool)),
+    dict: ("an object", lambda v: isinstance(v, dict)),
+    list: ("a non-empty list of strings",
+           lambda v: isinstance(v, list) and bool(v) and all(isinstance(s, str) for s in v)),
+}
 
-    A field's kind is ``str`` (a string), ``list`` (a non-empty list of
-    strings) or ``[types]`` (a list of objects, each checked against
-    ``types``).  ``Optional[kind]`` marks a field that may be absent or
-    null; when present it must match ``kind``.
+
+def _check_fields(where, obj, types):
+    """obj is a JSON object holding each field of ``types``, a dict of name -> kind.
+
+    A kind is ``str``, ``int``, ``float`` (any number), ``dict`` (any
+    object), ``list`` (a non-empty list of strings), ``[kind]`` (a list
+    whose items are each of ``kind``) or a dict of name -> kind (an
+    object checked by these rules).  ``Optional[kind]`` marks a field
+    that may be absent or null; when present it must match ``kind``.
     """
     if not isinstance(obj, dict):
         raise FormatError("%s: expected a JSON object, got %s" % (where, type(obj).__name__))
@@ -247,19 +269,21 @@ def _check_fields(where, obj, types):
             if value is None:
                 continue
             kind = get_args(kind)[0]
-        if kind is str and not isinstance(value, str):
-            raise FormatError("%s: %s must be a string, got %r" % (where, name, value))
-        if kind is list and not (
-            isinstance(value, list) and value and all(isinstance(v, str) for v in value)
-        ):
-            raise FormatError(
-                "%s: %s must be a non-empty list of strings, got %r" % (where, name, value)
-            )
-        if isinstance(kind, list):
-            if not isinstance(value, list):
-                raise FormatError("%s: %s must be a list, got %r" % (where, name, value))
-            for index, item in enumerate(value):
-                _check_fields("%s: %s[%d]" % (where, name, index), item, kind[0])
+        _check_value(where, name, value, kind)
+
+
+def _check_value(where, name, value, kind):
+    if isinstance(kind, dict):
+        _check_fields("%s: %s" % (where, name), value, kind)
+    elif isinstance(kind, list):
+        if not isinstance(value, list):
+            raise FormatError("%s: %s must be a list, got %r" % (where, name, value))
+        for index, item in enumerate(value):
+            _check_value(where, "%s[%d]" % (name, index), item, kind[0])
+    else:
+        description, matches = _SCALAR_KINDS[kind]
+        if not matches(value):
+            raise FormatError("%s: %s must be %s, got %r" % (where, name, description, value))
 
 
 def read_jsonl(path, fields, key=None):
@@ -478,13 +502,6 @@ class SyntheticSpec:
         for split in self.split_counts:
             if split not in VALID_SPLITS:
                 raise ValueError("unknown split %r" % split)
-
-    def to_json(self):
-        return asdict(self)
-
-    @classmethod
-    def from_json(cls, obj):
-        return cls(**obj)
 
 
 def _word_signature(seed, group, index, dim):

@@ -65,7 +65,7 @@ class LstmState:
 
     @classmethod
     def initial(cls, hidden_size):
-        return cls(nm.constant(np.zeros(hidden_size)), nm.constant(np.zeros(hidden_size)))
+        return cls(nm.Tensor(np.zeros(hidden_size)), nm.Tensor(np.zeros(hidden_size)))
 
 
 class LstmParams:
@@ -207,10 +207,10 @@ def step(params, grid, sal, state, prev_id):
 
     Returns the attention output, the new LSTM state and the word
     distribution.  Training, decoding and tracing all run this step.
-    In checked mode every value recorded so far is tested before it
-    returns (``numerics.check_recorded``).
+    Every value recorded so far is tested before it returns
+    (``numerics.check_recorded``).
     """
-    out = attention.attend(params.config.variant, grid, sal, state.h, params.attention)
+    out = attention.attend(grid, sal, state.h, params.attention)
     state = lstm_step(out.v_hat, embed_word(prev_id, params), state, params.lstm)
     probs = output_distribution(state.h, params)
     nm.check_recorded()

@@ -187,10 +187,10 @@ def evaluate_corpus(corpus, n_max=4, cider_multiplier=1.0):
 # ---------------------------------------------------------------------------
 
 def diversity_stats(captions):
-    """Div-1, Div-2 and vocabulary size over a set of tokenized captions."""
+    """Div-1, Div-2 and vocabulary size over a set of raw caption strings."""
     if not captions:
         raise ValueError("diversity_stats needs a non-empty caption set")
-    token_lists = [tokenize(c) if isinstance(c, str) else list(c) for c in captions]
+    token_lists = [tokenize(c) for c in captions]
     total_words = sum(len(t) for t in token_lists)
     if total_words == 0:
         raise ValueError("diversity_stats needs at least one word")
@@ -207,8 +207,7 @@ def diversity_stats(captions):
 
 
 def _canonical(caption):
-    tokens = tokenize(caption) if isinstance(caption, str) else caption
-    return " ".join(tokens)
+    return " ".join(tokenize(caption))
 
 
 def novelty_pct(generated, training):
@@ -223,7 +222,7 @@ def novelty_pct(generated, training):
 def difference_pct(generated_a, generated_b):
     """Percentage of images captioned differently by two models.
 
-    Both arguments map image_id to a caption (string or token list).
+    Both arguments map image_id to a raw caption string.
     """
     if set(generated_a) != set(generated_b):
         raise ValueError("difference_pct needs identical image_id sets")

@@ -7,13 +7,13 @@ order.  Leaf tensors (no parents) accumulate gradients across backward
 calls until explicitly zeroed; intermediate nodes get a fresh gradient
 buffer on every call.
 
-Checked mode (the default, see ``set_checked``) tests every value for
-NaN/Inf.  A leaf is tested when it is built.  A recorded value is queued
-and tested, together with everything queued since, before it leaves the
-tape: at the end of ``decoder.step``, at the start of ``backward``, in
-``Tensor.item()`` or at an explicit ``check_recorded()``.  So one check
-covers a whole decoder step instead of each of its ops, and a failure
-names the first op, in recording order, that went non-finite.
+Every value is tested for NaN/Inf.  A leaf is tested when it is built.
+A recorded value is queued and tested, together with everything queued
+since, before it leaves the tape: at the end of ``decoder.step``, at the
+start of ``backward``, in ``Tensor.item()`` or at an explicit
+``check_recorded()``.  So one check covers a whole decoder step instead
+of each of its ops, and a failure names the first op, in recording
+order, that went non-finite.
 
 Tensors must be treated as immutable once another recorded operation has
 consumed them.  A recording (one forward pass) is single-threaded.
@@ -31,28 +31,11 @@ class ShapeError(ValueError):
     """Operand dimensions are incompatible with the requested operation."""
 
 
-_CHECKED = True
-
-# Recorded tensors whose values have not been tested yet (checked mode).
+# Recorded tensors whose values have not been tested yet.
 _PENDING = []
 # A recording that never reaches a check point is tested once the queue
 # holds this many tensors, so the queue cannot grow without bound.
 _PENDING_LIMIT = 4096
-
-
-def set_checked(flag):
-    """Toggle finite-value validation of every operation output.
-
-    Checked mode raises on NaN/Inf before any value leaves the tape: a
-    leaf when it is built, a recorded value at the next check point
-    (``decoder.step``, ``backward``, ``item()`` or ``check_recorded()``).
-    Unchecked mode queues nothing; values queued before the switch are
-    still tested at the next check point.  Returns the previous setting.
-    """
-    global _CHECKED
-    previous = _CHECKED
-    _CHECKED = bool(flag)
-    return previous
 
 
 def check_recorded():
@@ -81,13 +64,12 @@ class Tensor:
 
     def __init__(self, data, parents=(), backward_fn=None):
         arr = np.asarray(data, dtype=np.float64)
-        if _CHECKED:
-            if parents:
-                if len(_PENDING) >= _PENDING_LIMIT:
-                    check_recorded()
-                _PENDING.append(self)
-            elif not np.isfinite(arr).all():
-                raise ValueError("non-finite value in tensor of dims %r" % (list(arr.shape),))
+        if parents:
+            if len(_PENDING) >= _PENDING_LIMIT:
+                check_recorded()
+            _PENDING.append(self)
+        elif not np.isfinite(arr).all():
+            raise ValueError("non-finite value in tensor of dims %r" % (list(arr.shape),))
         self.data = arr
         self.grad = None
         self._parents = tuple(parents)
@@ -113,11 +95,6 @@ class Tensor:
 
 def as_tensor(x):
     return x if isinstance(x, Tensor) else Tensor(x)
-
-
-def constant(data):
-    """Leaf tensor that carries data but is not a learned parameter."""
-    return Tensor(data)
 
 
 class ParamSlot:

@@ -252,20 +252,18 @@ class GradCheckReport:
         return self.max_rel_err < self.tolerance
 
 
-def finite_difference_check(loss_fn, slots, tolerance, h=1e-4, analytic=None):
+def finite_difference_check(loss_fn, slots, tolerance, analytic, h=1e-4):
     """Compare analytic slot gradients against central finite differences.
 
     ``loss_fn`` recomputes the scalar loss from current slot values.
-    ``analytic`` maps slot name to its gradient array; if omitted, the
-    gradients currently stored on the slots are used.  An empty slot
+    ``analytic`` maps slot name to its gradient array.  An empty slot
     list passes vacuously.
     """
     report = GradCheckReport(max_rel_err=0.0, tolerance=tolerance)
     for slot in slots:
-        grad = analytic[slot.name] if analytic is not None else slot.grad
         worst = 0.0
         flat = slot.value.data.reshape(-1)
-        gflat = np.asarray(grad).reshape(-1)
+        gflat = np.asarray(analytic[slot.name]).reshape(-1)
         for k in range(flat.size):
             saved = flat[k]
             flat[k] = saved + h

@@ -63,12 +63,8 @@ class Vocabulary:
         return self._id_to_word[token_id]
 
     def encode(self, sentence):
-        """BOS + per-word ids (UNK for out-of-vocabulary) + EOS.
-
-        ``sentence`` may be a raw string (tokenized here) or a token list.
-        """
-        tokens = tokenize(sentence) if isinstance(sentence, str) else list(sentence)
-        return [BOS_ID] + [self.word_id(t) for t in tokens] + [EOS_ID]
+        """BOS + the ids of the words of a raw string (UNK for out-of-vocabulary) + EOS."""
+        return [BOS_ID] + [self.word_id(t) for t in tokenize(sentence)] + [EOS_ID]
 
     def decode(self, ids):
         """Drop PAD/BOS/EOS, render remaining ids as a space-joined sentence."""
@@ -84,23 +80,19 @@ class Vocabulary:
 
     @classmethod
     def load(cls, path):
-        obj = data_io.read_json(path)
+        obj = data_io.read_json_object(path, {"words": [str], "min_count": int})
         return cls(obj["words"], obj["min_count"])
 
 
 def build_vocab(captions, min_count):
-    """Vocabulary of words occurring >= min_count times in the caption corpus.
-
-    ``captions`` is a list of raw strings or pre-tokenized lists.
-    """
+    """Vocabulary of words occurring >= min_count times in a list of raw caption strings."""
     if min_count < 1:
         raise ValueError("min_count must be >= 1, got %d" % min_count)
     if not captions:
         raise ValueError("cannot build a vocabulary from an empty corpus")
     counts = Counter()
     for caption in captions:
-        tokens = tokenize(caption) if isinstance(caption, str) else caption
-        counts.update(tokens)
+        counts.update(tokenize(caption))
     for reserved in RESERVED_TOKENS:
         counts.pop(reserved, None)
     kept = sorted(

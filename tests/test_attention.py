@@ -94,13 +94,13 @@ class TestContextVector:
     def test_one_hot(self):
         grid = FeatureGrid(np.array([[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]]))
         sal = SaliencyGrid(np.array([0.0, 1.0, 0.0]))
-        v = attend("saliency_pooling", grid, sal, None, AttentionParams("saliency_pooling")).v_hat
+        v = attend(grid, sal, None, AttentionParams("saliency_pooling")).v_hat
         npt.assert_array_equal(v.data, [3.0, 4.0])
 
     def test_even_mix(self):
         grid = FeatureGrid(np.array([[1.0, 0.0], [0.0, 1.0]]))
         path = AttentionPathParams(np.ones((2, 2)), np.ones((2, 3)), np.zeros(2))  # uniform alpha
-        out = attend("soft", grid, SaliencyGrid(np.array([0.3, 0.9])), Tensor(np.ones(3)),
+        out = attend(grid, SaliencyGrid(np.array([0.3, 0.9])), Tensor(np.ones(3)),
                      AttentionParams("soft", single=path))
         npt.assert_array_equal(out.v_hat.data, [0.5, 0.5])
 
@@ -114,7 +114,7 @@ class TestContextVector:
             AttentionParams("attention_on_saliency", single=random_path(rng, 3, 4, 2)),
             make_two_path(rng, 3, 4, 2),
         ):
-            out = attend(params.variant, FeatureGrid(a), sal, h_prev, params)
+            out = attend(FeatureGrid(a), sal, h_prev, params)
             expected = np.zeros(3)
             for i in range(5):
                 expected += out.alpha.data[i] * a[i]
@@ -149,8 +149,8 @@ class TestAttendVariants:
     def test_saliency_one_reduces_to_sal_path(self):
         params = make_two_path(self.rng, self.D, self.H, self.D_ATT)
         ones = SaliencyGrid(np.ones(self.L))
-        full = attend("saliency_context", self.grid, ones, self.h_prev, params)
-        soft = attend("soft", self.grid, ones, self.h_prev, self._soft_params(params.sal))
+        full = attend(self.grid, ones, self.h_prev, params)
+        soft = attend(self.grid, ones, self.h_prev, self._soft_params(params.sal))
         npt.assert_allclose(full.e.data, soft.e.data, atol=1e-12)
         npt.assert_allclose(full.alpha.data, soft.alpha.data, atol=1e-12)
         npt.assert_allclose(full.v_hat.data, soft.v_hat.data, atol=1e-12)
@@ -158,8 +158,8 @@ class TestAttendVariants:
     def test_saliency_zero_reduces_to_ctx_path(self):
         params = make_two_path(self.rng, self.D, self.H, self.D_ATT)
         zeros = SaliencyGrid(np.zeros(self.L))
-        full = attend("saliency_context", self.grid, zeros, self.h_prev, params)
-        soft = attend("soft", self.grid, zeros, self.h_prev, self._soft_params(params.ctx))
+        full = attend(self.grid, zeros, self.h_prev, params)
+        soft = attend(self.grid, zeros, self.h_prev, self._soft_params(params.ctx))
         npt.assert_allclose(full.e.data, soft.e.data, atol=1e-12)
         npt.assert_allclose(full.v_hat.data, soft.v_hat.data, atol=1e-12)
 
@@ -168,8 +168,8 @@ class TestAttendVariants:
         soft_params = self._soft_params(params.sal)
         for _ in range(100):
             s = SaliencyGrid(self.rng.uniform(size=self.L))
-            full = attend("saliency_context", self.grid, s, self.h_prev, params)
-            soft = attend("soft", self.grid, s, self.h_prev, soft_params)
+            full = attend(self.grid, s, self.h_prev, params)
+            soft = attend(self.grid, s, self.h_prev, soft_params)
             npt.assert_allclose(full.e.data, soft.e.data, atol=1e-12)
             npt.assert_allclose(full.v_hat.data, soft.v_hat.data, atol=1e-12)
 
@@ -190,14 +190,14 @@ class TestAttendVariants:
         )
         for _ in range(10):
             s = SaliencyGrid(self.rng.uniform(size=self.L))
-            a = attend("shared_weights", self.grid, s, self.h_prev, params)
-            b = attend("soft", self.grid, s, self.h_prev, soft)
+            a = attend(self.grid, s, self.h_prev, params)
+            b = attend(self.grid, s, self.h_prev, soft)
             npt.assert_allclose(a.e.data, b.e.data, atol=1e-12)
 
     def test_saliency_pooling_weighted_sum(self):
         grid = FeatureGrid(np.array([[1.0, 0.0], [0.0, 1.0]]))
         params = AttentionParams("saliency_pooling")
-        out = attend("saliency_pooling", grid, SaliencyGrid(np.ones(2)), Tensor(np.zeros(4)), params)
+        out = attend(grid, SaliencyGrid(np.ones(2)), Tensor(np.zeros(4)), params)
         npt.assert_array_equal(out.v_hat.data, [1.0, 1.0])
         assert out.alpha is None and out.e is None
 
@@ -205,7 +205,7 @@ class TestAttendVariants:
         params = AttentionParams("saliency_pooling")
         s = SaliencyGrid(self.rng.uniform(size=self.L))
         outputs = [
-            attend("saliency_pooling", self.grid, s, Tensor(self.rng.normal(size=self.H)), params)
+            attend(self.grid, s, Tensor(self.rng.normal(size=self.H)), params)
             for _ in range(20)
         ]
         for out in outputs[1:]:
@@ -214,9 +214,7 @@ class TestAttendVariants:
     def test_attention_on_saliency_zero_gives_uniform(self):
         path = random_path(self.rng, self.D, self.H, self.D_ATT)
         params = AttentionParams("attention_on_saliency", single=path)
-        out = attend(
-            "attention_on_saliency", self.grid, SaliencyGrid(np.zeros(self.L)), self.h_prev, params
-        )
+        out = attend(self.grid, SaliencyGrid(np.zeros(self.L)), self.h_prev, params)
         npt.assert_array_equal(out.e.data, np.zeros(self.L))
         npt.assert_allclose(out.alpha.data, np.full(self.L, 1 / self.L), atol=1e-15)
 
@@ -236,22 +234,16 @@ class TestAttendVariants:
             )
         for _ in range(20):
             s = SaliencyGrid(self.rng.uniform(size=self.L))
-            out = attend(variant, self.grid, s, Tensor(self.rng.normal(size=self.H)), params)
+            out = attend(self.grid, s, Tensor(self.rng.normal(size=self.H)), params)
             lo = self.grid.a.data.min(axis=0) - 1e-12
             hi = self.grid.a.data.max(axis=0) + 1e-12
             assert np.all(out.v_hat.data >= lo) and np.all(out.v_hat.data <= hi)
 
     def test_unknown_variant(self):
         with pytest.raises(ValueError, match="unknown attention variant"):
-            attend("hard", self.grid, SaliencyGrid(np.ones(self.L)), self.h_prev,
-                   AttentionParams("soft", single=random_path(self.rng, self.D, self.H, self.D_ATT)))
-
-    def test_variant_params_mismatch(self):
-        params = AttentionParams("soft", single=random_path(self.rng, self.D, self.H, self.D_ATT))
-        with pytest.raises(ValueError, match="built for"):
-            attend("saliency_pooling", self.grid, SaliencyGrid(np.ones(self.L)), self.h_prev, params)
+            AttentionParams("hard", single=random_path(self.rng, self.D, self.H, self.D_ATT))
 
     def test_saliency_length_mismatch(self):
         params = AttentionParams("soft", single=random_path(self.rng, self.D, self.H, self.D_ATT))
         with pytest.raises(ShapeError):
-            attend("soft", self.grid, SaliencyGrid(np.ones(self.L + 1)), self.h_prev, params)
+            attend(self.grid, SaliencyGrid(np.ones(self.L + 1)), self.h_prev, params)

@@ -1,6 +1,8 @@
 import csv
 import json
 import os
+import shutil
+from pathlib import Path
 
 import numpy as np
 import numpy.testing as npt
@@ -8,6 +10,7 @@ import pytest
 
 from salcap import data_io, decoder
 from salcap.cli import main
+from salcap.vocab import build_vocab
 
 
 @pytest.fixture(scope="module")
@@ -299,6 +302,30 @@ class TestAnalyzeSaliency:
         assert main(["analyze-saliency", "--pairs", str(pairs), "--min-occ", "1", "--out", str(out)]) == 0
         assert "tower" in (out / "most_salient.csv").read_text()
 
+    @pytest.mark.parametrize("maxval", [100, 65535])
+    def test_saliency_scaled_by_maxval(self, tmp_path, maxval):
+        """A map at its own maxval over half the image scores as an 8-bit map at 255."""
+        seg = np.zeros((4, 4), dtype=int)
+        seg[:, :2] = 1
+        data_io.write_segm(seg, tmp_path / "img0.segm")
+        outputs = []
+        for top in (255, maxval):
+            sal = np.zeros((4, 4), dtype=np.uint16)
+            sal[:, :2] = top
+            data_io.write_pgm(sal, tmp_path / "sal.pgm", maxval=top)
+            pairs = tmp_path / "pairs.json"
+            pairs.write_text(json.dumps({
+                "label_table": {"0": "bg", "1": "half"},
+                "pairs": [{"segmentation": "img0.segm", "saliency": "sal.pgm"}],
+            }))
+            out = tmp_path / ("stats%d" % top)
+            assert main(["analyze-saliency", "--pairs", str(pairs), "--min-occ", "1",
+                         "--out", str(out), "--per-pixel"]) == 0
+            outputs.append({p.name: p.read_text() for p in sorted(out.iterdir())})
+        assert outputs[1] == outputs[0]
+        assert "half,1,1,100.000000" in outputs[1]["most_salient.csv"]
+        assert "half,0,0.500000000,1.000000000" in outputs[1]["size_saliency.csv"]
+
 
 class TestPerPixelExport:
     def test_one_row_per_pixel_at_intensity_over_255(self, tmp_path):
@@ -381,6 +408,53 @@ class TestMalformedInputs:
         code, err = self._run(capsys, ["analyze-saliency", "--pairs", str(pairs), "--out", str(tmp_path / "s")])
         assert code == 1
         assert "%s: pairs[0]: missing field 'saliency'" % pairs in err
+
+    @pytest.mark.parametrize("values,field", [
+        ({"epochs": "3"}, "epochs"),
+        ({"batch_size": 2.5}, "batch_size"),
+        ({"learning_rate": "x"}, "learning_rate"),
+        ({"min_count": True}, "min_count"),
+    ])
+    def test_run_config_field(self, dataset, tmp_path, capsys, values, field):
+        _, out_dir = dataset
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(values))
+        code, err = self._run(capsys, [
+            "train", "--manifest", str(out_dir / "manifest.json"), "--config", str(cfg),
+            "--out", str(tmp_path / "run"),
+        ])
+        assert code == 1
+        assert "%s: %s must be" % (cfg, field) in err
+
+    def test_label_table_not_an_object_or_path(self, tmp_path, capsys):
+        pairs = tmp_path / "pairs.json"
+        pairs.write_text(json.dumps({"label_table": [1], "pairs": []}))
+        code, err = self._run(capsys, ["analyze-saliency", "--pairs", str(pairs), "--out", str(tmp_path / "s")])
+        assert code == 1
+        assert "%s: label_table must be an object or a path" % pairs in err
+
+    def test_non_finite_feature_value(self, dataset, tmp_path, capsys):
+        _, out_dir = dataset
+        data = tmp_path / "data"
+        shutil.copytree(out_dir, data)
+        manifest = data_io.load_manifest(data / "manifest.json")
+        fpath = manifest.resolve(manifest.split_entries("test")[0].features)
+        blob = bytearray(Path(fpath).read_bytes())
+        offset = 7 + 4 * 2 + 8 * 7  # header of a [4, 5] tensor, then element [1, 2]
+        blob[offset:offset + 8] = np.array([np.nan]).tobytes()
+        Path(fpath).write_bytes(bytes(blob))
+        vocabulary = build_vocab(["a b"], min_count=1)
+        params = decoder.init_params(decoder.ModelConfig(
+            variant="soft", vocab_size=len(vocabulary), hidden_size=4, embed_size=3,
+            feature_size=3, raw_feature_size=5, grid_rows=2, grid_cols=2,
+        ), rng_seed=0)
+        decoder.save_checkpoint(params, tmp_path / "ckpt", vocabulary)
+        code, err = self._run(capsys, [
+            "caption", "--ckpt", str(tmp_path / "ckpt"), "--manifest", str(data / "manifest.json"),
+            "--out", str(tmp_path / "c.jsonl"),
+        ])
+        assert code == 1
+        assert "%s: non-finite value at byte %d" % (fpath, offset) in err
 
     def test_run_config_not_an_object(self, dataset, tmp_path, capsys):
         _, out_dir = dataset
@@ -466,7 +540,7 @@ class TestErrorPaths:
             "--out", str(tmp_path / "c.jsonl"),
         ]) == 1
 
-    def test_unknown_config_key(self, dataset, tmp_path):
+    def test_unknown_config_key(self, dataset, tmp_path, capsys):
         _, out_dir = dataset
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps({"hidden_sise": 8}))
@@ -474,6 +548,7 @@ class TestErrorPaths:
             "train", "--manifest", str(out_dir / "manifest.json"),
             "--config", str(bad), "--out", str(tmp_path / "run"),
         ]) == 1
+        assert "%s: unknown field 'hidden_sise'" % bad in capsys.readouterr().err
 
     def test_env_seed_override(self, dataset, run_config, tmp_path, monkeypatch):
         _, out_dir = dataset

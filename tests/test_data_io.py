@@ -1,6 +1,8 @@
 import filecmp
 import json
 import os
+import struct
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -15,14 +17,16 @@ from salcap.data_io import (
     gen_synthetic,
     load_manifest,
     prepare_saliency,
-    read_pgm,
-    read_segm,
     read_tensor,
     write_pgm,
     write_segm,
     write_tensor,
 )
 from salcap.numerics import Tensor
+
+
+def read_pgm_samples(path):
+    return data_io.read_map(path, (data_io.PGM_MAGIC,))[0]
 
 
 class TestTensorFile:
@@ -39,7 +43,8 @@ class TestTensorFile:
     def test_float32_widens(self, tmp_path):
         t = Tensor([1.5, 2.25, -3.125])
         path = tmp_path / "t.tnsr"
-        write_tensor(t, path, dtype_code=0)
+        header = b"TNSR" + struct.pack("<BBBI", 1, 0, 1, 3)  # version 1, float32, dims [3]
+        path.write_bytes(header + np.asarray(t.data, dtype="<f4").tobytes())
         loaded = read_tensor(path)
         assert loaded.data.dtype == np.float64
         npt.assert_array_equal(loaded.data, t.data)  # values exactly representable
@@ -54,8 +59,6 @@ class TestTensorFile:
 
     def test_dims_payload_mismatch(self, tmp_path):
         # header says [2,3] but only 5 elements follow
-        import struct
-
         path = tmp_path / "t.tnsr"
         header = b"TNSR" + struct.pack("<BBB", 1, 1, 2) + struct.pack("<2I", 2, 3)
         path.write_bytes(header + np.zeros(5).tobytes())
@@ -69,8 +72,6 @@ class TestTensorFile:
             read_tensor(path)
 
     def test_bad_version(self, tmp_path):
-        import struct
-
         path = tmp_path / "t.tnsr"
         path.write_bytes(b"TNSR" + struct.pack("<BBB", 9, 1, 1) + struct.pack("<I", 1) + np.zeros(1).tobytes())
         with pytest.raises(FormatError, match="version 9"):
@@ -83,20 +84,20 @@ class TestPgm:
         values = rng.integers(0, 256, (5, 7)).astype(np.uint8)
         path = tmp_path / "m.pgm"
         write_pgm(values, path)
-        npt.assert_array_equal(read_pgm(path), values)
+        npt.assert_array_equal(read_pgm_samples(path), values)
 
     def test_sixteen_bit_round_trip(self, tmp_path):
         rng = np.random.default_rng(2)
         values = rng.integers(0, 1000, (4, 3)).astype(np.uint16)
         path = tmp_path / "m.pgm"
         write_pgm(values, path, maxval=65535)
-        npt.assert_array_equal(read_pgm(path), values)
+        npt.assert_array_equal(read_pgm_samples(path), values)
 
     def test_comments_in_header(self, tmp_path):
         path = tmp_path / "m.pgm"
         payload = bytes(range(6))
         path.write_bytes(b"P5\n# a comment\n3 2\n# more\n255\n" + payload)
-        values = read_pgm(path)
+        values = read_pgm_samples(path)
         assert values.shape == (2, 3)
         npt.assert_array_equal(values.reshape(-1), list(range(6)))
 
@@ -104,7 +105,7 @@ class TestPgm:
         path = tmp_path / "m.pgm"
         path.write_bytes(b"P5\n3 2\n255\n\x00\x00")
         with pytest.raises(FormatError, match="expected 6"):
-            read_pgm(path)
+            read_pgm_samples(path)
 
 
 class TestSegm:
@@ -113,13 +114,13 @@ class TestSegm:
         labels = rng.integers(0, 400, (6, 4))
         path = tmp_path / "m.segm"
         write_segm(labels, path)
-        npt.assert_array_equal(read_segm(path), labels)
+        npt.assert_array_equal(data_io.read_map(path, (data_io.SEGM_MAGIC,))[0], labels)
 
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "m.segm"
         path.write_bytes(b"XXXX" + b"\x00" * 8)
         with pytest.raises(FormatError, match="bad magic"):
-            read_segm(path)
+            data_io.read_map(path, (data_io.SEGM_MAGIC,))[0]
 
 
 class TestPrepareSaliency:
@@ -213,7 +214,7 @@ class TestGenSynthetic:
     def test_saliency_bands(self, tmp_path):
         manifest = gen_synthetic(small_spec(), tmp_path / "f")
         for entry in manifest.entries:
-            values = read_pgm(manifest.resolve(entry.saliency))
+            values = read_pgm_samples(manifest.resolve(entry.saliency))
             assert set(np.unique(values)) <= {data_io.BACKGROUND_INTENSITY, data_io.SALIENT_INTENSITY}
 
     def test_loadable_entries(self, tmp_path):
@@ -268,14 +269,12 @@ class TestManifestValidation:
 
     def test_spec_json_round_trip(self):
         spec = small_spec()
-        again = SyntheticSpec.from_json(spec.to_json())
+        again = SyntheticSpec(**json.loads(json.dumps(asdict(spec))))
         assert again == spec
 
 
 class TestManifestInputs:
     def test_feature_header_checked_at_load(self, tmp_path):
-        import struct
-
         manifest = gen_synthetic(small_spec(), tmp_path / "v")
         fpath = Path(manifest.resolve(manifest.entries[0].features))
         blob = bytearray(fpath.read_bytes())
@@ -351,7 +350,7 @@ class TestReadMap:
         path = tmp_path / "m.pgm"
         path.write_bytes(b"P5\n3 x\n255\n" + bytes(6))
         with pytest.raises(FormatError, match="PGM header at byte 2"):
-            read_pgm(path)
+            read_pgm_samples(path)
 
 
 class TestJsonFiles:
@@ -363,8 +362,8 @@ class TestJsonFiles:
 
     def test_read_dataclass_names_file_and_key(self, tmp_path):
         path = tmp_path / "spec.json"
-        obj = small_spec().to_json()
+        obj = asdict(small_spec())
         obj["colour"] = "red"
         path.write_text(json.dumps(obj))
-        with pytest.raises(FormatError, match=r"spec\.json: .*unexpected keyword argument 'colour'"):
+        with pytest.raises(FormatError, match=r"spec\.json: unknown field 'colour'"):
             data_io.read_dataclass(SyntheticSpec, path)

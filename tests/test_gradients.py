@@ -122,7 +122,7 @@ def build_attend(variant):
             leaves = []
         weights = rng.normal(size=2)
         loss = lambda: nm.tsum(
-            nm.hadamard(attend(variant, grid, sal, h_prev, params).v_hat, Tensor(weights))
+            nm.hadamard(attend(grid, sal, h_prev, params).v_hat, Tensor(weights))
         )
         return [grid.a, h_prev] + leaves if variant != "saliency_pooling" else [grid.a], loss
 

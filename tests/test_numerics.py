@@ -239,19 +239,8 @@ def test_gradients_match_finite_differences(name, builder):
 
 class TestCheckedMode:
     def test_rejects_nan_when_checked(self):
-        prev = nm.set_checked(True)
-        try:
-            with pytest.raises(ValueError, match="non-finite"):
-                Tensor([np.nan])
-        finally:
-            nm.set_checked(prev)
-
-    def test_allows_nan_when_unchecked(self):
-        prev = nm.set_checked(False)
-        try:
+        with pytest.raises(ValueError, match="non-finite"):
             Tensor([np.nan])
-        finally:
-            nm.set_checked(prev)
 
     @staticmethod
     def _log_of_zero():
@@ -285,17 +274,6 @@ class TestCheckedMode:
             nm.sigmoid(nm.log(nm.sub(x, x)))
         with pytest.raises(ValueError, match="from log"):
             nm.check_recorded()
-
-    def test_nothing_queued_when_unchecked(self):
-        nm.check_recorded()
-        prev = nm.set_checked(False)
-        try:
-            with np.errstate(divide="ignore"):
-                y = nm.log(Tensor([0.0]))
-            assert nm._PENDING == []
-            assert y.item() == -np.inf
-        finally:
-            nm.set_checked(prev)
 
     def test_queue_is_bounded(self):
         y = self._log_of_zero()

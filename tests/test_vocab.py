@@ -1,5 +1,8 @@
+import json
+
 import pytest
 
+from salcap.data_io import FormatError
 from salcap.vocab import (
     BOS_ID,
     EOS_ID,
@@ -52,10 +55,6 @@ class TestBuild:
         sizes = [len(build_vocab(corpus, k)) for k in range(1, 6)]
         assert sizes == sorted(sizes, reverse=True)
 
-    def test_pretokenized_input(self):
-        v = build_vocab([["a", "b"], ["a"]], min_count=2)
-        assert v.words == ["a"]
-
     def test_reserved_strings_never_collide(self):
         v = build_vocab(["<unk> <unk> <pad> <pad>"], min_count=1)
         assert "<unk>" not in v.words
@@ -105,3 +104,10 @@ def test_json_round_trip(tmp_path):
     assert loaded.words == v.words
     assert loaded.min_count == v.min_count
     assert loaded.encode("a b z") == v.encode("a b z")
+
+
+def test_load_names_missing_field(tmp_path):
+    path = tmp_path / "vocab.json"
+    path.write_text(json.dumps({"min_count": 1}))
+    with pytest.raises(FormatError, match=r"vocab\.json: missing field 'words'"):
+        Vocabulary.load(path)
