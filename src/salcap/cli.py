@@ -2,7 +2,7 @@
 
 Exit codes: 0 success, 1 input/validation failure (including a failed
 gradient check), 2 unexpected runtime failure.  The environment variable
-SALCAP_SEED overrides the configured seed.
+SALCAP_SEED, an integer, overrides the configured seed.
 """
 
 import argparse
@@ -36,18 +36,48 @@ class RunConfig:
     min_count: int = DESK_MIN_COUNT
     variant: str = "saliency_context"
 
+    def __post_init__(self):
+        for name in ("hidden_size", "embed_size", "feature_size", "min_count"):
+            if getattr(self, name) < 1:
+                raise ValueError("%s must be >= 1, got %d" % (name, getattr(self, name)))
+        if self.attention_size < 0:
+            raise ValueError("attention_size must be >= 0, got %d" % self.attention_size)
+        if self.variant not in VARIANTS:
+            raise ValueError("unknown attention variant %r" % (self.variant,))
+
     @classmethod
     def load(cls, path=None, overrides=None):
+        """The file's values, then the non-None ``overrides``, then SALCAP_SEED.
+
+        A bad file value raises FormatError naming the file, even when overridden.
+        """
         kinds = {f.name: f.type for c in (optim.TrainConfig, cls) for f in fields(c)
                  if f.name != "train"}
         values = data_io.read_settings(path, kinds) if path else {}
-        overrides = {k: v for k, v in (overrides or {}).items() if v is not None}
-        values.update(overrides)
-        if "SALCAP_SEED" in os.environ:
-            values["seed"] = int(os.environ["SALCAP_SEED"])
+        try:
+            run = cls._from_values(values)
+        except ValueError as exc:
+            raise FormatError("%s: %s" % (path, exc)) from exc
+        values.update({k: v for k, v in (overrides or {}).items() if v is not None})
+        values["seed"] = _env_seed(values.get("seed", run.train.seed))
+        return cls._from_values(values)
+
+    @classmethod
+    def _from_values(cls, values):
         train_keys = {f.name for f in fields(optim.TrainConfig)}
         train = optim.TrainConfig(**{k: v for k, v in values.items() if k in train_keys})
         return cls(train=train, **{k: v for k, v in values.items() if k not in train_keys})
+
+
+def _env_seed(default):
+    """SALCAP_SEED as an integer, or ``default`` when it is unset."""
+    text = os.environ.get("SALCAP_SEED")
+    if text is None:
+        return default
+    try:
+        return int(text)
+    except ValueError:
+        raise ValueError("SALCAP_SEED must be an integer, got %r" % text) from None
 
 
 def _model_config(run, manifest, vocab_size):
@@ -201,15 +231,23 @@ def cmd_evaluate(args):
 
 
 def cmd_analyze_saliency(args):
-    spec = data_io.read_json_object(args.pairs, {"pairs": [{"segmentation": str, "saliency": str}]})
+    spec = data_io.read_json(args.pairs, {"pairs": [{"segmentation": str, "saliency": str}]})
     base = os.path.dirname(os.path.abspath(args.pairs))
-    table = spec.get("label_table", {})
+    table, table_path = spec.get("label_table", {}), args.pairs
     if isinstance(table, str):
-        table = data_io.read_json_object(os.path.join(base, table), {})
+        table_path = os.path.join(base, table)
+        table = data_io.read_json(table_path, {})
     elif not isinstance(table, dict):
         raise FormatError(
             "%s: label_table must be an object or a path, got %r" % (args.pairs, table)
         )
+    for key, name in table.items():
+        if not (key.isascii() and key.isdigit()):
+            raise FormatError("%s: label_table key %r is not a decimal label" % (table_path, key))
+        if not isinstance(name, str):
+            raise FormatError(
+                "%s: label_table[%r] must be a string, got %r" % (table_path, key, name)
+            )
     names = {int(k): v for k, v in table.items()}
     pairs = []
     for item in spec["pairs"]:
@@ -242,7 +280,7 @@ def cmd_analyze_saliency(args):
 
 
 def cmd_grad_check(args):
-    seed = int(os.environ.get("SALCAP_SEED", args.seed))
+    seed = _env_seed(args.seed)
     config = decoder.ModelConfig(
         variant=args.variant,
         vocab_size=12,

@@ -1,7 +1,8 @@
 """Every file salcap reads or writes, and the synthetic dataset generator.
 
-No other module opens a file.  A file that breaks its format raises
-FormatError naming the file and the byte offset, or line and column.
+No other module opens a file, and ``read_json`` is the one JSON reader.
+A file that breaks its format raises FormatError naming the file and the
+byte offset, or line and column.
 Formats (all multi-byte integers little-endian unless noted):
 
 - tensor files: magic ``TNSR``, version u8=1, dtype u8 (0 = float32 LE,
@@ -190,13 +191,18 @@ def read_map(path, kinds):
 # JSON, JSON lines and CSV
 # ---------------------------------------------------------------------------
 
-def read_json(path):
+def read_json(path, kind):
+    """The JSON object (``kind`` a dict of fields) or list (``[kind]``) in a file; see _check_fields."""
     with open(path, "r", encoding="utf-8") as fh:
         try:
-            return json.load(fh)
+            obj = json.load(fh)
         except json.JSONDecodeError as exc:
             raise FormatError("%s: malformed JSON at line %d column %d (%s)"
                               % (path, exc.lineno, exc.colno, exc.msg)) from exc
+    if isinstance(kind, list) and not isinstance(obj, list):
+        raise FormatError("%s: expected a JSON list, got %s" % (path, type(obj).__name__))
+    _check_value(path, obj, kind)
+    return obj
 
 
 def write_json(obj, path):
@@ -205,20 +211,13 @@ def write_json(obj, path):
         fh.write("\n")
 
 
-def read_json_object(path, fields):
-    """The JSON object in a file, holding each field of ``fields`` (see _check_fields)."""
-    obj = read_json(path)
-    _check_fields(path, obj, fields)
-    return obj
-
-
 def read_settings(path, kinds):
     """The JSON object in a file whose every key is a field of ``kinds``.
 
     ``kinds`` maps field name -> kind (see _check_fields).  A field may
     be absent; a present one must hold a value of its kind.
     """
-    obj = read_json_object(path, {})
+    obj = read_json(path, {})
     unknown = sorted(set(obj) - set(kinds))
     if unknown:
         raise FormatError("%s: unknown field %s" % (path, ", ".join(map(repr, unknown))))
@@ -269,21 +268,21 @@ def _check_fields(where, obj, types):
             if value is None:
                 continue
             kind = get_args(kind)[0]
-        _check_value(where, name, value, kind)
+        _check_value("%s: %s" % (where, name), value, kind)
 
 
-def _check_value(where, name, value, kind):
+def _check_value(where, value, kind):
     if isinstance(kind, dict):
-        _check_fields("%s: %s" % (where, name), value, kind)
+        _check_fields(where, value, kind)
     elif isinstance(kind, list):
         if not isinstance(value, list):
-            raise FormatError("%s: %s must be a list, got %r" % (where, name, value))
+            raise FormatError("%s must be a list, got %r" % (where, value))
         for index, item in enumerate(value):
-            _check_value(where, "%s[%d]" % (name, index), item, kind[0])
+            _check_value("%s[%d]" % (where, index), item, kind[0])
     else:
         description, matches = _SCALAR_KINDS[kind]
         if not matches(value):
-            raise FormatError("%s: %s must be %s, got %r" % (where, name, description, value))
+            raise FormatError("%s must be %s, got %r" % (where, description, value))
 
 
 def read_jsonl(path, fields, key=None):
@@ -412,23 +411,23 @@ class DatasetManifest:
 
 def load_manifest(path):
     """Load and validate a manifest, rejecting on the first violation."""
-    obj = read_json(path)
-    base = os.path.dirname(os.path.abspath(path))
+    obj = read_json(path, {"grid": {"rows": int, "cols": int}, "feature_dim": int,
+                           "entries": [dict]})
     # each entry field is a string, except captions: a non-empty list of strings
     entry_fields = {f.name: f.type for f in dataclasses.fields(ManifestEntry)}
-    try:
-        grid = obj["grid"]
-        for index, e in enumerate(obj["entries"]):
-            _check_fields("%s: entry %d" % (path, index), e, entry_fields)
-        manifest = DatasetManifest(
-            grid_rows=int(grid["rows"]),
-            grid_cols=int(grid["cols"]),
-            feature_dim=int(obj["feature_dim"]),
-            entries=[ManifestEntry(**e) for e in obj["entries"]],
-            base_dir=base,
-        )
-    except (KeyError, TypeError) as exc:
-        raise FormatError("%s: malformed manifest (%s)" % (path, exc)) from exc
+    for index, e in enumerate(obj["entries"]):
+        where = "%s: entry %d" % (path, index)
+        _check_fields(where, e, entry_fields)
+        unknown = sorted(set(e) - set(entry_fields))
+        if unknown:
+            raise FormatError("%s: unknown field %s" % (where, ", ".join(map(repr, unknown))))
+    manifest = DatasetManifest(
+        grid_rows=obj["grid"]["rows"],
+        grid_cols=obj["grid"]["cols"],
+        feature_dim=obj["feature_dim"],
+        entries=[ManifestEntry(**e) for e in obj["entries"]],
+        base_dir=os.path.dirname(os.path.abspath(path)),
+    )
     if manifest.grid_rows < 1 or manifest.grid_cols < 1 or manifest.feature_dim < 1:
         raise FormatError("%s: non-positive grid or feature dimension" % path)
     seen = set()

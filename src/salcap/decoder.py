@@ -239,7 +239,8 @@ def load_checkpoint(directory):
     config = data_io.read_dataclass(ModelConfig, os.path.join(directory, "config.json"))
     params = init_params(config, rng_seed=0)
     seen = set()
-    for entry in data_io.read_json(os.path.join(directory, "params.json")):
+    index_path = os.path.join(directory, "params.json")
+    for entry in data_io.read_json(index_path, [{"name": str, "file": str}]):
         if entry["name"] not in params.store:
             raise ValueError("checkpoint %s: unknown parameter %r" % (directory, entry["name"]))
         slot = params.store[entry["name"]]

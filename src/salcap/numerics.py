@@ -255,19 +255,6 @@ def add(a, b):
     return out
 
 
-def sub(a, b):
-    a, b = as_tensor(a), as_tensor(b)
-    _require_same_dims("sub", a, b)
-    out = Tensor(a.data - b.data, parents=(a, b))
-
-    def _bw(g):
-        a.grad += g
-        b.grad -= g
-
-    out._backward_fn = _bw
-    return out
-
-
 def hadamard(a, b):
     a, b = as_tensor(a), as_tensor(b)
     _require_same_dims("hadamard", a, b)

@@ -44,8 +44,7 @@ class SaliencyMap:
 
 def binarize(saliency, threshold):
     """Binary mask: 1 where intensity is strictly above the threshold."""
-    intensity = saliency.intensity if isinstance(saliency, SaliencyMap) else np.asarray(saliency)
-    return (intensity > threshold).astype(np.uint8)
+    return (saliency.intensity > threshold).astype(np.uint8)
 
 
 def _check_pair(seg, sal):

@@ -80,7 +80,7 @@ class Vocabulary:
 
     @classmethod
     def load(cls, path):
-        obj = data_io.read_json_object(path, {"words": [str], "min_count": int})
+        obj = data_io.read_json(path, {"words": [str], "min_count": int})
         return cls(obj["words"], obj["min_count"])
 
 

@@ -414,6 +414,8 @@ class TestMalformedInputs:
         ({"batch_size": 2.5}, "batch_size"),
         ({"learning_rate": "x"}, "learning_rate"),
         ({"min_count": True}, "min_count"),
+        ({"batch_size": 0}, "batch_size"),
+        ({"hidden_size": 0}, "hidden_size"),
     ])
     def test_run_config_field(self, dataset, tmp_path, capsys, values, field):
         _, out_dir = dataset
@@ -425,6 +427,30 @@ class TestMalformedInputs:
         ])
         assert code == 1
         assert "%s: %s must be" % (cfg, field) in err
+
+    def test_run_config_flag_out_of_range(self, dataset, run_config, tmp_path, capsys):
+        _, out_dir = dataset
+        code, err = self._run(capsys, [
+            "train", "--manifest", str(out_dir / "manifest.json"), "--config", str(run_config),
+            "--batch-size", "0", "--out", str(tmp_path / "run"),
+        ])
+        assert code == 1
+        assert err == "error: batch_size must be >= 1\n"
+
+    @pytest.mark.parametrize("in_own_file", [False, True])
+    @pytest.mark.parametrize("table,message", [
+        ({"0": "bg", "x": "cat"}, "label_table key 'x' is not a decimal label"),
+        ({"0": "bg", "1": 5}, "label_table['1'] must be a string, got 5"),
+    ])
+    def test_label_table_entry(self, tmp_path, capsys, table, message, in_own_file):
+        pairs = tmp_path / "pairs.json"
+        holder = tmp_path / "labels.json" if in_own_file else pairs
+        if in_own_file:
+            holder.write_text(json.dumps(table))
+        pairs.write_text(json.dumps({"label_table": holder.name if in_own_file else table, "pairs": []}))
+        code, err = self._run(capsys, ["analyze-saliency", "--pairs", str(pairs), "--out", str(tmp_path / "s")])
+        assert code == 1
+        assert "%s: %s" % (holder, message) in err
 
     def test_label_table_not_an_object_or_path(self, tmp_path, capsys):
         pairs = tmp_path / "pairs.json"
@@ -482,6 +508,26 @@ class TestMalformedInputs:
         ])
         assert code == 1
         assert "%s: malformed JSON at line 3 column 19" % (ckpt / "config.json") in err
+
+    @pytest.mark.parametrize("index,message", [
+        ({"name": "emb", "file": "emb.tnsr"}, ": expected a JSON list, got dict"),
+        ([{"file": "emb.tnsr"}], "[0]: missing field 'name'"),
+    ])
+    def test_checkpoint_index(self, dataset, tmp_path, capsys, index, message):
+        _, out_dir = dataset
+        ckpt = tmp_path / "ckpt"
+        params = decoder.init_params(decoder.ModelConfig(
+            variant="soft", vocab_size=6, hidden_size=4, embed_size=3, feature_size=3,
+            raw_feature_size=5, grid_rows=2, grid_cols=2,
+        ), rng_seed=0)
+        decoder.save_checkpoint(params, ckpt, build_vocab(["a b"], min_count=1))
+        (ckpt / "params.json").write_text(json.dumps(index))
+        code, err = self._run(capsys, [
+            "caption", "--ckpt", str(ckpt), "--manifest", str(out_dir / "manifest.json"),
+            "--out", str(tmp_path / "c.jsonl"),
+        ])
+        assert code == 1
+        assert "%s%s" % (ckpt / "params.json", message) in err
 
 
 class TestGradCheckCommand:
@@ -549,6 +595,19 @@ class TestErrorPaths:
             "--config", str(bad), "--out", str(tmp_path / "run"),
         ]) == 1
         assert "%s: unknown field 'hidden_sise'" % bad in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["train", "grad-check"])
+    def test_env_seed_not_an_integer(self, dataset, run_config, tmp_path, monkeypatch, capsys,
+                                     command):
+        _, out_dir = dataset
+        monkeypatch.setenv("SALCAP_SEED", "abc")
+        argv = {
+            "train": ["train", "--manifest", str(out_dir / "manifest.json"),
+                      "--config", str(run_config), "--out", str(tmp_path / "run")],
+            "grad-check": ["grad-check", "--variant", "soft"],
+        }[command]
+        assert main(argv) == 1
+        assert "SALCAP_SEED must be an integer, got 'abc'" in capsys.readouterr().err
 
     def test_env_seed_override(self, dataset, run_config, tmp_path, monkeypatch):
         _, out_dir = dataset

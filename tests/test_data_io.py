@@ -1,6 +1,7 @@
 import filecmp
 import json
 import os
+import re
 import struct
 from dataclasses import asdict
 from pathlib import Path
@@ -299,6 +300,24 @@ class TestManifestInputs:
         with pytest.raises(FormatError, match="entry 2: captions must be a non-empty list of strings"):
             load_manifest(path)
 
+    @pytest.mark.parametrize("edit,message", [
+        (lambda m: m["grid"].update(rows=2.9), "grid: rows must be an integer, got 2.9"),
+        (lambda m: m["grid"].update(rows="2"), "grid: rows must be an integer, got '2'"),
+        (lambda m: m["grid"].update(rows=True), "grid: rows must be an integer, got True"),
+        (lambda m: m.update(feature_dim=3.7), "feature_dim must be an integer, got 3.7"),
+        (lambda m: m.update(entries=5), "entries must be a list, got 5"),
+        (lambda m: m["entries"][1].update(note="x"), "entry 1: unknown field 'note'"),
+    ], ids=["rows_float", "rows_string", "rows_bool", "feature_dim_float", "entries_int",
+            "entry_unknown_field"])
+    def test_field_kinds_checked(self, tmp_path, edit, message):
+        gen_synthetic(small_spec(), tmp_path / "k")
+        path = tmp_path / "k" / "manifest.json"
+        obj = json.loads(path.read_text())
+        edit(obj)
+        path.write_text(json.dumps(obj))
+        with pytest.raises(FormatError, match=re.escape("manifest.json: " + message)):
+            load_manifest(path)
+
     def test_malformed_json_names_line_and_column(self, tmp_path):
         path = tmp_path / "manifest.json"
         path.write_text('{"grid": {"rows": 2,\n  "cols" 2}}\n')
@@ -358,7 +377,7 @@ class TestJsonFiles:
         path = tmp_path / "o.json"
         data_io.write_json({"b": [1], "a": 2}, path)
         assert path.read_text() == '{\n  "a": 2,\n  "b": [\n    1\n  ]\n}\n'
-        assert data_io.read_json(path) == {"a": 2, "b": [1]}
+        assert data_io.read_json(path, {}) == {"a": 2, "b": [1]}
 
     def test_read_dataclass_names_file_and_key(self, tmp_path):
         path = tmp_path / "spec.json"

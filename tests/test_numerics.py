@@ -213,7 +213,6 @@ def _random_composite_cases():
         ("tanh", unary(nm.tanh)),
         ("scale", unary(lambda x: nm.scale(x, 1.7))),
         ("add", binary(nm.add)),
-        ("sub", binary(nm.sub)),
         ("hadamard", binary(nm.hadamard)),
         ("matmul", build_matmul),
         ("softmax", build_softmax),
@@ -271,7 +270,7 @@ class TestCheckedMode:
         x = Tensor([1.0, 2.0])
         nm.check_recorded()
         with np.errstate(divide="ignore", invalid="ignore"):
-            nm.sigmoid(nm.log(nm.sub(x, x)))
+            nm.sigmoid(nm.log(nm.scale(x, 0.0)))
         with pytest.raises(ValueError, match="from log"):
             nm.check_recorded()
 
