@@ -142,15 +142,8 @@ def cmd_train(args):
     return 0
 
 
-def _load_model(ckpt_dir):
-    params, vocabulary = decoder.load_checkpoint(ckpt_dir)
-    if vocabulary is None:
-        raise ValueError("checkpoint %s has no vocab.json" % ckpt_dir)
-    return params, vocabulary
-
-
 def cmd_caption(args):
-    params, vocabulary = _load_model(args.ckpt)
+    params, vocabulary = decoder.load_checkpoint(args.ckpt)
     manifest = data_io.load_manifest(args.manifest)
     entries = manifest.split_entries(args.split)
     if not entries:
@@ -172,7 +165,7 @@ def cmd_caption(args):
 
 
 def cmd_trace(args):
-    params, vocabulary = _load_model(args.ckpt)
+    params, vocabulary = decoder.load_checkpoint(args.ckpt)
     manifest = data_io.load_manifest(args.manifest)
     entries = manifest.split_entries(args.split)
     if not entries:

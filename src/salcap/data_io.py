@@ -452,10 +452,14 @@ def load_manifest(path):
 def load_entry(manifest, entry):
     """(raw feature array [L x D_raw], SaliencyGrid); a PGM map is divided by its maxval."""
     raw = read_tensor(manifest.resolve(entry.features)).data
-    values, maxval = read_map(manifest.resolve(entry.saliency), (PGM_MAGIC, TENSOR_MAGIC))
+    path = manifest.resolve(entry.saliency)
+    values, maxval = read_map(path, (PGM_MAGIC, TENSOR_MAGIC))
     if maxval is not None:
         values = values / maxval
-    return raw, prepare_saliency(values, manifest.grid_rows, manifest.grid_cols)
+    try:
+        return raw, prepare_saliency(values, manifest.grid_rows, manifest.grid_cols)
+    except ValueError as exc:
+        raise FormatError("%s: %s" % (path, exc)) from exc
 
 
 # ---------------------------------------------------------------------------

@@ -7,6 +7,8 @@ vocabulary.
 """
 
 import os
+import shutil
+import tempfile
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -14,6 +16,7 @@ import numpy as np
 from . import attention, data_io
 from . import numerics as nm
 from .attention import AttentionParams, AttentionPathParams, FeatureGrid, VARIANTS
+from .data_io import FormatError
 from .numerics import ParamStore, ShapeError
 from .vocab import Vocabulary
 
@@ -35,21 +38,14 @@ class ModelConfig:
     def __post_init__(self):
         if self.variant not in VARIANTS:
             raise ValueError("unknown attention variant %r" % (self.variant,))
-        sizes = (
-            self.vocab_size,
-            self.hidden_size,
-            self.embed_size,
-            self.feature_size,
-            self.raw_feature_size,
-            self.grid_rows,
-            self.grid_cols,
-        )
-        if any(int(s) <= 0 for s in sizes):
-            raise ValueError("model sizes must be positive: %r" % (sizes,))
+        for name in ("vocab_size", "hidden_size", "embed_size", "feature_size",
+                     "raw_feature_size", "grid_rows", "grid_cols"):
+            if getattr(self, name) < 1:
+                raise ValueError("%s must be >= 1, got %d" % (name, getattr(self, name)))
+        if self.attention_size < 0:
+            raise ValueError("attention_size must be >= 0, got %d" % self.attention_size)
         if self.attention_size == 0:
             self.attention_size = self.feature_size
-        if self.attention_size < 0:
-            raise ValueError("attention_size must be positive")
 
     @property
     def num_locations(self):
@@ -218,43 +214,51 @@ def step(params, grid, sal, state, prev_id):
 
 
 # ---------------------------------------------------------------------------
-# checkpoint format: directory with params.json + one tensor file per slot
+# checkpoint format: config.json, vocab.json and one tensor file per
+# parameter; init_params(config) alone says which parameters, of what dims
 # ---------------------------------------------------------------------------
 
-def save_checkpoint(params, directory, vocabulary=None):
-    os.makedirs(directory, exist_ok=True)
-    index = []
-    for slot in params.store.slots():
-        fname = slot.name.replace(".", "_") + ".tnsr"
-        data_io.write_tensor(nm.as_tensor(slot.value.data), os.path.join(directory, fname))
-        index.append({"name": slot.name, "dims": slot.value.dims, "file": fname})
-    data_io.write_json(index, os.path.join(directory, "params.json"))
-    data_io.write_json(asdict(params.config), os.path.join(directory, "config.json"))
-    if vocabulary is not None:
-        vocabulary.save(os.path.join(directory, "vocab.json"))
+def _tensor_file(name):
+    return name.replace(".", "_") + ".tnsr"
+
+
+def save_checkpoint(params, directory, vocabulary):
+    """Write a checkpoint into a staging directory beside ``directory``, then rename it there.
+
+    A checkpoint already at ``directory`` is replaced only once the new one is whole.
+    """
+    directory = os.path.abspath(directory)
+    work = tempfile.mkdtemp(dir=os.path.dirname(directory),
+                            prefix=".%s." % os.path.basename(directory))
+    try:
+        # a subdirectory, unlike mkdtemp's own, gets the usual permissions
+        staged = os.path.join(work, "new")
+        os.mkdir(staged)
+        for slot in params.store.slots():
+            data_io.write_tensor(slot.value, os.path.join(staged, _tensor_file(slot.name)))
+        data_io.write_json(asdict(params.config), os.path.join(staged, "config.json"))
+        vocabulary.save(os.path.join(staged, "vocab.json"))
+        if os.path.isdir(directory):
+            os.rename(directory, os.path.join(work, "old"))
+        os.rename(staged, directory)
+    finally:
+        shutil.rmtree(work)
 
 
 def load_checkpoint(directory):
-    """Rebuild DecoderParams (and the vocabulary, if stored) from a checkpoint."""
+    """Rebuild DecoderParams and the vocabulary from a checkpoint directory."""
     config = data_io.read_dataclass(ModelConfig, os.path.join(directory, "config.json"))
     params = init_params(config, rng_seed=0)
-    seen = set()
-    index_path = os.path.join(directory, "params.json")
-    for entry in data_io.read_json(index_path, [{"name": str, "file": str}]):
-        if entry["name"] not in params.store:
-            raise ValueError("checkpoint %s: unknown parameter %r" % (directory, entry["name"]))
-        slot = params.store[entry["name"]]
-        tensor = data_io.read_tensor(os.path.join(directory, entry["file"]))
+    files = {_tensor_file(slot.name): slot for slot in params.store.slots()}
+    for fname in sorted(os.listdir(directory)):
+        if fname.endswith(".tnsr") and fname not in files:
+            raise FormatError("%s: %s model has no parameter stored in this file"
+                              % (os.path.join(directory, fname), config.variant))
+    for fname, slot in files.items():
+        path = os.path.join(directory, fname)
+        tensor = data_io.read_tensor(path)
         if tensor.dims != slot.value.dims:
-            raise ValueError(
-                "checkpoint dims %r for %r do not match model dims %r"
-                % (tensor.dims, entry["name"], slot.value.dims)
-            )
+            raise FormatError("%s: dims %r, but %r has dims %r in this model"
+                              % (path, tensor.dims, slot.name, slot.value.dims))
         slot.value.data[...] = tensor.data
-        seen.add(entry["name"])
-    missing = set(params.store.names()) - seen
-    if missing:
-        raise ValueError("checkpoint is missing parameters: %s" % ", ".join(sorted(missing)))
-    vocab_path = os.path.join(directory, "vocab.json")
-    vocabulary = Vocabulary.load(vocab_path) if os.path.exists(vocab_path) else None
-    return params, vocabulary
+    return params, Vocabulary.load(os.path.join(directory, "vocab.json"))

@@ -34,14 +34,13 @@ class TrainConfig:
     checkpoint_every: int = 0  # 0 disables periodic checkpoints
 
     def __post_init__(self):
-        if self.learning_rate < 0:
-            raise ValueError("learning_rate must be >= 0")
-        if self.batch_size < 1:
-            raise ValueError("batch_size must be >= 1")
+        for name, least in (("learning_rate", 0), ("batch_size", 1), ("epochs", 0),
+                            ("grad_clip_norm", 0), ("max_caption_len", 1),
+                            ("checkpoint_every", 0)):
+            if getattr(self, name) < least:
+                raise ValueError("%s must be >= %d, got %r" % (name, least, getattr(self, name)))
         if self.optimizer not in ("nadam", "adam"):
             raise ValueError("optimizer must be 'nadam' or 'adam', got %r" % self.optimizer)
-        if self.max_caption_len < 1:
-            raise ValueError("max_caption_len must be >= 1")
 
 
 class OptimizerState:

@@ -416,6 +416,9 @@ class TestMalformedInputs:
         ({"min_count": True}, "min_count"),
         ({"batch_size": 0}, "batch_size"),
         ({"hidden_size": 0}, "hidden_size"),
+        ({"epochs": -2}, "epochs"),
+        ({"checkpoint_every": -1}, "checkpoint_every"),
+        ({"grad_clip_norm": -5.0}, "grad_clip_norm"),
     ])
     def test_run_config_field(self, dataset, tmp_path, capsys, values, field):
         _, out_dir = dataset
@@ -435,7 +438,16 @@ class TestMalformedInputs:
             "--batch-size", "0", "--out", str(tmp_path / "run"),
         ])
         assert code == 1
-        assert err == "error: batch_size must be >= 1\n"
+        assert err == "error: batch_size must be >= 1, got 0\n"
+
+    def test_negative_epochs_flag(self, dataset, run_config, tmp_path, capsys):
+        _, out_dir = dataset
+        code, err = self._run(capsys, [
+            "train", "--manifest", str(out_dir / "manifest.json"), "--config", str(run_config),
+            "--epochs", "-1", "--out", str(tmp_path / "run"),
+        ])
+        assert code == 1
+        assert err == "error: epochs must be >= 0, got -1\n"
 
     @pytest.mark.parametrize("in_own_file", [False, True])
     @pytest.mark.parametrize("table,message", [
@@ -500,7 +512,7 @@ class TestMalformedInputs:
             variant="soft", vocab_size=6, hidden_size=4, embed_size=3, feature_size=3,
             raw_feature_size=5, grid_rows=2, grid_cols=2,
         ), rng_seed=0)
-        decoder.save_checkpoint(params, ckpt)
+        decoder.save_checkpoint(params, ckpt, build_vocab(["a b"], min_count=1))
         (ckpt / "config.json").write_text('{"variant": "soft",\n\n  "vocab_size": 6,,}')
         code, err = self._run(capsys, [
             "caption", "--ckpt", str(ckpt), "--manifest", str(out_dir / "manifest.json"),
@@ -509,11 +521,16 @@ class TestMalformedInputs:
         assert code == 1
         assert "%s: malformed JSON at line 3 column 19" % (ckpt / "config.json") in err
 
-    @pytest.mark.parametrize("index,message", [
-        ({"name": "emb", "file": "emb.tnsr"}, ": expected a JSON list, got dict"),
-        ([{"file": "emb.tnsr"}], "[0]: missing field 'name'"),
-    ])
-    def test_checkpoint_index(self, dataset, tmp_path, capsys, index, message):
+    @pytest.mark.parametrize("edit,named", [
+        (lambda ckpt: (ckpt / "emb.tnsr").unlink(), "emb.tnsr"),
+        (lambda ckpt: shutil.copy(ckpt / "proj_W.tnsr", ckpt / "emb.tnsr"), "emb.tnsr"),
+        (lambda ckpt: shutil.copy(ckpt / "proj_W.tnsr", ckpt / "proj_Wx.tnsr"), "proj_Wx.tnsr"),
+        (lambda ckpt: (ckpt / "vocab.json").unlink(), "vocab.json"),
+        (lambda ckpt: (ckpt / "config.json").write_text(
+            (ckpt / "config.json").read_text().replace('"hidden_size": 4', '"hidden_size": 0')),
+         "config.json"),
+    ], ids=["missing_tensor", "wrong_dims", "extra_tensor", "missing_vocab", "zero_hidden_size"])
+    def test_bad_checkpoint_file_named(self, dataset, tmp_path, capsys, edit, named):
         _, out_dir = dataset
         ckpt = tmp_path / "ckpt"
         params = decoder.init_params(decoder.ModelConfig(
@@ -521,13 +538,13 @@ class TestMalformedInputs:
             raw_feature_size=5, grid_rows=2, grid_cols=2,
         ), rng_seed=0)
         decoder.save_checkpoint(params, ckpt, build_vocab(["a b"], min_count=1))
-        (ckpt / "params.json").write_text(json.dumps(index))
+        edit(ckpt)
         code, err = self._run(capsys, [
             "caption", "--ckpt", str(ckpt), "--manifest", str(out_dir / "manifest.json"),
             "--out", str(tmp_path / "c.jsonl"),
         ])
         assert code == 1
-        assert "%s%s" % (ckpt / "params.json", message) in err
+        assert str(ckpt / named) in err
 
 
 class TestGradCheckCommand:
@@ -551,9 +568,9 @@ class TestPeriodicCheckpoints:
             "train", "--manifest", str(out_dir / "manifest.json"),
             "--config", str(cfg), "--variant", "soft", "--out", str(ckpt),
         ]) == 0
-        assert (ckpt / "epoch_0001" / "params.json").exists()
-        assert (ckpt / "epoch_0002" / "params.json").exists()
-        assert (ckpt / "final" / "params.json").exists()
+        assert (ckpt / "epoch_0001" / "config.json").exists()
+        assert (ckpt / "epoch_0002" / "config.json").exists()
+        assert (ckpt / "final" / "config.json").exists()
 
 
 class TestHelp:

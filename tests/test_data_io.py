@@ -352,6 +352,16 @@ class TestLoadEntrySaliency:
         with pytest.raises(FormatError, match="bad magic at byte 0"):
             self._entry(tmp_path, lambda p: write_segm(np.zeros((3, 4), dtype=int), p))
 
+    @pytest.mark.parametrize("write_map,message", [
+        (lambda p: write_pgm(np.zeros((2, 2)), p), "saliency source [2, 2] is smaller than the 3x4 grid"),
+        (lambda p: write_tensor(Tensor(np.full((3, 4), 2.0)), p), "saliency values must lie in [0,1]"),
+        (lambda p: write_tensor(Tensor(np.zeros(12)), p), "saliency source must be 2-D, got shape [12]"),
+    ], ids=["too_small", "out_of_range", "one_dimensional"])
+    def test_bad_map_named(self, tmp_path, write_map, message):
+        path = tmp_path / "d" / "saliency" / "img_000.pgm"
+        with pytest.raises(FormatError, match=re.escape("%s: %s" % (path, message))):
+            self._entry(tmp_path, write_map)
+
 
 class TestReadMap:
     def test_kind_from_magic(self, tmp_path):

@@ -1,12 +1,21 @@
+import json
+import os
+import re
+import shutil
+from pathlib import Path
+
 import numpy as np
 import numpy.testing as npt
 import pytest
 
+from salcap import data_io
 from salcap import decoder as dec
 from salcap.attention import SaliencyGrid
 from salcap.data_io import FormatError
 from salcap.numerics import ShapeError, Tensor
 from salcap.vocab import build_vocab
+
+BENCH_CHECKPOINT = Path(__file__).resolve().parents[1] / "bench" / "checkpoint"
 
 
 def tiny_config(variant="saliency_context", **overrides):
@@ -232,6 +241,16 @@ class TestInitParams:
 
 
 class TestCheckpoint:
+    def _saved(self, tmp_path, config=None, rng_seed=0):
+        params = dec.init_params(config or tiny_config(), rng_seed=rng_seed)
+        dec.save_checkpoint(params, tmp_path / "ckpt", build_vocab(["a b"], min_count=1))
+        return tmp_path / "ckpt"
+
+    def _edit_config(self, ckpt, **values):
+        config = json.loads((ckpt / "config.json").read_text())
+        config.update(values)
+        (ckpt / "config.json").write_text(json.dumps(config))
+
     def test_round_trip(self, tmp_path):
         config = tiny_config()
         params = dec.init_params(config, rng_seed=11)
@@ -244,32 +263,95 @@ class TestCheckpoint:
             npt.assert_array_equal(sa.value.data, sb.value.data)
 
     def test_missing_tensor_detected(self, tmp_path):
-        params = dec.init_params(tiny_config(), rng_seed=0)
-        dec.save_checkpoint(params, tmp_path / "ckpt")
-        index_path = tmp_path / "ckpt" / "params.json"
-        import json
-        index = json.loads(index_path.read_text())
-        index_path.write_text(json.dumps(index[:-1]))
-        with pytest.raises(ValueError, match="missing parameters"):
-            dec.load_checkpoint(tmp_path / "ckpt")
+        ckpt = self._saved(tmp_path)
+        (ckpt / "emb.tnsr").unlink()
+        with pytest.raises(FileNotFoundError, match=re.escape(str(ckpt / "emb.tnsr"))):
+            dec.load_checkpoint(ckpt)
+
+    def test_missing_vocabulary_named(self, tmp_path):
+        ckpt = self._saved(tmp_path)
+        (ckpt / "vocab.json").unlink()
+        with pytest.raises(FileNotFoundError, match=re.escape(str(ckpt / "vocab.json"))):
+            dec.load_checkpoint(ckpt)
 
     def test_non_finite_value_named(self, tmp_path):
-        params = dec.init_params(tiny_config(), rng_seed=0)
-        dec.save_checkpoint(params, tmp_path / "ckpt")
-        path = tmp_path / "ckpt" / "proj_b.tnsr"
+        ckpt = self._saved(tmp_path)
+        path = ckpt / "proj_b.tnsr"
         blob = bytearray(path.read_bytes())
         blob[19:27] = np.array([np.inf]).tobytes()  # an 11-byte rank-1 header, then element 1
         path.write_bytes(bytes(blob))
         with pytest.raises(FormatError, match=r"proj_b\.tnsr: non-finite value at byte 19"):
-            dec.load_checkpoint(tmp_path / "ckpt")
+            dec.load_checkpoint(ckpt)
 
     def test_unknown_parameter_named(self, tmp_path):
-        params = dec.init_params(tiny_config(), rng_seed=0)
-        dec.save_checkpoint(params, tmp_path / "ckpt")
-        index_path = tmp_path / "ckpt" / "params.json"
-        import json
-        index = json.loads(index_path.read_text())
-        index[0]["name"] = "proj.Wx"
-        index_path.write_text(json.dumps(index))
-        with pytest.raises(ValueError, match=r"ckpt: unknown parameter 'proj\.Wx'"):
-            dec.load_checkpoint(tmp_path / "ckpt")
+        ckpt = self._saved(tmp_path)
+        shutil.copy(ckpt / "proj_W.tnsr", ckpt / "proj_Wx.tnsr")
+        message = "%s: saliency_context model has no parameter" % (ckpt / "proj_Wx.tnsr")
+        with pytest.raises(FormatError, match=re.escape(message)):
+            dec.load_checkpoint(ckpt)
+
+    def test_two_path_checkpoint_read_as_pooling(self, tmp_path):
+        ckpt = self._saved(tmp_path)
+        self._edit_config(ckpt, variant="saliency_pooling")
+        message = "%s: saliency_pooling model has no parameter" % (ckpt / "att_ctx_W_ae.tnsr")
+        with pytest.raises(FormatError, match=re.escape(message)):
+            dec.load_checkpoint(ckpt)
+
+    def test_dims_mismatch_named(self, tmp_path):
+        ckpt = self._saved(tmp_path)
+        shutil.copy(ckpt / "proj_W.tnsr", ckpt / "emb.tnsr")
+        message = "%s: dims [8, 10], but 'emb' has dims [12, 8] in this model" % (ckpt / "emb.tnsr")
+        with pytest.raises(FormatError, match=re.escape(message)):
+            dec.load_checkpoint(ckpt)
+
+    @pytest.mark.parametrize("field,value,message", [
+        ("hidden_size", 0, "hidden_size must be >= 1, got 0"),
+        ("grid_cols", -3, "grid_cols must be >= 1, got -3"),
+        ("attention_size", -1, "attention_size must be >= 0, got -1"),
+    ])
+    def test_config_size_named(self, tmp_path, field, value, message):
+        ckpt = self._saved(tmp_path)
+        self._edit_config(ckpt, **{field: value})
+        with pytest.raises(FormatError, match=re.escape("%s: %s" % (ckpt / "config.json", message))):
+            dec.load_checkpoint(ckpt)
+
+    def test_save_replaces_checkpoint(self, tmp_path):
+        self._saved(tmp_path, tiny_config(variant="saliency_context"))
+        ckpt = self._saved(tmp_path, tiny_config(variant="soft"), rng_seed=4)
+        loaded, _ = dec.load_checkpoint(ckpt)
+        expected = dec.init_params(tiny_config(variant="soft"), rng_seed=4)
+        for sa, sb in zip(expected.store.slots(), loaded.store.slots()):
+            npt.assert_array_equal(sa.value.data, sb.value.data)
+        assert os.listdir(tmp_path) == ["ckpt"]
+
+    def test_failed_save_keeps_old_checkpoint(self, tmp_path, monkeypatch):
+        ckpt = self._saved(tmp_path, rng_seed=1)
+        write_tensor = data_io.write_tensor
+        calls = []
+
+        def fail_fifth(tensor, path):
+            calls.append(path)
+            if len(calls) == 5:
+                raise OSError("disk full")
+            write_tensor(tensor, path)
+
+        monkeypatch.setattr(data_io, "write_tensor", fail_fifth)
+        with pytest.raises(OSError, match="disk full"):
+            self._saved(tmp_path, rng_seed=2)
+        monkeypatch.undo()
+        loaded, _ = dec.load_checkpoint(ckpt)
+        expected = dec.init_params(tiny_config(), rng_seed=1)
+        for sa, sb in zip(expected.store.slots(), loaded.store.slots()):
+            npt.assert_array_equal(sa.value.data, sb.value.data)
+        assert os.listdir(tmp_path) == ["ckpt"]
+
+    def test_committed_checkpoint_is_a_format_fixture(self, tmp_path):
+        """bench/checkpoint, saved with a params.json index, loads and re-saves byte for byte."""
+        assert (BENCH_CHECKPOINT / "params.json").exists()
+        params, vocabulary = dec.load_checkpoint(BENCH_CHECKPOINT)
+        dec.save_checkpoint(params, tmp_path / "ckpt", vocabulary)
+        written = sorted(os.listdir(tmp_path / "ckpt"))
+        assert len(written) == len(params.store) + 2
+        assert "params.json" not in written
+        for name in written:
+            assert (tmp_path / "ckpt" / name).read_bytes() == (BENCH_CHECKPOINT / name).read_bytes()
