@@ -1,15 +1,17 @@
 """Command-line surface: dataset generation, training, decoding, evaluation.
 
 Exit codes: 0 success, 1 input/validation failure (including a failed
-gradient check), 2 unexpected runtime failure.  The environment variable
-SALCAP_SEED, an integer, overrides the configured seed.
+gradient check), 2 unexpected runtime failure.  ``train`` reads one
+RunConfig: the ``--config`` file's values, then the flags given, then the
+environment variable SALCAP_SEED, a non-negative integer, which overrides
+the seed (it also overrides ``grad-check --seed``).
 """
 
 import argparse
 import json
 import os
 import sys
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, replace
 from typing import Optional
 
 from . import data_io, decoder, inference, metrics, optim, salstats
@@ -25,10 +27,9 @@ DESK_MIN_COUNT = 5
 
 
 @dataclass
-class RunConfig:
-    """Training configuration plus model sizes; file values, then flag overrides."""
+class RunConfig(optim.TrainConfig):
+    """optim.TrainConfig plus the model's sizes, variant and vocabulary min_count."""
 
-    train: optim.TrainConfig
     hidden_size: int = DESK_HIDDEN
     embed_size: int = DESK_EMBED
     feature_size: int = DESK_FEATURE
@@ -37,6 +38,7 @@ class RunConfig:
     variant: str = "saliency_context"
 
     def __post_init__(self):
+        super().__post_init__()
         for name in ("hidden_size", "embed_size", "feature_size", "min_count"):
             if getattr(self, name) < 1:
                 raise ValueError("%s must be >= 1, got %d" % (name, getattr(self, name)))
@@ -51,33 +53,23 @@ class RunConfig:
 
         A bad file value raises FormatError naming the file, even when overridden.
         """
-        kinds = {f.name: f.type for c in (optim.TrainConfig, cls) for f in fields(c)
-                 if f.name != "train"}
-        values = data_io.read_settings(path, kinds) if path else {}
-        try:
-            run = cls._from_values(values)
-        except ValueError as exc:
-            raise FormatError("%s: %s" % (path, exc)) from exc
-        values.update({k: v for k, v in (overrides or {}).items() if v is not None})
-        values["seed"] = _env_seed(values.get("seed", run.train.seed))
-        return cls._from_values(values)
-
-    @classmethod
-    def _from_values(cls, values):
-        train_keys = {f.name for f in fields(optim.TrainConfig)}
-        train = optim.TrainConfig(**{k: v for k, v in values.items() if k in train_keys})
-        return cls(train=train, **{k: v for k, v in values.items() if k not in train_keys})
+        run = data_io.read_dataclass(cls, path) if path else cls()
+        run = replace(run, **{k: v for k, v in (overrides or {}).items() if v is not None})
+        return replace(run, seed=_env_seed(run.seed))
 
 
 def _env_seed(default):
-    """SALCAP_SEED as an integer, or ``default`` when it is unset."""
+    """SALCAP_SEED as a non-negative integer, or ``default`` when it is unset."""
     text = os.environ.get("SALCAP_SEED")
     if text is None:
         return default
     try:
-        return int(text)
+        seed = int(text)
     except ValueError:
         raise ValueError("SALCAP_SEED must be an integer, got %r" % text) from None
+    if seed < 0:
+        raise ValueError("SALCAP_SEED must be a non-negative integer, got %r" % text)
+    return seed
 
 
 def _model_config(run, manifest, vocab_size):
@@ -101,15 +93,8 @@ def cmd_gen_synth(args):
 
 
 def cmd_train(args):
-    overrides = {
-        "epochs": args.epochs,
-        "seed": args.seed,
-        "batch_size": args.batch_size,
-        "learning_rate": args.learning_rate,
-        "optimizer": args.optimizer,
-    }
-    if args.variant:
-        overrides["variant"] = args.variant
+    overrides = {name: getattr(args, name) for name in (
+        "epochs", "seed", "batch_size", "learning_rate", "optimizer", "variant")}
     run = RunConfig.load(args.config, overrides)
     manifest = data_io.load_manifest(args.manifest)
     train_entries = manifest.split_entries("train")
@@ -119,16 +104,16 @@ def cmd_train(args):
         [c for e in train_entries for c in e.captions], run.min_count
     )
     config = _model_config(run, manifest, len(vocabulary))
-    params = decoder.init_params(config, rng_seed=run.train.seed)
-    examples = optim.build_examples(manifest, vocabulary, "train", run.train)
+    params = decoder.init_params(config, rng_seed=run.seed)
+    examples = optim.build_examples(manifest, vocabulary, "train", run)
     opt_state = optim.OptimizerState()
 
     def log_rows():
         """Trains one epoch per row, so the log is written as training goes on."""
-        for epoch in range(run.train.epochs):
-            stats = optim.train_epoch(examples, params, opt_state, run.train, epoch)
+        for epoch in range(run.epochs):
+            stats = optim.train_epoch(examples, params, opt_state, run, epoch)
             yield [[epoch, "%.9f" % stats.mean_loss, "%.1f" % stats.tokens_per_sec]]
-            every = run.train.checkpoint_every
+            every = run.checkpoint_every
             if every and (epoch + 1) % every == 0:
                 decoder.save_checkpoint(
                     params, os.path.join(args.out, "epoch_%04d" % (epoch + 1)), vocabulary
@@ -138,7 +123,7 @@ def cmd_train(args):
     log_path = os.path.join(args.out, "train_log.csv")
     data_io.write_csv(["epoch", "mean_loss", "tokens_per_sec"], log_rows(), log_path)
     decoder.save_checkpoint(params, os.path.join(args.out, "final"), vocabulary)
-    print("trained %d epochs; checkpoint at %s" % (run.train.epochs, os.path.join(args.out, "final")))
+    print("trained %d epochs; checkpoint at %s" % (run.epochs, os.path.join(args.out, "final")))
     return 0
 
 

@@ -211,26 +211,19 @@ def write_json(obj, path):
         fh.write("\n")
 
 
-def read_settings(path, kinds):
-    """The JSON object in a file whose every key is a field of ``kinds``.
+def read_dataclass(cls, path):
+    """cls(**obj) for the JSON object in a file whose every key is a field of cls.
 
-    ``kinds`` maps field name -> kind (see _check_fields).  A field may
-    be absent; a present one must hold a value of its kind.
+    A field may be absent, and then takes cls's default; a present one
+    must hold a value of its type (see _check_fields).  A key or value
+    cls rejects raises FormatError naming the file.
     """
+    kinds = {f.name: f.type for f in dataclasses.fields(cls)}
     obj = read_json(path, {})
     unknown = sorted(set(obj) - set(kinds))
     if unknown:
         raise FormatError("%s: unknown field %s" % (path, ", ".join(map(repr, unknown))))
     _check_fields(path, obj, {name: kinds[name] for name in obj})
-    return obj
-
-
-def read_dataclass(cls, path):
-    """cls(**obj) for the JSON object in a file, its values checked against cls's field types.
-
-    A key or value cls rejects raises FormatError naming the file.
-    """
-    obj = read_settings(path, {f.name: f.type for f in dataclasses.fields(cls)})
     try:
         return cls(**obj)
     except (TypeError, ValueError) as exc:
@@ -351,17 +344,10 @@ def _axis_overlap_weights(src, dst):
 
 
 def prepare_saliency(source, rows, cols):
-    """Area-average a saliency map down to a rows x cols grid, flattened row-major.
-
-    Float inputs are taken as already normalized to [0,1]; integer arrays
-    are 8-bit intensities and are divided by 255 first.
-    """
-    source = np.asarray(source)
+    """Area-average a saliency map in [0,1] down to a rows x cols grid, flattened row-major."""
+    source = np.asarray(source, dtype=np.float64)
     if source.ndim != 2:
         raise ValueError("saliency source must be 2-D, got shape %r" % (list(source.shape),))
-    if np.issubdtype(source.dtype, np.integer):
-        source = source / 255.0
-    source = source.astype(np.float64)
     if source.shape[0] < rows or source.shape[1] < cols:
         raise ValueError(
             "saliency source %r is smaller than the %dx%d grid"
@@ -494,17 +480,22 @@ class SyntheticSpec:
     split_counts: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        if self.n_images < 1 or self.grid_rows < 1 or self.grid_cols < 1 or self.feature_dim < 1:
-            raise ValueError("synthetic spec sizes must be positive")
+        for name, least in (("n_images", 1), ("grid_rows", 1), ("grid_cols", 1),
+                            ("feature_dim", 1), ("seed", 0)):
+            if getattr(self, name) < least:
+                raise ValueError("%s must be >= %d, got %r" % (name, least, getattr(self, name)))
         if not self.salient_words or not self.context_words:
             raise ValueError("synthetic spec needs non-empty word template lists")
         if not self.split_counts:
             self.split_counts = {"train": self.n_images}
-        if sum(self.split_counts.values()) != self.n_images:
-            raise ValueError("split counts must sum to n_images")
-        for split in self.split_counts:
+        for split, count in self.split_counts.items():
             if split not in VALID_SPLITS:
                 raise ValueError("unknown split %r" % split)
+            if not isinstance(count, int) or isinstance(count, bool) or count < 0:
+                raise ValueError("split_counts[%r] must be a non-negative integer, got %r"
+                                 % (split, count))
+        if sum(self.split_counts.values()) != self.n_images:
+            raise ValueError("split counts must sum to n_images")
 
 
 def _word_signature(seed, group, index, dim):

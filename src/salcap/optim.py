@@ -35,7 +35,7 @@ class TrainConfig:
 
     def __post_init__(self):
         for name, least in (("learning_rate", 0), ("batch_size", 1), ("epochs", 0),
-                            ("grad_clip_norm", 0), ("max_caption_len", 1),
+                            ("seed", 0), ("grad_clip_norm", 0), ("max_caption_len", 1),
                             ("checkpoint_every", 0)):
             if getattr(self, name) < least:
                 raise ValueError("%s must be >= %d, got %r" % (name, least, getattr(self, name)))
@@ -284,6 +284,8 @@ def grad_check(model_config, tolerance=1e-4, seed=0):
     Builds a model at the given (tiny) sizes, a random feature grid,
     saliency grid and caption, then perturbs every scalar parameter.
     """
+    if seed < 0:
+        raise ValueError("seed must be >= 0, got %d" % seed)
     params = dec.init_params(model_config, rng_seed=seed)
     rng = np.random.default_rng(np.random.SeedSequence([seed, 1]))
     raw = rng.normal(0.0, 1.0, (model_config.num_locations, model_config.raw_feature_size))

@@ -41,7 +41,8 @@ class Vocabulary:
         self._id_to_word = list(RESERVED_TOKENS) + list(words)
         self._word_to_id = {w: i for i, w in enumerate(self._id_to_word)}
         if len(self._word_to_id) != len(self._id_to_word):
-            raise ValueError("duplicate word in vocabulary")
+            word = next(w for i, w in enumerate(self._id_to_word) if self._word_to_id[w] != i)
+            raise ValueError("duplicate word %r in vocabulary" % word)
 
     def __len__(self):
         return len(self._id_to_word)
@@ -81,13 +82,14 @@ class Vocabulary:
     @classmethod
     def load(cls, path):
         obj = data_io.read_json(path, {"words": [str], "min_count": int})
-        return cls(obj["words"], obj["min_count"])
+        try:
+            return cls(obj["words"], obj["min_count"])
+        except ValueError as exc:
+            raise data_io.FormatError("%s: %s" % (path, exc)) from exc
 
 
 def build_vocab(captions, min_count):
     """Vocabulary of words occurring >= min_count times in a list of raw caption strings."""
-    if min_count < 1:
-        raise ValueError("min_count must be >= 1, got %d" % min_count)
     if not captions:
         raise ValueError("cannot build a vocabulary from an empty corpus")
     counts = Counter()

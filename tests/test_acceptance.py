@@ -328,7 +328,7 @@ def test_criterion_8_format_round_trips(tmp_path):
         tensor_ok &= np.array_equal(data_io.read_tensor(path).data, t.data)
 
     source = rng.integers(0, 256, (15, 20)).astype(np.uint8)
-    grid = data_io.prepare_saliency(source, 5, 5)
+    grid = data_io.prepare_saliency(source / 255.0, 5, 5)
     mean_dev = abs(grid.s.mean() * 255 - source.astype(float).mean())
 
     spec = data_io.SyntheticSpec(

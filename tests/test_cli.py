@@ -419,6 +419,7 @@ class TestMalformedInputs:
         ({"epochs": -2}, "epochs"),
         ({"checkpoint_every": -1}, "checkpoint_every"),
         ({"grad_clip_norm": -5.0}, "grad_clip_norm"),
+        ({"seed": -1}, "seed"),
     ])
     def test_run_config_field(self, dataset, tmp_path, capsys, values, field):
         _, out_dir = dataset
@@ -448,6 +449,39 @@ class TestMalformedInputs:
         ])
         assert code == 1
         assert err == "error: epochs must be >= 0, got -1\n"
+
+    @pytest.mark.parametrize("command", ["train", "grad-check"])
+    def test_negative_seed_flag(self, dataset, run_config, tmp_path, capsys, command):
+        _, out_dir = dataset
+        argv = {
+            "train": ["train", "--manifest", str(out_dir / "manifest.json"),
+                      "--config", str(run_config), "--out", str(tmp_path / "run")],
+            "grad-check": ["grad-check", "--variant", "soft"],
+        }[command]
+        code, err = self._run(capsys, argv + ["--seed", "-1"])
+        assert code == 1
+        assert err == "error: seed must be >= 0, got -1\n"
+
+    @pytest.mark.parametrize("values,message", [
+        ({"grid_rows": 0}, "grid_rows must be >= 1, got 0"),
+        ({"seed": -1}, "seed must be >= 0, got -1"),
+        ({"split_counts": {"train": 1.5, "test": 1.5}},
+         "split_counts['train'] must be a non-negative integer, got 1.5"),
+        ({"split_counts": {"train": -1, "test": 4}},
+         "split_counts['train'] must be a non-negative integer, got -1"),
+        ({"split_counts": {"train": "3"}},
+         "split_counts['train'] must be a non-negative integer, got '3'"),
+    ], ids=["grid_rows_zero", "seed_negative", "count_float", "count_negative", "count_string"])
+    def test_gen_synth_spec_field(self, tmp_path, capsys, values, message):
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps(dict({
+            "n_images": 3, "grid_rows": 2, "grid_cols": 2, "feature_dim": 3,
+            "salient_words": ["cat"], "context_words": ["lake"], "seed": 1,
+        }, **values)))
+        code, err = self._run(capsys, ["gen-synth", "--spec", str(spec), "--out", str(tmp_path / "d")])
+        assert code == 1
+        assert err == "error: %s: %s\n" % (spec, message)
+        assert not (tmp_path / "d").exists()
 
     @pytest.mark.parametrize("in_own_file", [False, True])
     @pytest.mark.parametrize("table,message", [
@@ -529,7 +563,10 @@ class TestMalformedInputs:
         (lambda ckpt: (ckpt / "config.json").write_text(
             (ckpt / "config.json").read_text().replace('"hidden_size": 4', '"hidden_size": 0')),
          "config.json"),
-    ], ids=["missing_tensor", "wrong_dims", "extra_tensor", "missing_vocab", "zero_hidden_size"])
+        (lambda ckpt: (ckpt / "vocab.json").write_text(
+            json.dumps({"words": ["a", "a"], "min_count": 1})), "vocab.json"),
+    ], ids=["missing_tensor", "wrong_dims", "extra_tensor", "missing_vocab", "zero_hidden_size",
+            "duplicate_vocab_word"])
     def test_bad_checkpoint_file_named(self, dataset, tmp_path, capsys, edit, named):
         _, out_dir = dataset
         ckpt = tmp_path / "ckpt"
@@ -617,14 +654,16 @@ class TestErrorPaths:
     def test_env_seed_not_an_integer(self, dataset, run_config, tmp_path, monkeypatch, capsys,
                                      command):
         _, out_dir = dataset
-        monkeypatch.setenv("SALCAP_SEED", "abc")
         argv = {
             "train": ["train", "--manifest", str(out_dir / "manifest.json"),
                       "--config", str(run_config), "--out", str(tmp_path / "run")],
             "grad-check": ["grad-check", "--variant", "soft"],
         }[command]
-        assert main(argv) == 1
-        assert "SALCAP_SEED must be an integer, got 'abc'" in capsys.readouterr().err
+        for text, message in (("abc", "SALCAP_SEED must be an integer, got 'abc'"),
+                              ("-3", "SALCAP_SEED must be a non-negative integer, got '-3'")):
+            monkeypatch.setenv("SALCAP_SEED", text)
+            assert main(argv) == 1
+            assert message in capsys.readouterr().err
 
     def test_env_seed_override(self, dataset, run_config, tmp_path, monkeypatch):
         _, out_dir = dataset

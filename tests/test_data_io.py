@@ -126,25 +126,25 @@ class TestSegm:
 
 class TestPrepareSaliency:
     def test_constant_map(self):
-        grid = prepare_saliency(np.full((10, 10), 128, dtype=np.uint8), 2, 2)
+        grid = prepare_saliency(np.full((10, 10), 128, dtype=np.uint8) / 255.0, 2, 2)
         npt.assert_allclose(grid.s, np.full(4, 128 / 255), atol=1e-12)
         assert abs(grid.s[0] - 0.50196) < 1e-5
 
     def test_two_by_two_block_average(self):
         source = np.array([[0, 255], [255, 255]], dtype=np.uint8)
-        grid = prepare_saliency(source, 1, 1)
+        grid = prepare_saliency(source / 255.0, 1, 1)
         npt.assert_allclose(grid.s, [191.25 / 255], atol=1e-12)
         assert abs(grid.s[0] - 0.75) < 1e-12
 
     def test_all_zero(self):
-        grid = prepare_saliency(np.zeros((6, 6), dtype=np.uint8), 3, 3)
+        grid = prepare_saliency(np.zeros((6, 6), dtype=np.uint8) / 255.0, 3, 3)
         npt.assert_array_equal(grid.s, np.zeros(9))
         npt.assert_array_equal(grid.z, np.ones(9))
 
     def test_mean_preserved_integer_aligned(self):
         rng = np.random.default_rng(4)
         source = rng.integers(0, 256, (12, 18)).astype(np.uint8)
-        grid = prepare_saliency(source, 3, 6)
+        grid = prepare_saliency(source / 255.0, 3, 6)
         assert abs(grid.s.mean() * 255 - source.astype(float).mean()) < 1e-9
 
     def test_partial_cells_weighted(self):
@@ -226,12 +226,23 @@ class TestGenSynthetic:
         assert np.all(sal.s >= 0) and np.all(sal.s <= 1)
 
     def test_invalid_spec(self):
-        with pytest.raises(ValueError):
-            small_spec(salient_words=[])
-        with pytest.raises(ValueError):
-            small_spec(split_counts={"train": 5})
-        with pytest.raises(ValueError):
-            small_spec(n_images=0)
+        for overrides, message in [
+            (dict(salient_words=[]), "non-empty word template lists"),
+            (dict(split_counts={"train": 5}), "split counts must sum to n_images"),
+            (dict(n_images=0), "n_images must be >= 1, got 0"),
+            (dict(grid_rows=0), "grid_rows must be >= 1, got 0"),
+            (dict(seed=-1), "seed must be >= 0, got -1"),
+            (dict(split_counts={"train": 7.5, "test": 0.5}),
+             "split_counts['train'] must be a non-negative integer, got 7.5"),
+            (dict(split_counts={"train": -1, "test": 9}),
+             "split_counts['train'] must be a non-negative integer, got -1"),
+            (dict(split_counts={"train": 7, "test": True}),
+             "split_counts['test'] must be a non-negative integer, got True"),
+            (dict(split_counts={"train": "8"}),
+             "split_counts['train'] must be a non-negative integer, got '8'"),
+        ]:
+            with pytest.raises(ValueError, match=re.escape(message)):
+                small_spec(**overrides)
 
 
 class TestManifestValidation:

@@ -1,0 +1,94 @@
+"""Property tests: file-format round trips and caption-metric invariants.
+
+Examples are derandomized and no example database is kept, so a run is
+reproducible and writes nothing into the source tree.
+"""
+
+import os
+import tempfile
+
+import numpy as np
+import pytest
+from hypothesis import configuration, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
+
+from salcap import data_io, metrics
+
+SETTINGS = settings(database=None, deadline=None, derandomize=True)
+
+
+# hypothesis caches the constants it finds in the source, at collection time;
+# keep that cache in the system's temporary directory, not in the source tree
+configuration.set_hypothesis_home_dir(os.path.join(tempfile.gettempdir(), "salcap-hypothesis"))
+
+
+@pytest.fixture(scope="module")
+def workdir(tmp_path_factory):
+    return tmp_path_factory.mktemp("properties")
+
+
+@st.composite
+def pgm_maps(draw, least_maxval, most_maxval):
+    """(values, maxval): a 2-D map of samples in 0..maxval, maxval drawn from the range."""
+    maxval = draw(st.integers(least_maxval, most_maxval))
+    values = draw(hnp.arrays(np.uint16, hnp.array_shapes(min_dims=2, max_dims=2, max_side=6),
+                             elements=st.integers(0, maxval)))
+    return values, maxval
+
+
+@SETTINGS
+@given(hnp.arrays(np.float64, hnp.array_shapes(min_dims=1, max_dims=3, max_side=5),
+                  elements=st.floats(allow_nan=False, allow_infinity=False)))
+def test_tensor_round_trip(workdir, values):
+    path = workdir / "t.tnsr"
+    data_io.write_tensor(values, path)
+    assert np.array_equal(data_io.read_tensor(path).data, values)
+    assert data_io.read_tensor_dims(path) == list(values.shape)
+
+
+@SETTINGS
+@given(st.one_of(pgm_maps(1, 255), pgm_maps(256, 65535)))
+def test_pgm_round_trip(workdir, drawn):
+    values, maxval = drawn
+    path = workdir / "m.pgm"
+    data_io.write_pgm(values, path, maxval=maxval)
+    read, read_maxval = data_io.read_map(path, (data_io.PGM_MAGIC,))
+    assert np.array_equal(read, values)
+    assert read_maxval == maxval
+
+
+@SETTINGS
+@given(hnp.arrays(np.uint16, hnp.array_shapes(min_dims=2, max_dims=2, max_side=6)))
+def test_segm_round_trip(workdir, labels):
+    path = workdir / "m.segm"
+    data_io.write_segm(labels, path)
+    read, maxval = data_io.read_map(path, (data_io.SEGM_MAGIC,))
+    assert np.array_equal(read, labels)
+    assert maxval is None
+
+
+def captions(min_words):
+    """Captions over a five-word vocabulary, so candidates and references share n-grams."""
+    return st.lists(st.sampled_from("abcde"), min_size=min_words, max_size=8).map(" ".join)
+
+
+@SETTINGS
+@given(st.lists(st.tuples(captions(0), st.lists(captions(1), min_size=1, max_size=3)),
+                min_size=1, max_size=4))
+def test_scores_lie_in_unit_interval(entries):
+    corpus = metrics.CaptionCorpus.from_pairs(
+        [(str(i), candidate, references) for i, (candidate, references) in enumerate(entries)]
+    )
+    for score in metrics.bleu(corpus) + [metrics.rouge_l(corpus)]:
+        assert 0.0 <= score <= 1.0
+
+
+@SETTINGS
+@given(st.lists(captions(4), min_size=1, max_size=4))
+def test_candidate_equal_to_reference_scores_one(sentences):
+    corpus = metrics.CaptionCorpus.from_pairs(
+        [(str(i), sentence, [sentence]) for i, sentence in enumerate(sentences)]
+    )
+    assert metrics.bleu(corpus)[3] == 1.0
+    assert metrics.rouge_l(corpus) == 1.0

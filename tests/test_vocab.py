@@ -1,4 +1,5 @@
 import json
+import re
 
 import pytest
 
@@ -110,4 +111,16 @@ def test_load_names_missing_field(tmp_path):
     path = tmp_path / "vocab.json"
     path.write_text(json.dumps({"min_count": 1}))
     with pytest.raises(FormatError, match=r"vocab\.json: missing field 'words'"):
+        Vocabulary.load(path)
+
+
+@pytest.mark.parametrize("obj,message", [
+    ({"words": ["a", "a"], "min_count": 1}, "duplicate word 'a' in vocabulary"),
+    ({"words": ["<pad>"], "min_count": 1}, "duplicate word '<pad>' in vocabulary"),
+    ({"words": ["a"], "min_count": 0}, "min_count must be >= 1, got 0"),
+], ids=["duplicate_word", "reserved_word", "min_count_zero"])
+def test_load_names_file_and_rule(tmp_path, obj, message):
+    path = tmp_path / "vocab.json"
+    path.write_text(json.dumps(obj))
+    with pytest.raises(FormatError, match=re.escape("%s: %s" % (path, message))):
         Vocabulary.load(path)
