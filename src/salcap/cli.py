@@ -18,34 +18,25 @@ from . import data_io, decoder, inference, metrics, optim, salstats
 from .attention import VARIANTS
 from .data_io import FormatError, SyntheticSpec
 from .numerics import ShapeError
-from .vocab import build_vocab
-
-DESK_HIDDEN = 64
-DESK_EMBED = 32
-DESK_FEATURE = 32
-DESK_MIN_COUNT = 5
+from .vocab import Vocabulary, build_vocab
 
 
 @dataclass
 class RunConfig(optim.TrainConfig):
-    """optim.TrainConfig plus the model's sizes, variant and vocabulary min_count."""
+    """optim.TrainConfig plus the model's desk-scale sizes, variant and vocabulary min_count."""
 
-    hidden_size: int = DESK_HIDDEN
-    embed_size: int = DESK_EMBED
-    feature_size: int = DESK_FEATURE
+    hidden_size: int = 64
+    embed_size: int = 32
+    feature_size: int = 32
     attention_size: int = 0
-    min_count: int = DESK_MIN_COUNT
+    min_count: int = 5
     variant: str = "saliency_context"
 
     def __post_init__(self):
         super().__post_init__()
-        for name in ("hidden_size", "embed_size", "feature_size", "min_count"):
-            if getattr(self, name) < 1:
-                raise ValueError("%s must be >= 1, got %d" % (name, getattr(self, name)))
-        if self.attention_size < 0:
-            raise ValueError("attention_size must be >= 0, got %d" % self.attention_size)
-        if self.variant not in VARIANTS:
-            raise ValueError("unknown attention variant %r" % (self.variant,))
+        # the model's and the vocabulary's own checks, with 1 for each size the data sets
+        _model_config(self, data_io.DatasetManifest(1, 1, 1, []), 1)
+        Vocabulary([], self.min_count)
 
     @classmethod
     def load(cls, path=None, overrides=None):

@@ -24,7 +24,7 @@ import math
 import os
 import re
 import struct
-from dataclasses import dataclass, field
+from dataclasses import MISSING, dataclass, field
 from typing import Union, get_args, get_origin
 
 import numpy as np
@@ -192,16 +192,15 @@ def read_map(path, kinds):
 # ---------------------------------------------------------------------------
 
 def read_json(path, kind):
-    """The JSON object (``kind`` a dict of fields) or list (``[kind]``) in a file; see _check_fields."""
+    """The JSON object in a file, holding the fields of ``kind`` (see _check_fields)."""
     with open(path, "r", encoding="utf-8") as fh:
         try:
             obj = json.load(fh)
         except json.JSONDecodeError as exc:
             raise FormatError("%s: malformed JSON at line %d column %d (%s)"
                               % (path, exc.lineno, exc.colno, exc.msg)) from exc
-    if isinstance(kind, list) and not isinstance(obj, list):
-        raise FormatError("%s: expected a JSON list, got %s" % (path, type(obj).__name__))
-    _check_value(path, obj, kind)
+    _check_finite(path, obj)
+    _check_fields(path, obj, kind)
     return obj
 
 
@@ -212,22 +211,34 @@ def write_json(obj, path):
 
 
 def read_dataclass(cls, path):
-    """cls(**obj) for the JSON object in a file whose every key is a field of cls.
+    """The dataclass cls built from the JSON object in a file; see _build."""
+    return _build(cls, path, read_json(path, {}))
 
-    A field may be absent, and then takes cls's default; a present one
-    must hold a value of its type (see _check_fields).  A key or value
-    cls rejects raises FormatError naming the file.
+
+def _build(cls, where, obj):
+    """cls(**obj) for a JSON object of fields of cls, each of its type (see _check_fields).
+
+    An unknown field, a missing one without a default, or a value cls rejects
+    raises FormatError naming ``where``.
     """
-    kinds = {f.name: f.type for f in dataclasses.fields(cls)}
-    obj = read_json(path, {})
-    unknown = sorted(set(obj) - set(kinds))
+    fields = dataclasses.fields(cls)
+    unknown = sorted(set(obj) - {f.name for f in fields})
     if unknown:
-        raise FormatError("%s: unknown field %s" % (path, ", ".join(map(repr, unknown))))
-    _check_fields(path, obj, {name: kinds[name] for name in obj})
+        raise FormatError("%s: unknown field %s" % (where, ", ".join(map(repr, unknown))))
+    _check_fields(where, obj, {f.name: f.type for f in fields if f.name in obj or (
+        f.default is MISSING and f.default_factory is MISSING)})
     try:
         return cls(**obj)
-    except (TypeError, ValueError) as exc:
-        raise FormatError("%s: %s" % (path, exc)) from exc
+    except ValueError as exc:
+        raise FormatError("%s: %s" % (where, exc)) from exc
+
+
+def at_least(name, value, least):
+    """ValueError naming ``name`` unless ``value`` is a finite number >= ``least``."""
+    if not -math.inf < value < math.inf:  # False for NaN too
+        raise ValueError("%s must be a finite number, got %r" % (name, value))
+    if not value >= least:
+        raise ValueError("%s must be >= %d, got %r" % (name, least, value))
 
 
 _SCALAR_KINDS = {
@@ -262,6 +273,15 @@ def _check_fields(where, obj, types):
                 continue
             kind = get_args(kind)[0]
         _check_value("%s: %s" % (where, name), value, kind)
+
+
+def _check_finite(where, value):
+    """FormatError naming the first NaN or infinity (read from NaN, Infinity or 1e400) in value."""
+    if isinstance(value, float) and not math.isfinite(value):
+        raise FormatError("%s must be a finite number, got %r" % (where, value))
+    if isinstance(value, (dict, list)):
+        for key, item in value.items() if isinstance(value, dict) else enumerate(value):
+            _check_finite(("%s: %s" if isinstance(value, dict) else "%s[%d]") % (where, key), item)
 
 
 def _check_value(where, value, kind):
@@ -300,6 +320,7 @@ def read_jsonl(path, fields, key=None):
                 raise FormatError(
                     "%s: malformed JSON at column %d (%s)" % (where, exc.colno, exc.msg)
                 ) from exc
+            _check_finite(where, obj)
             _check_fields(where, obj, fields)
             if key is not None:
                 if obj[key] in first_seen:
@@ -399,23 +420,21 @@ def load_manifest(path):
     """Load and validate a manifest, rejecting on the first violation."""
     obj = read_json(path, {"grid": {"rows": int, "cols": int}, "feature_dim": int,
                            "entries": [dict]})
-    # each entry field is a string, except captions: a non-empty list of strings
-    entry_fields = {f.name: f.type for f in dataclasses.fields(ManifestEntry)}
-    for index, e in enumerate(obj["entries"]):
-        where = "%s: entry %d" % (path, index)
-        _check_fields(where, e, entry_fields)
-        unknown = sorted(set(e) - set(entry_fields))
-        if unknown:
-            raise FormatError("%s: unknown field %s" % (where, ", ".join(map(repr, unknown))))
+    grid = obj["grid"]
+    try:
+        for name, value in (("grid: rows", grid["rows"]), ("grid: cols", grid["cols"]),
+                            ("feature_dim", obj["feature_dim"])):
+            at_least(name, value, 1)
+    except ValueError as exc:
+        raise FormatError("%s: %s" % (path, exc)) from exc
     manifest = DatasetManifest(
-        grid_rows=obj["grid"]["rows"],
-        grid_cols=obj["grid"]["cols"],
+        grid_rows=grid["rows"],
+        grid_cols=grid["cols"],
         feature_dim=obj["feature_dim"],
-        entries=[ManifestEntry(**e) for e in obj["entries"]],
+        entries=[_build(ManifestEntry, "%s: entry %d" % (path, index), e)
+                 for index, e in enumerate(obj["entries"])],
         base_dir=os.path.dirname(os.path.abspath(path)),
     )
-    if manifest.grid_rows < 1 or manifest.grid_cols < 1 or manifest.feature_dim < 1:
-        raise FormatError("%s: non-positive grid or feature dimension" % path)
     seen = set()
     for entry in manifest.entries:
         if entry.id in seen:
@@ -482,8 +501,7 @@ class SyntheticSpec:
     def __post_init__(self):
         for name, least in (("n_images", 1), ("grid_rows", 1), ("grid_cols", 1),
                             ("feature_dim", 1), ("seed", 0)):
-            if getattr(self, name) < least:
-                raise ValueError("%s must be >= %d, got %r" % (name, least, getattr(self, name)))
+            at_least(name, getattr(self, name), least)
         if not self.salient_words or not self.context_words:
             raise ValueError("synthetic spec needs non-empty word template lists")
         if not self.split_counts:

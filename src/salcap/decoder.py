@@ -38,12 +38,10 @@ class ModelConfig:
     def __post_init__(self):
         if self.variant not in VARIANTS:
             raise ValueError("unknown attention variant %r" % (self.variant,))
-        for name in ("vocab_size", "hidden_size", "embed_size", "feature_size",
-                     "raw_feature_size", "grid_rows", "grid_cols"):
-            if getattr(self, name) < 1:
-                raise ValueError("%s must be >= 1, got %d" % (name, getattr(self, name)))
-        if self.attention_size < 0:
-            raise ValueError("attention_size must be >= 0, got %d" % self.attention_size)
+        for name, least in (("vocab_size", 1), ("hidden_size", 1), ("embed_size", 1),
+                            ("feature_size", 1), ("raw_feature_size", 1), ("grid_rows", 1),
+                            ("grid_cols", 1), ("attention_size", 0)):
+            data_io.at_least(name, getattr(self, name), least)
         if self.attention_size == 0:
             self.attention_size = self.feature_size
 

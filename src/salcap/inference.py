@@ -46,6 +46,7 @@ class AttentionTrace:
 
 def _greedy_steps(params, raw, sal, max_len):
     """Yield (emitted id, attention output) per step, through EOS or max_len steps."""
+    data_io.at_least("max_len", max_len, 1)
     grid = dec.project_features(nm.as_tensor(raw), params)
     state = dec.LstmState.initial(params.config.hidden_size)
     emitted = BOS_ID
@@ -65,8 +66,6 @@ def _decode_result(emitted):
 
 def greedy_decode(raw, sal, params, max_len=20):
     """Most-probable-word decoding; returns the caption body and a cap flag."""
-    if max_len < 1:
-        raise ValueError("max_len must be >= 1")
     return _decode_result([emitted for emitted, _ in _greedy_steps(params, raw, sal, max_len)])
 
 
@@ -76,8 +75,6 @@ def trace_attention(raw, sal, params, max_len=20):
         raise UnsupportedVariantError(
             "attention tracing needs a two-path variant, not %r" % params.config.variant
         )
-    if max_len < 1:
-        raise ValueError("max_len must be >= 1")
     steps = list(_greedy_steps(params, raw, sal, max_len))
     trace = AttentionTrace([
         TraceStep(

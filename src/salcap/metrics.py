@@ -135,6 +135,7 @@ def cider(corpus, n_max=4, multiplier=1.0):
     IDF documents are the per-image reference sets; a single-entry
     corpus has no usable IDF signal and is rejected.
     """
+    data_io.at_least("multiplier", multiplier, 0)
     if len(corpus.entries) < 2:
         raise ValueError("cider needs at least 2 corpus entries (degenerate IDF)")
     m = len(corpus.entries)

@@ -12,6 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import data_io
 from . import decoder as dec
 from . import numerics as nm
 from .attention import SaliencyGrid
@@ -37,8 +38,7 @@ class TrainConfig:
         for name, least in (("learning_rate", 0), ("batch_size", 1), ("epochs", 0),
                             ("seed", 0), ("grad_clip_norm", 0), ("max_caption_len", 1),
                             ("checkpoint_every", 0)):
-            if getattr(self, name) < least:
-                raise ValueError("%s must be >= %d, got %r" % (name, least, getattr(self, name)))
+            data_io.at_least(name, getattr(self, name), least)
         if self.optimizer not in ("nadam", "adam"):
             raise ValueError("optimizer must be 'nadam' or 'adam', got %r" % self.optimizer)
 
@@ -115,12 +115,10 @@ def optimizer_step(slots, opt_state, config):
         warnings.warn("optimizer step with all-zero gradients: skipping")
         return
 
-    clip = config.grad_clip_norm
     clip_scale = 1.0
-    if clip and clip > 0:
+    if config.grad_clip_norm > 0:
         total = np.sqrt(sum(float(np.sum(slot.grad * slot.grad)) for slot in slots))
-        if total > clip:
-            clip_scale = clip / total
+        clip_scale = min(1.0, config.grad_clip_norm / total)
 
     opt_state.t += 1
     t = opt_state.t
@@ -169,8 +167,6 @@ def make_example(image_id, raw, sal, caption, vocabulary, max_caption_len):
 
 def build_examples(manifest, vocabulary, split, config):
     """One training example per (image, caption) pair of the split."""
-    from . import data_io
-
     examples = []
     for entry in manifest.split_entries(split):
         raw, sal = data_io.load_entry(manifest, entry)
@@ -215,10 +211,7 @@ def train_epoch(examples, params, opt_state, config, epoch_index=0):
             targets += ex_targets
         loss = sequence_nll(probs, targets)
         nm.backward(loss)
-        if config.learning_rate > 0:
-            optimizer_step(params.store.slots(), opt_state, config)
-        else:
-            params.store.zero_grads()
+        optimizer_step(params.store.slots(), opt_state, config)
         epoch_nll += loss.item() * len(targets)
         epoch_tokens += len(targets)
     elapsed = max(time.perf_counter() - started, 1e-9)
@@ -284,8 +277,8 @@ def grad_check(model_config, tolerance=1e-4, seed=0):
     Builds a model at the given (tiny) sizes, a random feature grid,
     saliency grid and caption, then perturbs every scalar parameter.
     """
-    if seed < 0:
-        raise ValueError("seed must be >= 0, got %d" % seed)
+    data_io.at_least("seed", seed, 0)
+    data_io.at_least("tolerance", tolerance, 0)
     params = dec.init_params(model_config, rng_seed=seed)
     rng = np.random.default_rng(np.random.SeedSequence([seed, 1]))
     raw = rng.normal(0.0, 1.0, (model_config.num_locations, model_config.raw_feature_size))

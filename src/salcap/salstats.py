@@ -69,6 +69,7 @@ class ClassHitRate:
 
 def class_hit_counts(pairs, threshold, min_overlap_frac=0.0):
     """Per-class (occurrences, hits) over all image pairs, without filtering."""
+    data_io.at_least("min_overlap_frac", min_overlap_frac, 0)
     occurrences = {}
     hits = {}
     names = {}

@@ -35,8 +35,7 @@ class Vocabulary:
     """Immutable word<->id bijection with four reserved ids."""
 
     def __init__(self, words, min_count):
-        if min_count < 1:
-            raise ValueError("min_count must be >= 1, got %d" % min_count)
+        data_io.at_least("min_count", min_count, 1)
         self.min_count = int(min_count)
         self._id_to_word = list(RESERVED_TOKENS) + list(words)
         self._word_to_id = {w: i for i, w in enumerate(self._id_to_word)}

@@ -222,6 +222,13 @@ class TestEvaluateInputErrors:
         assert code == 1
         assert "c.jsonl:2: duplicate image_id 'a' (first on line 1)" in err
 
+    def test_non_finite_number(self, tmp_path, capsys):
+        cands = ('{"image_id": "a", "caption": "a cat"}\n'
+                 '{"image_id": "b", "caption": "a dog", "score": Infinity}\n')
+        code, err = self._evaluate(tmp_path, capsys, cands)
+        assert code == 1
+        assert "c.jsonl:2: score must be a finite number, got inf" in err
+
     def test_caption_not_a_string(self, tmp_path, capsys):
         code, err = self._evaluate(tmp_path, capsys, '{"image_id": "a", "caption": 5}\n')
         assert code == 1
@@ -420,6 +427,9 @@ class TestMalformedInputs:
         ({"checkpoint_every": -1}, "checkpoint_every"),
         ({"grad_clip_norm": -5.0}, "grad_clip_norm"),
         ({"seed": -1}, "seed"),
+        ({"learning_rate": float("nan")}, "learning_rate"),
+        ({"grad_clip_norm": float("nan")}, "grad_clip_norm"),
+        ({"learning_rate": float("inf")}, "learning_rate"),
     ])
     def test_run_config_field(self, dataset, tmp_path, capsys, values, field):
         _, out_dir = dataset
@@ -471,7 +481,9 @@ class TestMalformedInputs:
          "split_counts['train'] must be a non-negative integer, got -1"),
         ({"split_counts": {"train": "3"}},
          "split_counts['train'] must be a non-negative integer, got '3'"),
-    ], ids=["grid_rows_zero", "seed_negative", "count_float", "count_negative", "count_string"])
+        ({"n_images": float("nan")}, "n_images must be a finite number, got nan"),
+    ], ids=["grid_rows_zero", "seed_negative", "count_float", "count_negative", "count_string",
+            "n_images_nan"])
     def test_gen_synth_spec_field(self, tmp_path, capsys, values, message):
         spec = tmp_path / "spec.json"
         spec.write_text(json.dumps(dict({
@@ -482,6 +494,85 @@ class TestMalformedInputs:
         assert code == 1
         assert err == "error: %s: %s\n" % (spec, message)
         assert not (tmp_path / "d").exists()
+
+    @pytest.mark.parametrize("flag,value,message", [
+        ("--learning-rate", "nan", "learning_rate must be a finite number, got nan"),
+        ("--learning-rate", "inf", "learning_rate must be a finite number, got inf"),
+        ("--tolerance", "nan", "tolerance must be a finite number, got nan"),
+        ("--min-overlap", "nan", "min_overlap_frac must be a finite number, got nan"),
+        ("--max-len", "0", "max_len must be >= 1, got 0"),
+        ("--cider-multiplier", "nan", "multiplier must be a finite number, got nan"),
+    ], ids=["learning_rate_nan", "learning_rate_inf", "tolerance_nan", "min_overlap_nan",
+            "max_len_zero", "cider_multiplier_nan"])
+    def test_setting_flag_named(self, dataset, run_config, tmp_path, capsys, flag, value, message):
+        """A flag value out of range, NaN or infinite exits 1 naming the setting."""
+        _, out_dir = dataset
+        manifest = str(out_dir / "manifest.json")
+        assert main(["train", "--manifest", manifest, "--config", str(run_config),
+                     "--variant", "soft", "--epochs", "0", "--out", str(tmp_path / "run")]) == 0
+        data_io.write_segm(np.zeros((2, 2), dtype=int), tmp_path / "img0.segm")
+        data_io.write_pgm(np.zeros((2, 2), dtype=np.uint8), tmp_path / "img0.pgm")
+        (tmp_path / "pairs.json").write_text(json.dumps(
+            {"pairs": [{"segmentation": "img0.segm", "saliency": "img0.pgm"}]}))
+        (tmp_path / "c.jsonl").write_text('{"image_id": "a", "caption": "x"}\n'
+                                          '{"image_id": "b", "caption": "y"}\n')
+        (tmp_path / "r.jsonl").write_text('{"image_id": "a", "references": ["x"]}\n'
+                                          '{"image_id": "b", "references": ["y"]}\n')
+        argv = {
+            "--learning-rate": ["train", "--manifest", manifest, "--config", str(run_config),
+                                "--out", str(tmp_path / "run")],
+            "--tolerance": ["grad-check", "--variant", "saliency_pooling"],
+            "--min-overlap": ["analyze-saliency", "--pairs", str(tmp_path / "pairs.json"),
+                              "--out", str(tmp_path / "stats")],
+            "--max-len": ["caption", "--ckpt", str(tmp_path / "run" / "final"),
+                          "--manifest", manifest, "--out", str(tmp_path / "caps.jsonl")],
+            "--cider-multiplier": ["evaluate", "--candidates", str(tmp_path / "c.jsonl"),
+                                   "--references", str(tmp_path / "r.jsonl"),
+                                   "--out", str(tmp_path / "rep.json")],
+        }[flag]
+        code, err = self._run(capsys, argv + [flag, value])
+        assert code == 1
+        assert err == "error: %s\n" % message
+
+    def test_gen_synth_spec_missing_field(self, tmp_path, capsys):
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps({
+            "n_images": 2, "grid_rows": 2, "grid_cols": 2, "feature_dim": 3,
+            "salient_words": ["cat"], "context_words": ["lake"],
+        }))
+        code, err = self._run(capsys, ["gen-synth", "--spec", str(spec), "--out", str(tmp_path / "d")])
+        assert code == 1
+        assert err == "error: %s: missing field 'seed'\n" % spec
+
+    def test_checkpoint_config_missing_field(self, dataset, tmp_path, capsys):
+        _, out_dir = dataset
+        ckpt = tmp_path / "ckpt"
+        decoder.save_checkpoint(decoder.init_params(decoder.ModelConfig(
+            variant="soft", vocab_size=6, hidden_size=4, embed_size=3, feature_size=3,
+            raw_feature_size=5, grid_rows=2, grid_cols=2,
+        ), rng_seed=0), ckpt, build_vocab(["a b"], min_count=1))
+        config = json.loads((ckpt / "config.json").read_text())
+        del config["vocab_size"]
+        (ckpt / "config.json").write_text(json.dumps(config))
+        code, err = self._run(capsys, [
+            "caption", "--ckpt", str(ckpt), "--manifest", str(out_dir / "manifest.json"),
+            "--out", str(tmp_path / "c.jsonl"),
+        ])
+        assert code == 1
+        assert err == "error: %s: missing field 'vocab_size'\n" % (ckpt / "config.json")
+
+    def test_manifest_grid_out_of_range(self, dataset, tmp_path, capsys):
+        _, out_dir = dataset
+        data = tmp_path / "data"
+        shutil.copytree(out_dir, data)
+        manifest = json.loads((data / "manifest.json").read_text())
+        manifest["grid"]["rows"] = 0
+        (data / "manifest.json").write_text(json.dumps(manifest))
+        code, err = self._run(capsys, [
+            "train", "--manifest", str(data / "manifest.json"), "--out", str(tmp_path / "run"),
+        ])
+        assert code == 1
+        assert err == "error: %s: grid: rows must be >= 1, got 0\n" % (data / "manifest.json")
 
     @pytest.mark.parametrize("in_own_file", [False, True])
     @pytest.mark.parametrize("table,message", [

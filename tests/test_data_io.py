@@ -318,8 +318,12 @@ class TestManifestInputs:
         (lambda m: m.update(feature_dim=3.7), "feature_dim must be an integer, got 3.7"),
         (lambda m: m.update(entries=5), "entries must be a list, got 5"),
         (lambda m: m["entries"][1].update(note="x"), "entry 1: unknown field 'note'"),
+        (lambda m: m["grid"].update(cols=0), "grid: cols must be >= 1, got 0"),
+        (lambda m: m.update(feature_dim=float("nan")), "feature_dim must be a finite number, got nan"),
+        (lambda m: m["entries"][2]["captions"].append(float("-inf")),
+         "entries[2]: captions[2] must be a finite number, got -inf"),
     ], ids=["rows_float", "rows_string", "rows_bool", "feature_dim_float", "entries_int",
-            "entry_unknown_field"])
+            "entry_unknown_field", "cols_zero", "feature_dim_nan", "caption_minus_infinity"])
     def test_field_kinds_checked(self, tmp_path, edit, message):
         gen_synthetic(small_spec(), tmp_path / "k")
         path = tmp_path / "k" / "manifest.json"

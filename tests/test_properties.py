@@ -1,10 +1,13 @@
-"""Property tests: file-format round trips and caption-metric invariants.
+"""Property tests: file-format round trips, caption-metric invariants and settings bounds.
 
 Examples are derandomized and no example database is kept, so a run is
 reproducible and writes nothing into the source tree.
 """
 
+import dataclasses
+import math
 import os
+import re
 import tempfile
 
 import numpy as np
@@ -13,7 +16,7 @@ from hypothesis import configuration, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from salcap import data_io, metrics
+from salcap import cli, data_io, decoder, metrics, optim
 
 SETTINGS = settings(database=None, deadline=None, derandomize=True)
 
@@ -92,3 +95,23 @@ def test_candidate_equal_to_reference_scores_one(sentences):
     )
     assert metrics.bleu(corpus)[3] == 1.0
     assert metrics.rouge_l(corpus) == 1.0
+
+
+# valid arguments for each settings dataclass; RunConfig and TrainConfig take their defaults
+VALID_SETTINGS = {
+    optim.TrainConfig: {},
+    cli.RunConfig: {},
+    decoder.ModelConfig: dict(variant="soft", vocab_size=6, hidden_size=4, embed_size=3,
+                              feature_size=3, raw_feature_size=5, grid_rows=2, grid_cols=2),
+    data_io.SyntheticSpec: dataclasses.asdict(data_io.default_synthetic_spec()),
+}
+
+
+@SETTINGS
+@given(st.sampled_from(list(VALID_SETTINGS)), st.sampled_from([math.nan, math.inf, -math.inf]))
+def test_non_finite_setting_is_named(cls, value):
+    for f in dataclasses.fields(cls):
+        if f.type in (int, float):
+            message = "%s must be a finite number, got %r" % (f.name, value)
+            with pytest.raises(ValueError, match="^%s$" % re.escape(message)):
+                cls(**dict(VALID_SETTINGS[cls], **{f.name: value}))
