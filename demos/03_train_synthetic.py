@@ -10,49 +10,49 @@ import tempfile
 from salcap import data_io, decoder, inference, metrics, optim
 from salcap.vocab import build_vocab
 
-work = tempfile.mkdtemp(prefix="salcap_demo_")
-spec = data_io.default_synthetic_spec(n_images=12, seed=7)
-manifest = data_io.gen_synthetic(spec, work)
-print("dataset: %d images under %s" % (len(manifest.entries), work))
+with tempfile.TemporaryDirectory(prefix="salcap_demo_") as work:
+    spec = data_io.default_synthetic_spec(n_images=12, seed=7)
+    manifest = data_io.gen_synthetic(spec, work)
+    print("dataset: %d images under %s" % (len(manifest.entries), work))
 
-captions = [c for e in manifest.entries for c in e.captions]
-vocabulary = build_vocab(captions, min_count=1)
-print("vocabulary: %d entries" % len(vocabulary))
+    captions = [c for e in manifest.entries for c in e.captions]
+    vocabulary = build_vocab(captions, min_count=1)
+    print("vocabulary: %d entries" % len(vocabulary))
 
-train_cfg = optim.TrainConfig(epochs=150, seed=7, batch_size=4)
-model_cfg = decoder.ModelConfig(
-    variant="saliency_context",
-    vocab_size=len(vocabulary),
-    hidden_size=48, embed_size=24, feature_size=24,
-    raw_feature_size=manifest.feature_dim,
-    grid_rows=manifest.grid_rows, grid_cols=manifest.grid_cols,
-)
-params = decoder.init_params(model_cfg, rng_seed=7)
-examples = optim.build_examples(manifest, vocabulary, "train", train_cfg)
-state = optim.OptimizerState()
+    train_cfg = optim.TrainConfig(epochs=150, seed=7, batch_size=4)
+    model_cfg = decoder.ModelConfig(
+        variant="saliency_context",
+        vocab_size=len(vocabulary),
+        hidden_size=48, embed_size=24, feature_size=24,
+        raw_feature_size=manifest.feature_dim,
+        grid_rows=manifest.grid_rows, grid_cols=manifest.grid_cols,
+    )
+    params = decoder.init_params(model_cfg, rng_seed=7)
+    examples = optim.build_examples(manifest, vocabulary, "train", train_cfg)
+    state = optim.OptimizerState()
 
-for epoch in range(train_cfg.epochs):
-    stats = optim.train_epoch(examples, params, state, train_cfg, epoch)
-    if epoch % 25 == 0 or epoch == train_cfg.epochs - 1:
-        print("epoch %3d  loss/token %.4f  (%.0f tokens/s)"
-              % (epoch, stats.mean_loss, stats.tokens_per_sec))
+    for epoch in range(train_cfg.epochs):
+        stats = optim.train_epoch(examples, params, state, train_cfg, epoch)
+        if epoch % 25 == 0 or epoch == train_cfg.epochs - 1:
+            print("epoch %3d  loss/token %.4f  (%.0f tokens/s)"
+                  % (epoch, stats.mean_loss, stats.tokens_per_sec))
 
-print("\ngreedy captions vs the base reference:")
-pairs = []
-for entry in manifest.entries[:6]:
-    raw, sal = data_io.load_entry(manifest, entry)
-    result = inference.greedy_decode(raw, sal, params, max_len=20)
-    decoded = vocabulary.decode(result.ids)
-    pairs.append((entry.id, decoded, entry.captions))
-    print("  %-8s %-46r ref: %r" % (entry.id, decoded, entry.captions[0]))
+    print("\ngreedy captions vs the base reference:")
+    pairs = []
+    for entry in manifest.entries[:6]:
+        raw, sal = data_io.load_entry(manifest, entry)
+        result = inference.greedy_decode(raw, sal, params, max_len=20)
+        decoded = vocabulary.decode(result.ids)
+        pairs.append((entry.id, decoded, entry.captions))
+        print("  %-8s %-46r ref: %r" % (entry.id, decoded, entry.captions[0]))
 
-for entry in manifest.entries[6:]:
-    raw, sal = data_io.load_entry(manifest, entry)
-    result = inference.greedy_decode(raw, sal, params, max_len=20)
-    pairs.append((entry.id, vocabulary.decode(result.ids), entry.captions))
+    for entry in manifest.entries[6:]:
+        raw, sal = data_io.load_entry(manifest, entry)
+        result = inference.greedy_decode(raw, sal, params, max_len=20)
+        pairs.append((entry.id, vocabulary.decode(result.ids), entry.captions))
 
-corpus = metrics.CaptionCorpus.from_pairs(pairs)
-report = metrics.evaluate_corpus(corpus)
-print("\nscores after this short run:")
-for key in ("bleu_1", "bleu_4", "rouge_l", "cider"):
-    print("  %-8s %.4f" % (key, report[key]))
+    corpus = metrics.CaptionCorpus.from_pairs(pairs)
+    report = metrics.evaluate_corpus(corpus)
+    print("\nscores after this short run:")
+    for key in ("bleu_1", "bleu_4", "rouge_l", "cider"):
+        print("  %-8s %.4f" % (key, report[key]))

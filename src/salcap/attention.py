@@ -42,10 +42,6 @@ class FeatureGrid:
     def num_locations(self):
         return self.a.data.shape[0]
 
-    @property
-    def feature_dim(self):
-        return self.a.data.shape[1]
-
 
 class SaliencyGrid:
     """Per-location saliency s_i in [0,1]; context weights are z_i = 1 - s_i."""

@@ -118,42 +118,40 @@ def cmd_train(args):
     return 0
 
 
-def cmd_caption(args):
+def _decode_split(args, decode):
+    """The checkpoint's vocabulary and (entry, ``decode``'s result) for each image of the split.
+
+    Every image is decoded before the caller writes anything, so a failed run leaves no output.
+    """
     params, vocabulary = decoder.load_checkpoint(args.ckpt)
     manifest = data_io.load_manifest(args.manifest)
     entries = manifest.split_entries(args.split)
     if not entries:
         raise ValueError("manifest has no %r split entries" % args.split)
+    return vocabulary, [
+        (entry, decode(*data_io.load_entry(manifest, entry), params, max_len=args.max_len))
+        for entry in entries
+    ]
 
-    def records():
-        for entry in entries:
-            raw, sal = data_io.load_entry(manifest, entry)
-            result = inference.greedy_decode(raw, sal, params, max_len=args.max_len)
-            yield {
-                "image_id": entry.id,
-                "caption": vocabulary.decode(result.ids),
-                "truncated": result.truncated,
-            }
 
-    data_io.write_jsonl(records(), args.out)
-    print("captioned %d images into %s" % (len(entries), args.out))
+def cmd_caption(args):
+    vocabulary, results = _decode_split(args, inference.greedy_decode)
+    data_io.write_jsonl([
+        {"image_id": entry.id, "caption": vocabulary.decode(r.ids), "truncated": r.truncated}
+        for entry, r in results
+    ], args.out)
+    print("captioned %d images into %s" % (len(results), args.out))
     return 0
 
 
 def cmd_trace(args):
-    params, vocabulary = decoder.load_checkpoint(args.ckpt)
-    manifest = data_io.load_manifest(args.manifest)
-    entries = manifest.split_entries(args.split)
-    if not entries:
-        raise ValueError("manifest has no %r split entries" % args.split)
+    vocabulary, results = _decode_split(args, inference.trace_attention)
     os.makedirs(args.out, exist_ok=True)
-    for entry in entries:
-        raw, sal = data_io.load_entry(manifest, entry)
-        _, trace = inference.trace_attention(raw, sal, params, max_len=args.max_len)
+    for entry, (_, trace) in results:
         inference.write_trace_csv(trace, vocabulary, os.path.join(args.out, entry.id + ".csv"))
         if args.alphas:
             inference.write_trace_alphas(trace, os.path.join(args.out, entry.id + "_alpha.tnsr"))
-    print("traced %d images into %s" % (len(entries), args.out))
+    print("traced %d images into %s" % (len(results), args.out))
     return 0
 
 
@@ -232,9 +230,9 @@ def cmd_analyze_saliency(args):
     if not pairs:
         raise ValueError("%s lists no pairs" % args.pairs)
 
-    os.makedirs(args.out, exist_ok=True)
     least = salstats.class_hit_rates(pairs, args.threshold_low, args.min_occ, args.min_overlap)
     most = salstats.class_hit_rates(pairs, args.threshold_high, args.min_occ, args.min_overlap)
+    os.makedirs(args.out, exist_ok=True)
     salstats.write_hit_rates_csv(least, os.path.join(args.out, "least_salient.csv"))
     salstats.write_hit_rates_csv(most, os.path.join(args.out, "most_salient.csv"))
     points = salstats.size_saliency_distribution(pairs)

@@ -548,16 +548,6 @@ def synthetic_captions(salient_word, context_word, image_index):
     return captions
 
 
-def caption_matches_templates(caption, spec):
-    """True iff the caption instantiates one template with spec word lists."""
-    for template in CAPTION_TEMPLATES:
-        for sal in spec.salient_words:
-            for ctx in spec.context_words:
-                if caption == template.format(sal=sal, ctx=ctx):
-                    return True
-    return False
-
-
 def gen_synthetic(spec, out_dir):
     """Write a deterministic synthetic dataset tree and return its manifest.
 

@@ -6,7 +6,7 @@ per emitted word, the spatial means of the salient and contextual path
 scores together with the combined attention distribution.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -36,14 +36,6 @@ class TraceStep:
     alpha: np.ndarray
 
 
-@dataclass
-class AttentionTrace:
-    steps: list = field(default_factory=list)
-
-    def __len__(self):
-        return len(self.steps)
-
-
 def _greedy_steps(params, raw, sal, max_len):
     """Yield (emitted id, attention output) per step, through EOS or max_len steps."""
     data_io.at_least("max_len", max_len, 1)
@@ -70,13 +62,13 @@ def greedy_decode(raw, sal, params, max_len=20):
 
 
 def trace_attention(raw, sal, params, max_len=20):
-    """Greedy decode plus the per-step path-score record (two-path variants)."""
+    """Greedy decode plus one TraceStep per emitted word (two-path variants)."""
     if params.config.variant not in TWO_PATH_VARIANTS:
         raise UnsupportedVariantError(
             "attention tracing needs a two-path variant, not %r" % params.config.variant
         )
     steps = list(_greedy_steps(params, raw, sal, max_len))
-    trace = AttentionTrace([
+    trace = [
         TraceStep(
             t=t,
             token_id=emitted,
@@ -85,19 +77,19 @@ def trace_attention(raw, sal, params, max_len=20):
             alpha=out.alpha.data.copy(),
         )
         for t, (emitted, out) in enumerate(steps, start=1)
-    ])
+    ]
     return _decode_result([emitted for emitted, _ in steps]), trace
 
 
 def write_trace_csv(trace, vocabulary, path):
     data_io.write_csv(["t", "word", "mean_e_sal", "mean_e_ctx"], [
         [[s.t, vocabulary.word(s.token_id), "%.12g" % s.mean_e_sal, "%.12g" % s.mean_e_ctx]
-         for s in trace.steps]
+         for s in trace]
     ], path)
 
 
 def write_trace_alphas(trace, path):
     """Dump the per-step attention distributions as one T x L tensor file."""
-    if not trace.steps:
+    if not trace:
         raise ValueError("cannot export an empty trace")
-    data_io.write_tensor(nm.Tensor(np.stack([step.alpha for step in trace.steps])), path)
+    data_io.write_tensor(nm.Tensor(np.stack([step.alpha for step in trace])), path)

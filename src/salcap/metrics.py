@@ -39,9 +39,6 @@ class CaptionCorpus:
                 raise ValueError("entry %r has no references" % entry.image_id)
         self.entries = list(entries)
 
-    def __len__(self):
-        return len(self.entries)
-
     @classmethod
     def from_pairs(cls, pairs):
         """pairs: iterable of (image_id, candidate string, [reference strings])."""
@@ -51,14 +48,6 @@ class CaptionCorpus:
                 for image_id, cand, refs in pairs
             ]
         )
-
-    @classmethod
-    def from_jsonl(cls, path):
-        """One JSON object per line: {"image_id", "candidate", "references"}."""
-        records = data_io.read_jsonl(
-            path, {"image_id": str, "candidate": str, "references": list}, key="image_id"
-        )
-        return cls.from_pairs([(r["image_id"], r["candidate"], r["references"]) for r in records])
 
 
 def ngram_counts(tokens, n):

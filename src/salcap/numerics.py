@@ -79,10 +79,6 @@ class Tensor:
     def dims(self):
         return list(self.data.shape)
 
-    @property
-    def is_leaf(self):
-        return not self._parents
-
     def item(self):
         if self.data.size != 1:
             raise ValueError("item() on tensor of dims %r" % (self.dims,))
@@ -90,7 +86,7 @@ class Tensor:
         return float(self.data.reshape(-1)[0])
 
     def __repr__(self):
-        return "Tensor(dims=%r%s)" % (self.dims, "" if self.is_leaf else ", recorded")
+        return "Tensor(dims=%r%s)" % (self.dims, ", recorded" if self._parents else "")
 
 
 def as_tensor(x):
@@ -138,21 +134,12 @@ class ParamStore:
     def __contains__(self, name):
         return name in self._slots
 
-    def __len__(self):
-        return len(self._slots)
-
     def slots(self):
         return list(self._slots.values())
-
-    def names(self):
-        return list(self._slots.keys())
 
     def zero_grads(self):
         for slot in self._slots.values():
             slot.zero_grad()
-
-    def num_scalars(self):
-        return sum(s.value.data.size for s in self._slots.values())
 
 
 def _toposort(root):

@@ -42,17 +42,21 @@ class SaliencyMap:
             raise ValueError("saliency intensities must lie in 0..255")
 
 
-def binarize(saliency, threshold):
-    """Binary mask: 1 where intensity is strictly above the threshold."""
-    return (saliency.intensity > threshold).astype(np.uint8)
+def _class_pixels(pairs):
+    """Per image, per class in label order: (image index, label, name, size, intensities).
 
-
-def _check_pair(seg, sal):
-    if seg.labels.shape != sal.intensity.shape:
-        raise ValueError(
-            "segmentation %r and saliency %r shapes differ"
-            % (list(seg.labels.shape), list(sal.intensity.shape))
-        )
+    ``size`` is the class's share of the image's pixels and ``intensities``
+    holds the saliency of each of its pixels.
+    """
+    for index, (seg, sal) in enumerate(pairs):
+        if seg.labels.shape != sal.intensity.shape:
+            raise ValueError(
+                "segmentation %r and saliency %r shapes differ"
+                % (list(seg.labels.shape), list(sal.intensity.shape))
+            )
+        for label in np.unique(seg.labels):
+            values = sal.intensity[seg.labels == label]
+            yield index, int(label), seg.name(label), values.size / seg.labels.size, values
 
 
 @dataclass
@@ -67,36 +71,24 @@ class ClassHitRate:
         return 100.0 * self.hits / self.occurrences
 
 
-def class_hit_counts(pairs, threshold, min_overlap_frac=0.0):
-    """Per-class (occurrences, hits) over all image pairs, without filtering."""
-    data_io.at_least("min_overlap_frac", min_overlap_frac, 0)
-    occurrences = {}
-    hits = {}
-    names = {}
-    for seg, sal in pairs:
-        _check_pair(seg, sal)
-        mask = binarize(sal, threshold).astype(bool)
-        for label in np.unique(seg.labels):
-            label = int(label)
-            names.setdefault(label, seg.name(label))
-            occurrences[label] = occurrences.get(label, 0) + 1
-            class_mask = seg.labels == label
-            overlap = int(np.count_nonzero(class_mask & mask))
-            frac = overlap / int(np.count_nonzero(class_mask))
-            if overlap >= 1 and frac >= min_overlap_frac:
-                hits[label] = hits.get(label, 0) + 1
-    return [
-        ClassHitRate(label, names[label], occurrences[label], hits.get(label, 0))
-        for label in sorted(occurrences)
-    ]
-
-
 def class_hit_rates(pairs, threshold, min_occurrences, min_overlap_frac=0.0):
-    """Hit percentage per class, excluding classes below min_occurrences."""
-    return [
-        c for c in class_hit_counts(pairs, threshold, min_overlap_frac)
-        if c.occurrences >= min_occurrences
-    ]
+    """Hit percentage per class, excluding classes below min_occurrences.
+
+    The threshold is an intensity, 0..255: a pixel is salient when strictly above it.
+    """
+    data_io.at_least("min_overlap_frac", min_overlap_frac, 0)
+    if min_overlap_frac > 1:
+        raise ValueError("min_overlap_frac must be <= 1, got %r" % min_overlap_frac)
+    if not 0 <= threshold <= 255:
+        raise ValueError("threshold must lie in 0..255, got %r" % threshold)
+    rates = {}
+    for _, label, name, _, values in _class_pixels(pairs):
+        rate = rates.setdefault(label, ClassHitRate(label, name, 0, 0))
+        rate.occurrences += 1
+        overlap = int(np.count_nonzero(values > threshold))
+        if overlap >= 1 and overlap / values.size >= min_overlap_frac:
+            rate.hits += 1
+    return [rates[label] for label in sorted(rates) if rates[label].occurrences >= min_occurrences]
 
 
 @dataclass
@@ -110,38 +102,19 @@ class SizeSaliencyPoint:
 
 def size_saliency_distribution(pairs):
     """Per class instance per image: normalized pixel area and mean saliency."""
-    points = []
-    for index, (seg, sal) in enumerate(pairs):
-        _check_pair(seg, sal)
-        area = seg.labels.size
-        intensity = sal.intensity.astype(np.float64)
-        for label in np.unique(seg.labels):
-            label = int(label)
-            class_mask = seg.labels == label
-            pixels = int(np.count_nonzero(class_mask))
-            points.append(
-                SizeSaliencyPoint(
-                    label=label,
-                    name=seg.name(label),
-                    image_index=index,
-                    normalized_size=pixels / area,
-                    mean_saliency=float(intensity[class_mask].mean()) / 255.0,
-                )
-            )
-    return points
+    return [
+        SizeSaliencyPoint(label, name, index, size,
+                          float(values.astype(np.float64).mean()) / 255.0)
+        for index, label, name, size, values in _class_pixels(pairs)
+    ]
 
 
 def pixel_saliency_values(pairs):
     """Per class per image: every pixel's saliency in [0,1] (flag-gated export)."""
-    rows = []
-    for index, (seg, sal) in enumerate(pairs):
-        _check_pair(seg, sal)
-        intensity = sal.intensity.astype(np.float64) / 255.0
-        for label in np.unique(seg.labels):
-            label = int(label)
-            values = intensity[seg.labels == label]
-            rows.append((label, seg.name(label), index, values.copy()))
-    return rows
+    return [
+        (label, name, index, values.astype(np.float64) / 255.0)
+        for index, label, name, _, values in _class_pixels(pairs)
+    ]
 
 
 def write_hit_rates_csv(rates, path):

@@ -1,7 +1,8 @@
 """Vocabulary construction and token encoding/decoding.
 
 Ids 0..3 are reserved: PAD (batch alignment, masked out of the loss),
-BOS/EOS sentence boundaries, and UNK for out-of-vocabulary words.
+BOS/EOS sentence boundaries, and UNK for out-of-vocabulary words and for
+caption words that spell ``<pad>``, ``<bos>`` or ``<eos>``.
 Corpus words get ids from 4 upward in descending frequency order, ties
 broken lexicographically.
 """
@@ -46,16 +47,14 @@ class Vocabulary:
     def __len__(self):
         return len(self._id_to_word)
 
-    def __contains__(self, word):
-        return word in self._word_to_id
-
     @property
     def words(self):
         """Non-reserved words, in id order."""
         return self._id_to_word[len(RESERVED_TOKENS):]
 
     def word_id(self, word):
-        return self._word_to_id.get(word, UNK_ID)
+        """The word's id; UNK when it is out of vocabulary or spells PAD, BOS or EOS."""
+        return max(self._word_to_id.get(word, UNK_ID), UNK_ID)
 
     def word(self, token_id):
         if not 0 <= token_id < len(self._id_to_word):

@@ -213,9 +213,9 @@ def test_criterion_5_trace_sanity(overfit_run):
     for entry in entries:
         raw, sal = data_io.load_entry(manifest, entry)
         _, trace = inference.trace_attention(raw, sal, params, max_len=20)
-        half = max(1, (len(trace.steps) + 1) // 2)
-        mean_sal = np.mean([s.mean_e_sal for s in trace.steps[:half]])
-        mean_ctx = np.mean([s.mean_e_ctx for s in trace.steps[:half]])
+        half = max(1, (len(trace) + 1) // 2)
+        mean_sal = np.mean([s.mean_e_sal for s in trace[:half]])
+        mean_ctx = np.mean([s.mean_e_ctx for s in trace[:half]])
         if mean_sal > mean_ctx:
             dominant += 1
     fraction = dominant / len(entries)
@@ -229,11 +229,13 @@ def test_criterion_5_trace_sanity(overfit_run):
 def test_criterion_6_metric_oracle():
     with open(os.path.join(FIXTURES, "metrics_oracle.json")) as fh:
         oracle = json.load(fh)
-    corpus = metrics.CaptionCorpus.from_jsonl(os.path.join(FIXTURES, "metric_corpus.jsonl"))
+    rows = data_io.read_jsonl(os.path.join(FIXTURES, "metric_corpus.jsonl"),
+                              {"image_id": str, "candidate": str, "references": list})
+    corpus = metrics.CaptionCorpus.from_pairs(
+        [(r["image_id"], r["candidate"], r["references"]) for r in rows]
+    )
     computed = metrics.evaluate_corpus(corpus)
 
-    with open(os.path.join(FIXTURES, "metric_corpus.jsonl")) as fh:
-        rows = [json.loads(l) for l in fh if l.strip()]
     candidates = {r["image_id"]: r["candidate"] for r in rows}
     with open(os.path.join(FIXTURES, "metric_corpus_alt.jsonl")) as fh:
         alt = {json.loads(l)["image_id"]: json.loads(l)["candidate"] for l in fh if l.strip()}

@@ -500,12 +500,16 @@ class TestMalformedInputs:
         ("--learning-rate", "inf", "learning_rate must be a finite number, got inf"),
         ("--tolerance", "nan", "tolerance must be a finite number, got nan"),
         ("--min-overlap", "nan", "min_overlap_frac must be a finite number, got nan"),
+        ("--min-overlap", "2", "min_overlap_frac must be <= 1, got 2.0"),
+        ("--threshold-high", "300", "threshold must lie in 0..255, got 300"),
+        ("--threshold-low", "-1", "threshold must lie in 0..255, got -1"),
         ("--max-len", "0", "max_len must be >= 1, got 0"),
         ("--cider-multiplier", "nan", "multiplier must be a finite number, got nan"),
     ], ids=["learning_rate_nan", "learning_rate_inf", "tolerance_nan", "min_overlap_nan",
+            "min_overlap_two", "threshold_high_300", "threshold_low_negative",
             "max_len_zero", "cider_multiplier_nan"])
     def test_setting_flag_named(self, dataset, run_config, tmp_path, capsys, flag, value, message):
-        """A flag value out of range, NaN or infinite exits 1 naming the setting."""
+        """A flag value out of range, NaN or infinite exits 1 naming the setting, writing nothing."""
         _, out_dir = dataset
         manifest = str(out_dir / "manifest.json")
         assert main(["train", "--manifest", manifest, "--config", str(run_config),
@@ -518,12 +522,15 @@ class TestMalformedInputs:
                                           '{"image_id": "b", "caption": "y"}\n')
         (tmp_path / "r.jsonl").write_text('{"image_id": "a", "references": ["x"]}\n'
                                           '{"image_id": "b", "references": ["y"]}\n')
+        analyze = ["analyze-saliency", "--pairs", str(tmp_path / "pairs.json"),
+                   "--out", str(tmp_path / "stats")]
         argv = {
             "--learning-rate": ["train", "--manifest", manifest, "--config", str(run_config),
                                 "--out", str(tmp_path / "run")],
             "--tolerance": ["grad-check", "--variant", "saliency_pooling"],
-            "--min-overlap": ["analyze-saliency", "--pairs", str(tmp_path / "pairs.json"),
-                              "--out", str(tmp_path / "stats")],
+            "--min-overlap": analyze,
+            "--threshold-high": analyze,
+            "--threshold-low": analyze,
             "--max-len": ["caption", "--ckpt", str(tmp_path / "run" / "final"),
                           "--manifest", manifest, "--out", str(tmp_path / "caps.jsonl")],
             "--cider-multiplier": ["evaluate", "--candidates", str(tmp_path / "c.jsonl"),
@@ -533,6 +540,8 @@ class TestMalformedInputs:
         code, err = self._run(capsys, argv + [flag, value])
         assert code == 1
         assert err == "error: %s\n" % message
+        for output in ("stats", "caps.jsonl", "rep.json"):
+            assert not (tmp_path / output).exists()
 
     def test_gen_synth_spec_missing_field(self, tmp_path, capsys):
         spec = tmp_path / "spec.json"

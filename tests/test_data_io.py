@@ -14,7 +14,6 @@ from salcap import data_io
 from salcap.data_io import (
     FormatError,
     SyntheticSpec,
-    caption_matches_templates,
     gen_synthetic,
     load_manifest,
     prepare_saliency,
@@ -207,10 +206,11 @@ class TestGenSynthetic:
     def test_captions_parse_against_templates(self, tmp_path):
         spec = small_spec()
         manifest = gen_synthetic(spec, tmp_path / "e")
+        instances = {template.format(sal=sal, ctx=ctx) for template in data_io.CAPTION_TEMPLATES
+                     for sal in spec.salient_words for ctx in spec.context_words}
         for entry in manifest.entries:
             assert 2 <= len(entry.captions) <= 3
-            for caption in entry.captions:
-                assert caption_matches_templates(caption, spec)
+            assert set(entry.captions) <= instances
 
     def test_saliency_bands(self, tmp_path):
         manifest = gen_synthetic(small_spec(), tmp_path / "f")

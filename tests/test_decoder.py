@@ -237,7 +237,7 @@ class TestInitParams:
     ])
     def test_scalar_counts(self, variant, count):
         params = dec.init_params(tiny_config(variant=variant), rng_seed=0)
-        assert params.store.num_scalars() == count
+        assert sum(slot.value.data.size for slot in params.store.slots()) == count
 
 
 class TestCheckpoint:
@@ -351,7 +351,7 @@ class TestCheckpoint:
         params, vocabulary = dec.load_checkpoint(BENCH_CHECKPOINT)
         dec.save_checkpoint(params, tmp_path / "ckpt", vocabulary)
         written = sorted(os.listdir(tmp_path / "ckpt"))
-        assert len(written) == len(params.store) + 2
+        assert len(written) == len(params.store.slots()) + 2
         assert "params.json" not in written
         for name in written:
             assert (tmp_path / "ckpt" / name).read_bytes() == (BENCH_CHECKPOINT / name).read_bytes()

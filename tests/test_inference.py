@@ -106,14 +106,14 @@ class TestTraceAttention:
         result, trace = inference.trace_attention(raw, sal, params, max_len=10)
         assert len(result.ids) == 0
         assert len(trace) == 1  # just the EOS emission
-        assert trace.steps[0].token_id == EOS_ID
+        assert trace[0].token_id == EOS_ID
 
     def test_alpha_rows_normalized(self):
         config = tiny_config()
         params = dec.init_params(config, rng_seed=3)
         raw, sal = fresh_inputs(config, seed=3)
         _, trace = inference.trace_attention(raw, sal, params, max_len=6)
-        for step in trace.steps:
+        for step in trace:
             assert abs(step.alpha.sum() - 1.0) < 1e-6
 
     def test_uniform_saliency_mean_of_paths(self):
@@ -122,8 +122,8 @@ class TestTraceAttention:
         raw, _ = fresh_inputs(config, seed=4)
         sal = SaliencyGrid(np.full(config.num_locations, 0.5))
         _, trace = inference.trace_attention(raw, sal, params, max_len=4)
-        assert trace.steps  # means still reported separately per path
-        for step in trace.steps:
+        assert trace  # means still reported separately per path
+        for step in trace:
             assert np.isfinite(step.mean_e_sal) and np.isfinite(step.mean_e_ctx)
 
     @pytest.mark.parametrize("variant", ["soft", "saliency_pooling", "attention_on_saliency"])
@@ -167,4 +167,4 @@ class TestTraceExport:
         inference.write_trace_alphas(trace, path)
         loaded = data_io.read_tensor(path)
         assert loaded.dims == [len(trace), config.num_locations]
-        npt.assert_array_equal(loaded.data[0], trace.steps[0].alpha)
+        npt.assert_array_equal(loaded.data[0], trace[0].alpha)

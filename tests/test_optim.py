@@ -11,7 +11,7 @@ from salcap import numerics as nm
 from salcap import optim
 from salcap.attention import SaliencyGrid
 from salcap.numerics import ParamSlot, Tensor
-from salcap.vocab import BOS_ID, EOS_ID, PAD_ID, build_vocab
+from salcap.vocab import BOS_ID, EOS_ID, PAD_ID, UNK_ID, build_vocab
 
 FIXTURES = os.path.join(os.path.dirname(os.path.abspath(__file__)), "fixtures")
 
@@ -216,6 +216,21 @@ class TestExamples:
         ex = optim.make_example("i", np.zeros((1, 1)), SaliencyGrid(np.array([0.5])),
                                 "a b", vocabulary, max_caption_len=10)
         assert not ex.truncated
+
+    @pytest.mark.parametrize("reserved", ["<pad>", "<bos>", "<eos>"])
+    def test_reserved_word_scored_as_unk(self, reserved):
+        """A caption word spelling a reserved token neither ends nor splits the rollout."""
+        config = tiny_config()
+        params = dec.init_params(config, rng_seed=2)
+        rng = np.random.default_rng(2)
+        raw = rng.normal(size=(config.num_locations, config.raw_feature_size))
+        sal = SaliencyGrid(rng.uniform(size=config.num_locations))
+        vocabulary = build_vocab(["a cat sat"], min_count=1)
+        ex = optim.make_example("i", raw, sal, "a %s cat sat" % reserved, vocabulary, 20)
+        probs, targets, _ = optim.forward_caption(params, raw, sal, ex.token_ids)
+        a, cat, sat = (vocabulary.word_id(w) for w in ("a", "cat", "sat"))
+        assert targets == [a, UNK_ID, cat, sat, EOS_ID]
+        assert len(probs) == 5
 
 
 class TestPadInvariance:

@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from salcap import cli, data_io, decoder, metrics, optim
+from salcap.vocab import BOS_ID, EOS_ID, RESERVED_TOKENS, UNK_ID, build_vocab
 
 SETTINGS = settings(database=None, deadline=None, derandomize=True)
 
@@ -95,6 +96,19 @@ def test_candidate_equal_to_reference_scores_one(sentences):
     )
     assert metrics.bleu(corpus)[3] == 1.0
     assert metrics.rouge_l(corpus) == 1.0
+
+
+@SETTINGS
+@given(st.one_of(
+    st.text(),
+    st.lists(st.sampled_from(RESERVED_TOKENS + ("<PAD>", "<Eos>.", "a", "b", "(c)")),
+             max_size=8).map(" ".join),
+))
+def test_encode_brackets_words_with_boundaries(text):
+    """Only the first and the last id are boundaries, whatever words the text holds."""
+    ids = build_vocab(["a b c"], min_count=1).encode(text)
+    assert ids[0] == BOS_ID and ids[-1] == EOS_ID
+    assert all(i >= UNK_ID for i in ids[1:-1])
 
 
 # valid arguments for each settings dataclass; RunConfig and TrainConfig take their defaults

@@ -3,7 +3,7 @@ import numpy.testing as npt
 import pytest
 
 from salcap import salstats
-from salcap.salstats import SaliencyMap, SegmentationMap, binarize
+from salcap.salstats import SaliencyMap, SegmentationMap
 
 
 def seg(labels, names=None):
@@ -14,18 +14,39 @@ def sal(values):
     return SaliencyMap(np.asarray(values))
 
 
-class TestBinarize:
+def hits_by_label(pairs, threshold):
+    return {c.label: c.hits for c in salstats.class_hit_rates(pairs, threshold, 1)}
+
+
+class TestThreshold:
+    """A pixel is salient when its intensity lies strictly above the threshold."""
+
     def test_high_map_low_threshold(self):
-        mask = binarize(sal(np.full((3, 3), 255)), 250)
-        npt.assert_array_equal(mask, np.ones((3, 3), dtype=np.uint8))
+        pairs = [(seg(np.arange(9).reshape(3, 3)), sal(np.full((3, 3), 255)))]
+        assert hits_by_label(pairs, 250) == {label: 1 for label in range(9)}
 
     def test_strict_inequality_at_zero(self):
-        mask = binarize(sal(np.zeros((2, 2))), 0)
-        npt.assert_array_equal(mask, np.zeros((2, 2), dtype=np.uint8))
+        pairs = [(seg([[0, 1], [2, 3]]), sal(np.zeros((2, 2))))]
+        assert hits_by_label(pairs, 0) == {0: 0, 1: 0, 2: 0, 3: 0}
 
     def test_mixed_map_threshold_zero(self):
-        values = np.array([[0, 1], [1, 0]])
-        npt.assert_array_equal(binarize(sal(values), 0), values.astype(np.uint8))
+        # one pixel per class: only the pixels at intensity 1 lie above 0
+        pairs = [(seg([[0, 1], [2, 3]]), sal([[0, 1], [1, 0]]))]
+        assert hits_by_label(pairs, 0) == {0: 0, 1: 1, 2: 1, 3: 0}
+
+    def test_strict_inequality_at_top(self):
+        pairs = [(seg([[0, 1]]), sal([[255, 255]]))]
+        assert hits_by_label(pairs, 254) == {0: 1, 1: 1}
+        assert hits_by_label(pairs, 255) == {0: 0, 1: 0}
+
+    @pytest.mark.parametrize("threshold", [-1, 256, float("nan")])
+    def test_threshold_outside_intensity_range(self, threshold):
+        with pytest.raises(ValueError, match="threshold must lie in 0..255"):
+            salstats.class_hit_rates([(seg([[0]]), sal([[9]]))], threshold, 1)
+
+    def test_overlap_fraction_above_one(self):
+        with pytest.raises(ValueError, match="min_overlap_frac must be <= 1, got 1.5"):
+            salstats.class_hit_rates([(seg([[0]]), sal([[9]]))], 0, 1, min_overlap_frac=1.5)
 
 
 class TestClassHitRates:
@@ -85,9 +106,9 @@ class TestClassHitRates:
             for _ in range(4)
         ]
         part_a, part_b = make(), make()
-        merged = salstats.class_hit_counts(part_a + part_b, 128)
-        split_a = {c.label: c for c in salstats.class_hit_counts(part_a, 128)}
-        split_b = {c.label: c for c in salstats.class_hit_counts(part_b, 128)}
+        merged = salstats.class_hit_rates(part_a + part_b, 128, 1)
+        split_a = {c.label: c for c in salstats.class_hit_rates(part_a, 128, 1)}
+        split_b = {c.label: c for c in salstats.class_hit_rates(part_b, 128, 1)}
         for c in merged:
             occ = split_a.get(c.label)
             occ_b = split_b.get(c.label)
@@ -130,6 +151,54 @@ class TestSizeSaliency:
         for p in salstats.size_saliency_distribution(pairs):
             assert 0.0 <= p.normalized_size <= 1.0
             assert 0.0 <= p.mean_saliency <= 1.0
+
+
+class TestAgainstPixelCount:
+    """The three per-class tables equal a count over every pixel, written out here."""
+
+    @staticmethod
+    def brute_force(pairs, threshold, min_overlap_frac):
+        occurrences, hits, points, pixels = {}, {}, [], []
+        for index, (s, m) in enumerate(pairs):
+            rows, cols = s.labels.shape
+            for label in sorted({int(v) for v in s.labels.flat}):
+                cells = [(r, c) for r in range(rows) for c in range(cols)
+                         if s.labels[r, c] == label]
+                bright = sum(1 for r, c in cells if m.intensity[r, c] > threshold)
+                occurrences[label] = occurrences.get(label, 0) + 1
+                hit = bright >= 1 and bright / len(cells) >= min_overlap_frac
+                hits[label] = hits.get(label, 0) + int(hit)
+                values = [m.intensity[r, c] / 255.0 for r, c in cells]
+                name = s.names.get(label, str(label))
+                points.append((label, name, index, len(cells) / (rows * cols),
+                               sum(values) / len(values)))
+                pixels.append((label, name, index, values))
+        counts = [(label, occurrences[label], hits[label]) for label in sorted(occurrences)]
+        return counts, points, pixels
+
+    @pytest.mark.parametrize("threshold,min_overlap_frac", [
+        (0, 0.0), (100, 0.0), (100, 0.3), (200, 0.1), (254, 0.0), (255, 0.0), (60, 1.0),
+    ])
+    def test_random_pairs(self, threshold, min_overlap_frac):
+        rng = np.random.default_rng(threshold)
+        pairs = [
+            (seg(rng.integers(0, 5, (5, 6)), {1: "cat", 3: "sky"}),
+             sal(rng.integers(0, 256, (5, 6))))
+            for _ in range(6)
+        ]
+        counts, points, pixels = self.brute_force(pairs, threshold, min_overlap_frac)
+        rates = salstats.class_hit_rates(pairs, threshold, 1, min_overlap_frac)
+        assert [(c.label, c.occurrences, c.hits) for c in rates] == counts
+        assert [c.name for c in rates] == [pairs[0][0].name(label) for label, _, _ in counts]
+        got = salstats.size_saliency_distribution(pairs)
+        assert [(p.label, p.name, p.image_index, p.normalized_size) for p in got] == [
+            point[:4] for point in points
+        ]
+        npt.assert_allclose([p.mean_saliency for p in got], [p[4] for p in points], rtol=1e-12)
+        got = salstats.pixel_saliency_values(pairs)
+        assert [row[:3] for row in got] == [row[:3] for row in pixels]
+        for (_, _, _, values), (_, _, _, expected) in zip(got, pixels):
+            npt.assert_array_equal(values, expected)
 
 
 class TestValidation:

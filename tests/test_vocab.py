@@ -74,6 +74,11 @@ class TestEncodeDecode:
     def test_encode_oov(self, vocab):
         assert vocab.encode("a z") == [BOS_ID, vocab.word_id("a"), UNK_ID, EOS_ID]
 
+    def test_encode_reserved_words_as_unk(self, vocab):
+        a, b = vocab.word_id("a"), vocab.word_id("b")
+        ids = vocab.encode("a <pad> <BOS> <eos>. <unk> b")
+        assert ids == [BOS_ID, a, UNK_ID, UNK_ID, UNK_ID, UNK_ID, b, EOS_ID]
+
     def test_encode_empty(self, vocab):
         assert vocab.encode("") == [BOS_ID, EOS_ID]
 
