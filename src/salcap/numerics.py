@@ -2,10 +2,20 @@
 
 Every operation records itself on an implicit tape: each result Tensor
 keeps its parent Tensors plus a closure that knows how to push gradients
-back to them.  ``backward(loss)`` replays the tape in reverse topological
-order.  Leaf tensors (no parents) accumulate gradients across backward
-calls until explicitly zeroed; intermediate nodes get a fresh gradient
-buffer on every call.
+back to them.  ``backward(loss)`` replays the tape: it collects the
+recorded tensors reachable from the loss and calls their closures in
+reverse recording order, a reverse topological order because an op's
+parents always exist before its output.  Leaf tensors (no parents)
+accumulate gradients across backward calls until explicitly zeroed.
+Intermediate nodes start every call with no gradient buffer: the first
+contribution becomes the buffer, and later ones are added into it.
+
+A closure may defer work to the end of ``backward``.  ``matmul`` of a leaf
+matrix by a vector does so for the leaf's gradient: its closure keeps the
+upstream gradient g and the vector x, and ``backward`` ends by adding
+G^T X over the stacked pairs, one GEMM per leaf for the whole call, in
+place of one outer product per decoder step.  The deferred terms are
+dropped if any closure raises.
 
 Every value is tested for NaN/Inf.  A leaf is tested when it is built.
 A recorded value is queued and tested, together with everything queued
@@ -18,11 +28,14 @@ order, that went non-finite.
 Tensors must be treated as immutable once another recorded operation has
 consumed them.  A recording (one forward pass) is single-threaded.
 Independent recordings on disjoint tensors could run concurrently if it
-were not for the queue of values awaiting the check, which is shared by
-the whole module; nothing in salcap records from two threads.
+were not for the queue of values awaiting the check and the deferred
+gradient terms, which are shared by the whole module; nothing in salcap
+records from two threads.
 """
 
+import itertools
 from collections import OrderedDict
+from operator import attrgetter
 
 import numpy as np
 
@@ -36,6 +49,11 @@ _PENDING = []
 # A recording that never reaches a check point is tested once the queue
 # holds this many tensors, so the queue cannot grow without bound.
 _PENDING_LIMIT = 4096
+# Creation order of tensors; ``backward`` sorts the tape by it.
+_SEQ = itertools.count()
+# leaf -> [(upstream gradient, vector), ...]: the leaf-matrix x vector
+# products of the running ``backward`` whose leaf gradient is added at its end.
+_DEFERRED = {}
 
 
 def check_recorded():
@@ -58,22 +76,28 @@ def check_recorded():
 
 
 class Tensor:
-    """Row-major float64 array plus its place in the recorded graph."""
+    """Row-major float64 array plus its place in the recorded graph.
 
-    __slots__ = ("data", "grad", "_parents", "_backward_fn")
+    A leaf takes anything ``np.asarray`` does; a recorded op passes its
+    float64 result as it is, its parents as a tuple and its closure.
+    """
+
+    __slots__ = ("data", "grad", "_parents", "_backward_fn", "_seq")
 
     def __init__(self, data, parents=(), backward_fn=None):
-        arr = np.asarray(data, dtype=np.float64)
         if parents:
             if len(_PENDING) >= _PENDING_LIMIT:
                 check_recorded()
             _PENDING.append(self)
-        elif not np.isfinite(arr).all():
-            raise ValueError("non-finite value in tensor of dims %r" % (list(arr.shape),))
-        self.data = arr
+        else:
+            data = np.asarray(data, dtype=np.float64)
+            if not np.isfinite(data).all():
+                raise ValueError("non-finite value in tensor of dims %r" % (list(data.shape),))
+        self.data = data
         self.grad = None
-        self._parents = tuple(parents)
+        self._parents = parents
         self._backward_fn = backward_fn
+        self._seq = next(_SEQ)
 
     @property
     def dims(self):
@@ -142,46 +166,54 @@ class ParamStore:
             slot.zero_grad()
 
 
-def _toposort(root):
-    """Iterative postorder over the recorded graph rooted at ``root``."""
-    order = []
-    visited = set()  # Tensor hashes by identity
-    stack = [(root, False)]
+def _recording_order(root):
+    """The recorded tensors reachable from ``root``, latest first."""
+    seen = {root}  # Tensor hashes by identity
+    stack = [root]
     while stack:
-        node, expanded = stack.pop()
-        if expanded:
-            order.append(node)
-            continue
-        if node in visited:
-            continue
-        visited.add(node)
-        stack.append((node, True))
-        for parent in node._parents:
-            if parent not in visited:
-                stack.append((parent, False))
-    return order
+        for parent in stack.pop()._parents:
+            if parent not in seen:
+                seen.add(parent)
+                stack.append(parent)
+    return sorted((t for t in seen if t._parents), key=attrgetter("_seq"), reverse=True)
+
+
+def _accumulate(t, g):
+    """Add ``g`` into t's gradient.  A first contribution becomes the buffer,
+    so ``g`` must be an array that nothing else holds."""
+    if t.grad is None:
+        t.grad = g
+    else:
+        t.grad += g
 
 
 def backward(loss):
     """Accumulate d(loss)/d(leaf) into every reachable leaf tensor.
 
-    Intermediate node gradients are reset per call; leaf gradients
-    accumulate, so repeated calls without zeroing double parameter grads.
-    Every queued recorded value is checked first (see ``check_recorded``).
+    Closures run latest recorded first.  Intermediate gradients are reset
+    per call, to no buffer until the first contribution; leaf gradients
+    accumulate, so repeated calls without zeroing double parameter grads,
+    and a leaf whose gradient is None gets a fresh one.  The deferred leaf
+    weight gradients are added last, one GEMM per leaf.  Every queued
+    recorded value is checked first (see ``check_recorded``).
     """
     check_recorded()
     if not isinstance(loss, Tensor):
         raise TypeError("backward expects a Tensor")
     if loss.data.size != 1:
         raise ValueError("backward requires a scalar loss, got dims %r" % (loss.dims,))
-    order = _toposort(loss)
+    order = _recording_order(loss)
     for node in order:
-        if node._parents or node.grad is None:
-            node.grad = np.zeros(node.data.shape)
-    loss.grad = loss.grad + np.ones_like(loss.data)
-    for node in reversed(order):
-        if node._backward_fn is not None:
+        node.grad = None
+    _accumulate(loss, np.ones_like(loss.data))
+    try:
+        for node in order:
             node._backward_fn(node.grad)
+        for leaf, terms in _DEFERRED.items():
+            g, x = zip(*terms)
+            _accumulate(leaf, np.stack(g).T @ np.stack(x))
+    finally:
+        _DEFERRED.clear()
 
 
 # ---------------------------------------------------------------------------
@@ -195,31 +227,28 @@ def matmul(a, b):
         raise ShapeError(
             "matmul: incompatible operands %r x %r" % (list(a.data.shape), list(b.data.shape))
         )
-    out = Tensor(a.data @ b.data, parents=(a, b))
 
     def _bw(g):
         if b.data.ndim == 2:
-            a.grad += g @ b.data.T
-            b.grad += a.data.T @ g
-        else:
-            a.grad += np.outer(g, b.data)
-            b.grad += a.data.T @ g
+            _accumulate(a, g @ b.data.T)
+        elif a._parents:
+            _accumulate(a, np.outer(g, b.data))
+        else:  # a leaf's rank-1 terms are summed in one GEMM at the end of backward
+            _DEFERRED.setdefault(a, []).append((g, b.data))
+        _accumulate(b, a.data.T @ g)
 
-    out._backward_fn = _bw
-    return out
+    return Tensor(a.data @ b.data, (a, b), _bw)
 
 
 def transpose(a):
     a = as_tensor(a)
     if a.data.ndim != 2:
         raise ShapeError("transpose needs a matrix, got dims %r" % (a.dims,))
-    out = Tensor(a.data.T, parents=(a,))
 
     def _bw(g):
-        a.grad += g.T
+        _accumulate(a, g.T.copy())
 
-    out._backward_fn = _bw
-    return out
+    return Tensor(a.data.T, (a,), _bw)
 
 
 def _require_same_dims(op, a, b):
@@ -232,75 +261,63 @@ def _require_same_dims(op, a, b):
 def add(a, b):
     a, b = as_tensor(a), as_tensor(b)
     _require_same_dims("add", a, b)
-    out = Tensor(a.data + b.data, parents=(a, b))
 
     def _bw(g):
-        a.grad += g
-        b.grad += g
+        _accumulate(a, g.copy())
+        _accumulate(b, g.copy())
 
-    out._backward_fn = _bw
-    return out
+    return Tensor(a.data + b.data, (a, b), _bw)
 
 
 def hadamard(a, b):
     a, b = as_tensor(a), as_tensor(b)
     _require_same_dims("hadamard", a, b)
-    out = Tensor(a.data * b.data, parents=(a, b))
 
     def _bw(g):
-        a.grad += g * b.data
-        b.grad += g * a.data
+        _accumulate(a, g * b.data)
+        _accumulate(b, g * a.data)
 
-    out._backward_fn = _bw
-    return out
+    return Tensor(a.data * b.data, (a, b), _bw)
 
 
 def scale(a, c):
     """Multiply by a plain float constant (not recorded as a tensor)."""
     a = as_tensor(a)
     c = float(c)
-    out = Tensor(a.data * c, parents=(a,))
 
     def _bw(g):
-        a.grad += g * c
+        _accumulate(a, g * c)
 
-    out._backward_fn = _bw
-    return out
+    return Tensor(a.data * c, (a,), _bw)
 
 
 def sigmoid(x):
     x = as_tensor(x)
     y = 1.0 / (1.0 + np.exp(-x.data))
-    out = Tensor(y, parents=(x,))
 
     def _bw(g):
-        x.grad += g * y * (1.0 - y)
+        _accumulate(x, g * y * (1.0 - y))
 
-    out._backward_fn = _bw
-    return out
+    return Tensor(y, (x,), _bw)
 
 
 def tanh(x):
     x = as_tensor(x)
     y = np.tanh(x.data)
-    out = Tensor(y, parents=(x,))
 
     def _bw(g):
-        x.grad += g * (1.0 - y * y)
+        _accumulate(x, g * (1.0 - y * y))
 
-    out._backward_fn = _bw
-    return out
+    return Tensor(y, (x,), _bw)
 
 
 def relu(x):
     x = as_tensor(x)
-    out = Tensor(np.maximum(0.0, x.data), parents=(x,))
 
     def _bw(g):
-        x.grad += g * (x.data > 0.0)
+        _accumulate(x, g * (x.data > 0.0))
 
-    out._backward_fn = _bw
-    return out
+    return Tensor(np.maximum(0.0, x.data), (x,), _bw)
 
 
 def softmax_vec(e):
@@ -311,36 +328,30 @@ def softmax_vec(e):
     shifted = e.data - e.data.max()
     ex = np.exp(shifted)
     y = ex / ex.sum()
-    out = Tensor(y, parents=(e,))
 
     def _bw(g):
-        e.grad += y * (g - np.dot(g, y))
+        _accumulate(e, y * (g - np.dot(g, y)))
 
-    out._backward_fn = _bw
-    return out
+    return Tensor(y, (e,), _bw)
 
 
 def tsum(x):
     """Sum of all elements, as a scalar tensor."""
     x = as_tensor(x)
-    out = Tensor(np.sum(x.data), parents=(x,))
 
     def _bw(g):
-        x.grad += g
+        _accumulate(x, np.full(x.data.shape, g))
 
-    out._backward_fn = _bw
-    return out
+    return Tensor(np.sum(x.data), (x,), _bw)
 
 
 def log(x):
     x = as_tensor(x)
-    out = Tensor(np.log(x.data), parents=(x,))
 
     def _bw(g):
-        x.grad += g / x.data
+        _accumulate(x, g / x.data)
 
-    out._backward_fn = _bw
-    return out
+    return Tensor(np.log(x.data), (x,), _bw)
 
 
 def pick(x, index):
@@ -351,13 +362,13 @@ def pick(x, index):
     i = int(index)
     if not 0 <= i < x.data.size:
         raise IndexError("pick index %d out of range for length %d" % (i, x.data.size))
-    out = Tensor(x.data[i], parents=(x,))
 
     def _bw(g):
+        if x.grad is None:
+            x.grad = np.zeros(x.data.shape)
         x.grad[i] += g
 
-    out._backward_fn = _bw
-    return out
+    return Tensor(x.data[i], (x,), _bw)
 
 
 def row(m, index):
@@ -368,13 +379,13 @@ def row(m, index):
     i = int(index)
     if not 0 <= i < m.data.shape[0]:
         raise IndexError("row index %d out of range for %d rows" % (i, m.data.shape[0]))
-    out = Tensor(m.data[i], parents=(m,))
 
     def _bw(g):
+        if m.grad is None:
+            m.grad = np.zeros(m.data.shape)
         m.grad[i] += g
 
-    out._backward_fn = _bw
-    return out
+    return Tensor(m.data[i], (m,), _bw)
 
 
 def add_rowvec(m, v):
@@ -384,11 +395,9 @@ def add_rowvec(m, v):
         raise ShapeError(
             "add_rowvec: incompatible dims %r + %r" % (list(m.data.shape), list(v.data.shape))
         )
-    out = Tensor(m.data + v.data, parents=(m, v))
 
     def _bw(g):
-        m.grad += g
-        v.grad += g.sum(axis=0)
+        _accumulate(m, g.copy())
+        _accumulate(v, g.sum(axis=0))
 
-    out._backward_fn = _bw
-    return out
+    return Tensor(m.data + v.data, (m, v), _bw)

@@ -109,7 +109,12 @@ def caption_loss(params, raw, sal, token_ids):
 
 
 def optimizer_step(slots, opt_state, config):
-    """One Adam or Nadam update over all slots; gradients are zeroed after."""
+    """One Adam or Nadam update over all slots; gradients are zeroed after.
+
+    The update runs in place, in one scratch buffer and each slot's own
+    gradient buffer.  It applies the operations of the textbook formula
+    in the same order, so its bits equal the formula's.
+    """
     slots = list(slots)
     if not slots or all(not np.any(slot.grad) for slot in slots):
         warnings.warn("optimizer step with all-zero gradients: skipping")
@@ -124,22 +129,29 @@ def optimizer_step(slots, opt_state, config):
     t = opt_state.t
     bc1 = 1.0 - ADAM_BETA1 ** t
     bc2 = 1.0 - ADAM_BETA2 ** t
+    scratch = np.empty(max(slot.grad.size for slot in slots))
     for slot in slots:
-        g = slot.grad * clip_scale
+        g = slot.grad
+        tmp = scratch[:g.size].reshape(g.shape)
         m, v = opt_state.moments(slot)
+        g *= clip_scale
         m *= ADAM_BETA1
-        m += (1.0 - ADAM_BETA1) * g
+        m += np.multiply(1.0 - ADAM_BETA1, g, out=tmp)
         v *= ADAM_BETA2
-        v += (1.0 - ADAM_BETA2) * (g * g)
-        m_hat = m / bc1
-        v_hat = v / bc2
-        if config.optimizer == "nadam":
-            step_dir = (ADAM_BETA1 * m_hat + (1.0 - ADAM_BETA1) * g / bc1) / (
-                np.sqrt(v_hat) + ADAM_EPS
-            )
-        else:
-            step_dir = m_hat / (np.sqrt(v_hat) + ADAM_EPS)
-        slot.value.data -= config.learning_rate * step_dir
+        np.multiply(g, g, out=tmp)
+        v += np.multiply(1.0 - ADAM_BETA2, tmp, out=tmp)
+        np.divide(m, bc1, out=tmp)  # m_hat
+        if config.optimizer == "nadam":  # b1 m_hat + (1 - b1) g / bc1
+            tmp *= ADAM_BETA1
+            g *= 1.0 - ADAM_BETA1
+            g /= bc1
+            tmp += g
+        np.divide(v, bc2, out=g)  # v_hat; g is not read again
+        np.sqrt(g, out=g)
+        g += ADAM_EPS
+        tmp /= g
+        tmp *= config.learning_rate
+        slot.value.data -= tmp
         slot.zero_grad()
 
 

@@ -309,3 +309,113 @@ class TestParamStore:
         npt.assert_allclose(store["w"].grad, 2 * np.ones(4))
         store.zero_grads()
         npt.assert_array_equal(store["w"].grad, np.zeros(4))
+
+
+def rel_err(actual, expected):
+    return np.max(np.abs(actual - expected)) / np.max(np.abs(expected))
+
+
+class TestDeferredWeightGradient:
+    """matmul(leaf matrix, vector) adds its weight gradient at the end of backward."""
+
+    @staticmethod
+    def _unrolled(rng, steps=7, m=5, k=4):
+        w = Tensor(rng.normal(size=(m, k)))
+        xs = [rng.normal(size=k) for _ in range(steps)]
+        cs = [rng.normal(size=m) for _ in range(steps)]
+        loss = None
+        for x, c in zip(xs, cs):
+            term = nm.tsum(nm.hadamard(nm.matmul(w, Tensor(x)), Tensor(c)))
+            loss = term if loss is None else nm.add(loss, term)
+        expected = np.zeros((m, k))
+        for x, c in zip(xs, cs):
+            expected += np.outer(c, x)
+        return w, loss, expected
+
+    def test_sum_of_outer_products(self):
+        w, loss, expected = self._unrolled(np.random.default_rng(10))
+        nm.backward(loss)
+        assert rel_err(w.grad, expected) <= 1e-12
+        assert not nm._DEFERRED
+
+    def test_second_backward_doubles(self):
+        w, loss, _ = self._unrolled(np.random.default_rng(11))
+        nm.backward(loss)
+        first = w.grad.copy()
+        nm.backward(loss)
+        npt.assert_array_equal(w.grad, 2 * first)
+
+    def test_raising_closure_leaves_nothing_deferred(self, monkeypatch):
+        rng = np.random.default_rng(12)
+        w0, x0 = rng.normal(size=(3, 4)), rng.normal(size=4)
+
+        def graph():
+            w = Tensor(w0)
+            hidden = nm.tanh(Tensor(x0))  # its closure runs after matmul's
+            return w, hidden, nm.tsum(nm.matmul(w, hidden))
+
+        w, hidden, loss = graph()
+
+        def fail(g):
+            raise RuntimeError("closure failed")
+
+        monkeypatch.setattr(hidden, "_backward_fn", fail)
+        with pytest.raises(RuntimeError, match="closure failed"):
+            nm.backward(loss)
+        assert not nm._DEFERRED
+        monkeypatch.undo()
+        w.grad = None
+        nm.backward(loss)
+        fresh_w, _, fresh_loss = graph()
+        nm.backward(fresh_loss)
+        npt.assert_array_equal(w.grad, fresh_w.grad)
+
+
+class TestLazyBuffers:
+    def test_shared_subgraph_does_not_leak(self):
+        rng = np.random.default_rng(13)
+        w0, x0 = rng.normal(size=(3, 4)), rng.normal(size=4)
+
+        def graph():
+            w, x = Tensor(w0), Tensor(x0)
+            shared = nm.tanh(nm.matmul(w, x))
+            return w, x, shared, nm.tsum(nm.scale(shared, 2.0)), nm.tsum(nm.hadamard(shared, shared))
+
+        w, x, shared, first, second = graph()
+        nm.backward(first)
+        w.grad = x.grad = None
+        nm.backward(second)
+        fresh_w, fresh_x, fresh_shared, _, fresh_second = graph()
+        nm.backward(fresh_second)
+        npt.assert_array_equal(shared.grad, fresh_shared.grad)
+        npt.assert_array_equal(w.grad, fresh_w.grad)
+        npt.assert_array_equal(x.grad, fresh_x.grad)
+
+    @pytest.mark.parametrize("op", ["add", "add_rowvec", "transpose"])
+    def test_leaf_without_grad_gets_fresh_buffer(self, op):
+        x = Tensor(np.ones((2, 3)))
+        if op == "add":
+            out = nm.add(x, x)
+        elif op == "add_rowvec":
+            out = nm.add_rowvec(x, Tensor(np.zeros(3)))
+        else:
+            out = nm.transpose(x)
+        loss = nm.tsum(out)
+        assert x.grad is None
+        nm.backward(loss)
+        assert not np.shares_memory(x.grad, out.grad)
+        npt.assert_array_equal(out.grad, np.ones(out.data.shape))
+        npt.assert_array_equal(x.grad, np.full((2, 3), 2.0 if op == "add" else 1.0))
+
+    @pytest.mark.parametrize("as_param", [True, False], ids=["param", "leaf"])
+    def test_row_and_matmul_contributions_sum(self, as_param):
+        rng = np.random.default_rng(14)
+        table, v, c1, c2 = (rng.normal(size=(4, 3)), rng.normal(size=3),
+                            rng.normal(size=3), rng.normal(size=4))
+        emb = ParamStore().add("emb", table) if as_param else Tensor(table)
+        loss = nm.add(nm.tsum(nm.hadamard(nm.row(emb, 2), Tensor(c1))),
+                      nm.tsum(nm.hadamard(nm.matmul(emb, Tensor(v)), Tensor(c2))))
+        nm.backward(loss)
+        expected = np.outer(c2, v)
+        expected[2] += c1
+        assert rel_err(emb.grad, expected) <= 1e-12

@@ -6,6 +6,8 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
+import per_step_backward
+from salcap import data_io
 from salcap import decoder as dec
 from salcap import numerics as nm
 from salcap import optim
@@ -117,6 +119,51 @@ class TestOptimizerStep:
         expected = -config.learning_rate * 0.5 / (np.sqrt(0.5 ** 2) + 1e-8)
         npt.assert_allclose(slot.value.data, np.full(4, expected), rtol=1e-9)
 
+    @pytest.mark.parametrize("rule", ["adam", "nadam"])
+    @pytest.mark.parametrize("clip", [0.0, 0.5])
+    def test_in_place_update_matches_formula_copy(self, rule, clip):
+        """Three steps on random slots give the same bits as the formula written out."""
+        rng = np.random.default_rng(8)
+        shapes = [(3, 4), (5,), (2, 2, 3)]
+        values = [rng.normal(size=shape) for shape in shapes]
+        slots = [ParamSlot("w%d" % i, v.copy()) for i, v in enumerate(values)]
+        ref = [{"theta": v.copy(), "m": np.zeros(v.shape), "v": np.zeros(v.shape)} for v in values]
+        config = optim.TrainConfig(optimizer=rule, learning_rate=0.01, grad_clip_norm=clip)
+        state = optim.OptimizerState()
+        for t in range(1, 4):
+            grads = [rng.normal(size=shape) for shape in shapes]
+            for slot, grad in zip(slots, grads):
+                slot.grad[...] = grad
+            optim.optimizer_step(slots, state, config)
+            reference_optimizer_step(ref, grads, t, config)
+            for slot, r in zip(slots, ref):
+                npt.assert_array_equal(slot.value.data, r["theta"])
+                npt.assert_array_equal(state.m[slot.name], r["m"])
+                npt.assert_array_equal(state.v[slot.name], r["v"])
+                npt.assert_array_equal(slot.grad, np.zeros(slot.grad.shape))
+
+
+def reference_optimizer_step(ref, grads, t, config):
+    """The Adam/Nadam update written with temporaries, one expression per formula line."""
+    clip_scale = 1.0
+    if config.grad_clip_norm > 0:
+        total = np.sqrt(sum(float(np.sum(g * g)) for g in grads))
+        clip_scale = min(1.0, config.grad_clip_norm / total)
+    bc1 = 1.0 - optim.ADAM_BETA1 ** t
+    bc2 = 1.0 - optim.ADAM_BETA2 ** t
+    b1, b2, eps = optim.ADAM_BETA1, optim.ADAM_BETA2, optim.ADAM_EPS
+    for r, grad in zip(ref, grads):
+        g = grad * clip_scale
+        r["m"] = r["m"] * b1 + (1.0 - b1) * g
+        r["v"] = r["v"] * b2 + (1.0 - b2) * (g * g)
+        m_hat = r["m"] / bc1
+        v_hat = r["v"] / bc2
+        if config.optimizer == "nadam":
+            step_dir = (b1 * m_hat + (1.0 - b1) * g / bc1) / (np.sqrt(v_hat) + eps)
+        else:
+            step_dir = m_hat / (np.sqrt(v_hat) + eps)
+        r["theta"] = r["theta"] - config.learning_rate * step_dir
+
 
 def synthetic_examples(config, n=6, seed=0, lengths=(3, 4, 5)):
     rng = np.random.default_rng(seed)
@@ -200,6 +247,40 @@ class TestTrainEpoch:
         params = dec.init_params(tiny_config(), rng_seed=0)
         with pytest.raises(ValueError, match="non-empty"):
             optim.train_epoch([], params, optim.OptimizerState(), optim.TrainConfig(), 0)
+
+
+class TestBatchEquivalence:
+    def test_one_batch_matches_per_step_accumulation(self, tmp_path, monkeypatch):
+        """One criterion-4 batch: the loss bits of the per-step accumulation
+        (``per_step_backward``), and its gradients within 1e-12."""
+        manifest = data_io.gen_synthetic(
+            data_io.default_synthetic_spec(n_images=32, seed=42), str(tmp_path / "data"))
+        vocabulary = build_vocab([c for e in manifest.entries for c in e.captions], min_count=5)
+        config = optim.TrainConfig(seed=42, batch_size=4)
+        model = dec.ModelConfig(
+            variant="saliency_context", vocab_size=len(vocabulary),
+            raw_feature_size=manifest.feature_dim, grid_rows=manifest.grid_rows,
+            grid_cols=manifest.grid_cols, hidden_size=64, embed_size=32, feature_size=32,
+        )
+        examples = optim.build_examples(manifest, vocabulary, "train", config)
+        batch = [examples[i] for i in optim._batches(examples, config, 0)[0]]
+        grads = {}
+        monkeypatch.setattr(optim, "optimizer_step", lambda slots, *_: grads.update(
+            (slot.name, slot.grad.copy()) for slot in slots))
+
+        def run():
+            params = dec.init_params(model, rng_seed=42)
+            stats = optim.train_epoch(batch, params, optim.OptimizerState(), config, 0)
+            return stats.mean_loss, dict(grads)
+
+        loss, got = run()
+        per_step_backward.patch(monkeypatch)
+        ref_loss, ref = run()
+        assert loss == ref_loss
+        assert got.keys() == ref.keys()
+        for name in ref:
+            err = np.max(np.abs(got[name] - ref[name]))
+            assert err <= 1e-12 * np.max(np.abs(ref[name])), (name, err)
 
 
 class TestExamples:
