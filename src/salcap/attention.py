@@ -50,8 +50,12 @@ class SaliencyGrid:
         s = np.asarray(s, dtype=np.float64)
         if s.ndim != 1 or s.size < 1:
             raise ShapeError("saliency grid must be a vector, got shape %r" % (list(s.shape),))
-        if np.any(s < 0.0) or np.any(s > 1.0):
-            raise ValueError("saliency values must lie in [0,1]")
+        outside = ~((s >= 0.0) & (s <= 1.0))  # True for NaN too
+        if outside.any():
+            i = int(np.argmax(outside))
+            raise ValueError(
+                "saliency values must lie in [0,1], got %r at index %d" % (float(s[i]), i)
+            )
         self.s = s
 
     @property

@@ -56,11 +56,13 @@ def _decode_result(emitted):
     return DecodeResult(ids=body, truncated=emitted[-1] != EOS_ID)
 
 
+@nm.collector_paused
 def greedy_decode(raw, sal, params, max_len=20):
     """Most-probable-word decoding; returns the caption body and a cap flag."""
     return _decode_result([emitted for emitted, _ in _greedy_steps(params, raw, sal, max_len)])
 
 
+@nm.collector_paused
 def trace_attention(raw, sal, params, max_len=20):
     """Greedy decode plus one TraceStep per emitted word (two-path variants)."""
     if params.config.variant not in TWO_PATH_VARIANTS:

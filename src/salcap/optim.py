@@ -206,6 +206,7 @@ class EpochStats:
     num_truncated: int
 
 
+@nm.collector_paused
 def train_epoch(examples, params, opt_state, config, epoch_index=0):
     """One pass over the examples: forward, backward, optimizer step per batch."""
     if not examples:
@@ -256,6 +257,7 @@ class GradCheckReport:
         return self.max_rel_err < self.tolerance
 
 
+@nm.collector_paused
 def finite_difference_check(loss_fn, slots, tolerance, analytic, h=1e-4):
     """Compare analytic slot gradients against central finite differences.
 

@@ -32,6 +32,11 @@ class TestSaliencyGrid:
         with pytest.raises(ValueError):
             SaliencyGrid(np.array([0.5, 1.1]))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_named(self, bad):
+        with pytest.raises(ValueError, match=r"\[0,1\], got -?(nan|inf) at index 1"):
+            SaliencyGrid(np.array([0.5, bad]))
+
 
 class TestScorePath:
     def test_all_zero_params(self):
