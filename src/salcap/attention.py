@@ -33,7 +33,6 @@ class FeatureGrid:
     """L spatial locations, each a D-dimensional feature vector (L x D)."""
 
     def __init__(self, a):
-        a = nm.as_tensor(a)
         if a.data.ndim != 2 or a.data.shape[0] < 1 or a.data.shape[1] < 1:
             raise ShapeError("feature grid must be L x D, got dims %r" % (a.dims,))
         self.a = a
@@ -70,9 +69,7 @@ class AttentionPathParams:
     """One scoring path: W_ae (D_att x D), W_he (D_att x H), v_e (D_att)."""
 
     def __init__(self, w_ae, w_he, v_e):
-        self.w_ae = nm.as_tensor(w_ae)
-        self.w_he = nm.as_tensor(w_he)
-        self.v_e = nm.as_tensor(v_e)
+        self.w_ae, self.w_he, self.v_e = w_ae, w_he, v_e
         d_att = self.v_e.data.shape[0]
         if self.w_ae.data.ndim != 2 or self.w_he.data.ndim != 2 or self.v_e.data.ndim != 1:
             raise ShapeError("attention path parameters have wrong ranks")
@@ -113,7 +110,6 @@ class AttentionOutput:
 
 def score_path(grid, h_prev, path):
     """Pre-softmax scores e_i = v_e . tanh(W_ae a_i + W_he h_prev), all locations."""
-    h_prev = nm.as_tensor(h_prev)
     if h_prev.data.ndim != 1 or h_prev.data.shape[0] != path.w_he.data.shape[1]:
         raise ShapeError(
             "hidden state dims %r do not match W_he %r" % (h_prev.dims, path.w_he.dims)
@@ -126,16 +122,12 @@ def score_path(grid, h_prev, path):
 
 def combine_saliency_context(e_sal, e_ctx, sal):
     """Blend path scores location-wise: e_i = s_i e_sal_i + (1 - s_i) e_ctx_i."""
-    e_sal, e_ctx = nm.as_tensor(e_sal), nm.as_tensor(e_ctx)
     if e_sal.data.shape != e_ctx.data.shape or e_sal.data.shape != sal.s.shape:
         raise ShapeError(
             "combine: lengths disagree (e_sal %r, e_ctx %r, s %r)"
             % (e_sal.dims, e_ctx.dims, list(sal.s.shape))
         )
-    return nm.add(
-        nm.hadamard(Tensor(sal.s), e_sal),
-        nm.hadamard(Tensor(sal.z), e_ctx),
-    )
+    return nm.add(nm.scale(e_sal, sal.s), nm.scale(e_ctx, sal.z))
 
 
 def attend(grid, sal, h_prev, params):
@@ -158,7 +150,7 @@ def attend(grid, sal, h_prev, params):
         e = score_path(grid, h_prev, params.single)
         e_sal = e_ctx = None
     elif variant == "attention_on_saliency":
-        e = nm.hadamard(Tensor(sal.s), score_path(grid, h_prev, params.single))
+        e = nm.scale(score_path(grid, h_prev, params.single), sal.s)
         e_sal = e_ctx = None
     else:  # shared_weights, saliency_context
         e_sal = score_path(grid, h_prev, params.sal)

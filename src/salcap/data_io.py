@@ -29,7 +29,6 @@ from typing import Union, get_args, get_origin
 
 import numpy as np
 
-from . import numerics as nm
 from .attention import SaliencyGrid
 from .numerics import Tensor
 
@@ -55,8 +54,7 @@ _DTYPES = {0: np.dtype("<f4"), 1: np.dtype("<f8")}
 
 
 def write_tensor(t, path):
-    """A float64 tensor file (dtype code 1)."""
-    t = nm.as_tensor(t)
+    """Write Tensor ``t`` as a float64 tensor file (dtype code 1)."""
     dims = t.data.shape
     header = TENSOR_MAGIC + struct.pack("<BBB", TENSOR_VERSION, 1, len(dims))
     header += struct.pack("<%dI" % len(dims), *dims)

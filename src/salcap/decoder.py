@@ -162,7 +162,6 @@ def init_params(config, rng_seed):
 
 def project_features(raw, params):
     """Per-location a_i = relu(proj_W raw_i + proj_b); the 1x1-conv reduction."""
-    raw = nm.as_tensor(raw)
     if raw.data.ndim != 2 or raw.data.shape[1] != params.proj_w.data.shape[1]:
         raise ShapeError(
             "raw features %r do not match projection %r" % (raw.dims, params.proj_w.dims)

@@ -39,7 +39,7 @@ class TraceStep:
 def _greedy_steps(params, raw, sal, max_len):
     """Yield (emitted id, attention output) per step, through EOS or max_len steps."""
     data_io.at_least("max_len", max_len, 1)
-    grid = dec.project_features(nm.as_tensor(raw), params)
+    grid = dec.project_features(nm.Tensor(raw), params)
     state = dec.LstmState.initial(params.config.hidden_size)
     emitted = BOS_ID
     for _ in range(max_len):

@@ -10,6 +10,12 @@ accumulate gradients across backward calls until explicitly zeroed.
 Intermediate nodes start every call with no gradient buffer: the first
 contribution becomes the buffer, and later ones are added into it.
 
+A value joins the tape one way.  ``Tensor(x)`` makes a leaf from
+anything ``np.asarray`` takes, and only an op makes a recorded tensor.
+Ops take Tensors and never convert their inputs.  A constant that needs
+no gradient, such as the saliency weights s and 1 - s or the loss
+normaliser -1/T, is a float or an array given to ``scale``, not a leaf.
+
 A closure may defer work to the end of ``backward``.  ``matmul`` of a leaf
 matrix by a vector does so for the leaf's gradient: its closure keeps the
 upstream gradient g and the vector x, and ``backward`` ends by adding
@@ -150,10 +156,6 @@ class Tensor:
         return "Tensor(dims=%r%s)" % (self.dims, ", recorded" if self._parents else "")
 
 
-def as_tensor(x):
-    return x if isinstance(x, Tensor) else Tensor(x)
-
-
 class ParamSlot:
     """Named learned parameter: a leaf value tensor plus its running gradient."""
 
@@ -161,9 +163,8 @@ class ParamSlot:
 
     def __init__(self, name, value):
         self.name = name
-        self.value = as_tensor(value)
-        if self.value.grad is None:
-            self.value.grad = np.zeros_like(self.value.data)
+        self.value = Tensor(value)
+        self.value.grad = np.zeros_like(self.value.data)
 
     @property
     def grad(self):
@@ -259,7 +260,6 @@ def backward(loss):
 
 def matmul(a, b):
     """Matrix product a[m,k] @ b[k,n]; b may also be a k-vector."""
-    a, b = as_tensor(a), as_tensor(b)
     if a.data.ndim != 2 or b.data.ndim not in (1, 2) or a.data.shape[1] != b.data.shape[0]:
         raise ShapeError(
             "matmul: incompatible operands %r x %r" % (list(a.data.shape), list(b.data.shape))
@@ -278,7 +278,6 @@ def matmul(a, b):
 
 
 def transpose(a):
-    a = as_tensor(a)
     if a.data.ndim != 2:
         raise ShapeError("transpose needs a matrix, got dims %r" % (a.dims,))
 
@@ -296,7 +295,6 @@ def _require_same_dims(op, a, b):
 
 
 def add(a, b):
-    a, b = as_tensor(a), as_tensor(b)
     _require_same_dims("add", a, b)
 
     def _bw(g):
@@ -307,7 +305,6 @@ def add(a, b):
 
 
 def hadamard(a, b):
-    a, b = as_tensor(a), as_tensor(b)
     _require_same_dims("hadamard", a, b)
 
     def _bw(g):
@@ -318,9 +315,10 @@ def hadamard(a, b):
 
 
 def scale(a, c):
-    """Multiply by a plain float constant (not recorded as a tensor)."""
-    a = as_tensor(a)
-    c = float(c)
+    """Multiply by a constant c, which gets no gradient: a float or an array of a's dims."""
+    c = np.asarray(c, dtype=np.float64)
+    if c.ndim and c.shape != a.data.shape:
+        raise ShapeError("scale: mismatched dims %r vs %r" % (a.dims, list(c.shape)))
 
     def _bw(g):
         _accumulate(a, g * c)
@@ -329,7 +327,6 @@ def scale(a, c):
 
 
 def sigmoid(x):
-    x = as_tensor(x)
     y = 1.0 / (1.0 + np.exp(-x.data))
 
     def _bw(g):
@@ -339,7 +336,6 @@ def sigmoid(x):
 
 
 def tanh(x):
-    x = as_tensor(x)
     y = np.tanh(x.data)
 
     def _bw(g):
@@ -349,8 +345,6 @@ def tanh(x):
 
 
 def relu(x):
-    x = as_tensor(x)
-
     def _bw(g):
         _accumulate(x, g * (x.data > 0.0))
 
@@ -359,7 +353,6 @@ def relu(x):
 
 def softmax_vec(e):
     """Max-shifted softmax over a vector; output sums to 1."""
-    e = as_tensor(e)
     if e.data.ndim != 1 or e.data.size == 0:
         raise ValueError("softmax_vec needs a non-empty vector, got dims %r" % (e.dims,))
     shifted = e.data - e.data.max()
@@ -374,8 +367,6 @@ def softmax_vec(e):
 
 def tsum(x):
     """Sum of all elements, as a scalar tensor."""
-    x = as_tensor(x)
-
     def _bw(g):
         _accumulate(x, np.full(x.data.shape, g))
 
@@ -383,8 +374,6 @@ def tsum(x):
 
 
 def log(x):
-    x = as_tensor(x)
-
     def _bw(g):
         _accumulate(x, g / x.data)
 
@@ -393,7 +382,6 @@ def log(x):
 
 def pick(x, index):
     """Scalar element x[index] of a vector."""
-    x = as_tensor(x)
     if x.data.ndim != 1:
         raise ShapeError("pick needs a vector, got dims %r" % (x.dims,))
     i = int(index)
@@ -410,7 +398,6 @@ def pick(x, index):
 
 def row(m, index):
     """Row m[index, :] of a matrix, as a vector."""
-    m = as_tensor(m)
     if m.data.ndim != 2:
         raise ShapeError("row needs a matrix, got dims %r" % (m.dims,))
     i = int(index)
@@ -427,7 +414,6 @@ def row(m, index):
 
 def add_rowvec(m, v):
     """Add vector v to every row of matrix m."""
-    m, v = as_tensor(m), as_tensor(v)
     if m.data.ndim != 2 or v.data.ndim != 1 or m.data.shape[1] != v.data.shape[0]:
         raise ShapeError(
             "add_rowvec: incompatible dims %r + %r" % (list(m.data.shape), list(v.data.shape))

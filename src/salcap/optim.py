@@ -89,7 +89,7 @@ def forward_caption(params, raw, sal, token_ids):
     ``token_ids`` is BOS + words + EOS (+ optional right PADs, which end
     the rollout).  Attention at step t uses the state from step t-1.
     """
-    grid = dec.project_features(nm.as_tensor(raw), params)
+    grid = dec.project_features(nm.Tensor(raw), params)
     state = dec.LstmState.initial(params.config.hidden_size)
     probs, targets, attended = [], [], []
     for t in range(1, len(token_ids)):

@@ -47,7 +47,6 @@ def backward(loss):
 
 
 def matmul(a, b):
-    a, b = nm.as_tensor(a), nm.as_tensor(b)
     out = nm.Tensor(a.data @ b.data, (a, b))
 
     def _bw(g):

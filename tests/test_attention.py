@@ -2,7 +2,8 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from salcap import numerics as nm
+from salcap import decoder as dec
+from salcap import optim
 from salcap.attention import (
     AttentionParams,
     AttentionPathParams,
@@ -13,12 +14,16 @@ from salcap.attention import (
     score_path,
 )
 from salcap.numerics import ShapeError, Tensor
+from salcap.vocab import BOS_ID, EOS_ID
+
+
+def leaf_path(w_ae, w_he, v_e):
+    """A scoring path whose three parameters are new leaves."""
+    return AttentionPathParams(Tensor(w_ae), Tensor(w_he), Tensor(v_e))
 
 
 def random_path(rng, d, h, d_att):
-    return AttentionPathParams(
-        rng.normal(size=(d_att, d)), rng.normal(size=(d_att, h)), rng.normal(size=d_att)
-    )
+    return leaf_path(rng.normal(size=(d_att, d)), rng.normal(size=(d_att, h)), rng.normal(size=d_att))
 
 
 class TestSaliencyGrid:
@@ -40,29 +45,29 @@ class TestSaliencyGrid:
 
 class TestScorePath:
     def test_all_zero_params(self):
-        grid = FeatureGrid(np.ones((4, 3)))
-        path = AttentionPathParams(np.zeros((3, 3)), np.zeros((3, 2)), np.zeros(3))
+        grid = FeatureGrid(Tensor(np.ones((4, 3))))
+        path = leaf_path(np.zeros((3, 3)), np.zeros((3, 2)), np.zeros(3))
         e = score_path(grid, Tensor(np.ones(2)), path)
         npt.assert_array_equal(e.data, np.zeros(4))
 
     def test_zero_projection_nulls(self):
         rng = np.random.default_rng(0)
-        grid = FeatureGrid(rng.normal(size=(4, 3)))
-        path = AttentionPathParams(rng.normal(size=(5, 3)), rng.normal(size=(5, 2)), np.zeros(5))
+        grid = FeatureGrid(Tensor(rng.normal(size=(4, 3))))
+        path = leaf_path(rng.normal(size=(5, 3)), rng.normal(size=(5, 2)), np.zeros(5))
         e = score_path(grid, Tensor(rng.normal(size=2)), path)
         npt.assert_array_equal(e.data, np.zeros(4))
 
     def test_scalar_hand_case(self):
         # D = D_att = H = 1, W_ae = 1, W_he = 0, v_e = 1, a = 0.5
-        grid = FeatureGrid(np.array([[0.5]]))
-        path = AttentionPathParams(np.array([[1.0]]), np.array([[0.0]]), np.array([1.0]))
+        grid = FeatureGrid(Tensor([[0.5]]))
+        path = leaf_path([[1.0]], [[0.0]], [1.0])
         e = score_path(grid, Tensor(np.zeros(1)), path)
         npt.assert_allclose(e.data, [np.tanh(0.5)], atol=1e-12)
         assert abs(e.data[0] - 0.46212) < 1e-5
 
     def test_hidden_dim_mismatch(self):
-        grid = FeatureGrid(np.ones((4, 3)))
-        path = AttentionPathParams(np.zeros((3, 3)), np.zeros((3, 2)), np.zeros(3))
+        grid = FeatureGrid(Tensor(np.ones((4, 3))))
+        path = leaf_path(np.zeros((3, 3)), np.zeros((3, 2)), np.zeros(3))
         with pytest.raises(ShapeError):
             score_path(grid, Tensor(np.ones(5)), path)
 
@@ -97,14 +102,14 @@ class TestContextVector:
     """v_hat = sum_i alpha_i a_i, as ``attend`` computes it."""
 
     def test_one_hot(self):
-        grid = FeatureGrid(np.array([[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]]))
+        grid = FeatureGrid(Tensor([[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]]))
         sal = SaliencyGrid(np.array([0.0, 1.0, 0.0]))
         v = attend(grid, sal, None, AttentionParams("saliency_pooling")).v_hat
         npt.assert_array_equal(v.data, [3.0, 4.0])
 
     def test_even_mix(self):
-        grid = FeatureGrid(np.array([[1.0, 0.0], [0.0, 1.0]]))
-        path = AttentionPathParams(np.ones((2, 2)), np.ones((2, 3)), np.zeros(2))  # uniform alpha
+        grid = FeatureGrid(Tensor([[1.0, 0.0], [0.0, 1.0]]))
+        path = leaf_path(np.ones((2, 2)), np.ones((2, 3)), np.zeros(2))  # uniform alpha
         out = attend(grid, SaliencyGrid(np.array([0.3, 0.9])), Tensor(np.ones(3)),
                      AttentionParams("soft", single=path))
         npt.assert_array_equal(out.v_hat.data, [0.5, 0.5])
@@ -119,7 +124,7 @@ class TestContextVector:
             AttentionParams("attention_on_saliency", single=random_path(rng, 3, 4, 2)),
             make_two_path(rng, 3, 4, 2),
         ):
-            out = attend(FeatureGrid(a), sal, h_prev, params)
+            out = attend(FeatureGrid(Tensor(a)), sal, h_prev, params)
             expected = np.zeros(3)
             for i in range(5):
                 expected += out.alpha.data[i] * a[i]
@@ -129,9 +134,7 @@ class TestContextVector:
 def make_two_path(rng, d, h, d_att, tied=False):
     sal = random_path(rng, d, h, d_att)
     if tied:
-        ctx = AttentionPathParams(
-            Tensor(sal.w_ae.data.copy()), Tensor(sal.w_he.data.copy()), Tensor(sal.v_e.data.copy())
-        )
+        ctx = leaf_path(sal.w_ae.data.copy(), sal.w_he.data.copy(), sal.v_e.data.copy())
     else:
         ctx = random_path(rng, d, h, d_att)
     return AttentionParams("saliency_context", sal=sal, ctx=ctx)
@@ -142,13 +145,11 @@ class TestAttendVariants:
 
     def setup_method(self):
         self.rng = np.random.default_rng(7)
-        self.grid = FeatureGrid(self.rng.normal(size=(self.L, self.D)))
+        self.grid = FeatureGrid(Tensor(self.rng.normal(size=(self.L, self.D))))
         self.h_prev = Tensor(self.rng.normal(size=self.H))
 
     def _soft_params(self, path):
-        clone = AttentionPathParams(
-            Tensor(path.w_ae.data.copy()), Tensor(path.w_he.data.copy()), Tensor(path.v_e.data.copy())
-        )
+        clone = leaf_path(path.w_ae.data.copy(), path.w_he.data.copy(), path.v_e.data.copy())
         return AttentionParams("soft", single=clone)
 
     def test_saliency_one_reduces_to_sal_path(self):
@@ -189,9 +190,7 @@ class TestAttendVariants:
         )
         soft = AttentionParams(
             "soft",
-            single=AttentionPathParams(
-                Tensor(w_ae.data.copy()), Tensor(w_he.data.copy()), Tensor(v_e.copy())
-            ),
+            single=leaf_path(w_ae.data.copy(), w_he.data.copy(), v_e.copy()),
         )
         for _ in range(10):
             s = SaliencyGrid(self.rng.uniform(size=self.L))
@@ -200,7 +199,7 @@ class TestAttendVariants:
             npt.assert_allclose(a.e.data, b.e.data, atol=1e-12)
 
     def test_saliency_pooling_weighted_sum(self):
-        grid = FeatureGrid(np.array([[1.0, 0.0], [0.0, 1.0]]))
+        grid = FeatureGrid(Tensor([[1.0, 0.0], [0.0, 1.0]]))
         params = AttentionParams("saliency_pooling")
         out = attend(grid, SaliencyGrid(np.ones(2)), Tensor(np.zeros(4)), params)
         npt.assert_array_equal(out.v_hat.data, [1.0, 1.0])
@@ -234,8 +233,8 @@ class TestAttendVariants:
             w_he = Tensor(self.rng.normal(size=(self.D_ATT, self.H)))
             params = AttentionParams(
                 variant,
-                sal=AttentionPathParams(w_ae, w_he, self.rng.normal(size=self.D_ATT)),
-                ctx=AttentionPathParams(w_ae, w_he, self.rng.normal(size=self.D_ATT)),
+                sal=AttentionPathParams(w_ae, w_he, Tensor(self.rng.normal(size=self.D_ATT))),
+                ctx=AttentionPathParams(w_ae, w_he, Tensor(self.rng.normal(size=self.D_ATT))),
             )
         for _ in range(20):
             s = SaliencyGrid(self.rng.uniform(size=self.L))
@@ -252,3 +251,29 @@ class TestAttendVariants:
         params = AttentionParams("soft", single=random_path(self.rng, self.D, self.H, self.D_ATT))
         with pytest.raises(ShapeError):
             attend(self.grid, SaliencyGrid(np.ones(self.L + 1)), self.h_prev, params)
+
+
+@pytest.mark.parametrize("variant", ["soft", "attention_on_saliency", "shared_weights", "saliency_context"])
+def test_saliency_weights_are_constants_not_leaves(variant):
+    """A caption's tape has three leaves besides the parameters: the raw
+    features, h0 and c0.  The saliency weights s and 1 - s enter as
+    ``scale`` constants, so caption length adds no leaf."""
+    config = dec.ModelConfig(
+        variant=variant, vocab_size=9, hidden_size=6, embed_size=4,
+        feature_size=4, raw_feature_size=5, grid_rows=2, grid_cols=2,
+    )
+    params = dec.init_params(config, rng_seed=0)
+    param_leaves = {slot.value for slot in params.store.slots()}
+    rng = np.random.default_rng(3)
+    raw = rng.normal(size=(config.num_locations, config.raw_feature_size))
+    sal = SaliencyGrid(rng.uniform(size=config.num_locations))
+    for words in ([4], [4, 5, 6, 7, 8, 4]):
+        loss = optim.caption_loss(params, raw, sal, [BOS_ID] + words + [EOS_ID])
+        seen, stack = {loss}, [loss]
+        while stack:
+            for parent in stack.pop()._parents:
+                if parent not in seen:
+                    seen.add(parent)
+                    stack.append(parent)
+        others = [t for t in seen if not t._parents and t not in param_leaves]
+        assert sorted(t.dims for t in others) == [[4, 5], [6], [6]]

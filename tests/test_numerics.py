@@ -98,6 +98,8 @@ class TestElementwise:
             nm.add(Tensor([1.0]), Tensor([1.0, 2.0]))
         with pytest.raises(ShapeError):
             nm.hadamard(Tensor([1.0]), Tensor([1.0, 2.0]))
+        with pytest.raises(ShapeError, match=r"scale: mismatched dims \[1\] vs \[2\]"):
+            nm.scale(Tensor([1.0]), np.array([1.0, 2.0]))
 
 
 class TestSoftmax:
@@ -204,6 +206,11 @@ def _random_composite_cases():
         v = Tensor(rng.normal(size=2))
         return [m, v], lambda: nm.tsum(nm.sigmoid(nm.add_rowvec(m, v)))
 
+    def build_scale_by_array(rng):
+        x = Tensor(rng.normal(size=rng.integers(1, 5)))
+        c = rng.uniform(-2.0, 2.0, size=x.data.size)
+        return [x], lambda: nm.tsum(nm.tanh(nm.scale(x, c)))
+
     def build_transpose(rng):
         m = Tensor(rng.normal(size=(2, 3)))
         return [m], lambda: nm.tsum(nm.matmul(nm.transpose(m), m))
@@ -212,6 +219,7 @@ def _random_composite_cases():
         ("sigmoid", unary(nm.sigmoid)),
         ("tanh", unary(nm.tanh)),
         ("scale", unary(lambda x: nm.scale(x, 1.7))),
+        ("scale_by_array", build_scale_by_array),
         ("add", binary(nm.add)),
         ("hadamard", binary(nm.hadamard)),
         ("matmul", build_matmul),

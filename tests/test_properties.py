@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from salcap import cli, data_io, decoder, metrics, optim
+from salcap.numerics import Tensor
 from salcap.vocab import BOS_ID, EOS_ID, RESERVED_TOKENS, UNK_ID, build_vocab
 
 SETTINGS = settings(database=None, deadline=None, derandomize=True)
@@ -46,7 +47,7 @@ def pgm_maps(draw, least_maxval, most_maxval):
                   elements=st.floats(allow_nan=False, allow_infinity=False)))
 def test_tensor_round_trip(workdir, values):
     path = workdir / "t.tnsr"
-    data_io.write_tensor(values, path)
+    data_io.write_tensor(Tensor(values), path)
     assert np.array_equal(data_io.read_tensor(path).data, values)
     assert data_io.read_tensor_dims(path) == list(values.shape)
 
