@@ -171,7 +171,7 @@ def project_features(raw, params):
 
 
 def embed_word(token_id, params):
-    return nm.row(params.emb, token_id)
+    return nm.pick(params.emb, token_id)
 
 
 def lstm_step(v_hat, w, state, p):

@@ -93,8 +93,7 @@ def check_recorded():
         return
     for tensor in pending:
         if not np.isfinite(tensor.data).all():
-            fn = tensor._backward_fn  # the op's closure: "log.<locals>._bw" names log
-            op = fn.__qualname__.split(".")[0] if fn is not None else "recorded op"
+            op = tensor._backward_fn.__qualname__.split(".")[0]  # "log.<locals>._bw" names log
             raise ValueError("non-finite value from %s, output dims %r" % (op, tensor.dims))
 
 
@@ -381,12 +380,13 @@ def log(x):
 
 
 def pick(x, index):
-    """Scalar element x[index] of a vector."""
-    if x.data.ndim != 1:
-        raise ShapeError("pick needs a vector, got dims %r" % (x.dims,))
+    """Entry x[index] along the first axis: a scalar of a vector, a row of a matrix."""
+    if x.data.ndim not in (1, 2):
+        raise ShapeError("pick needs a vector or a matrix, got dims %r" % (x.dims,))
     i = int(index)
-    if not 0 <= i < x.data.size:
-        raise IndexError("pick index %d out of range for length %d" % (i, x.data.size))
+    n = x.data.shape[0]
+    if not 0 <= i < n:
+        raise IndexError("pick index %d out of range for length %d" % (i, n))
 
     def _bw(g):
         if x.grad is None:
@@ -394,22 +394,6 @@ def pick(x, index):
         x.grad[i] += g
 
     return Tensor(x.data[i], (x,), _bw)
-
-
-def row(m, index):
-    """Row m[index, :] of a matrix, as a vector."""
-    if m.data.ndim != 2:
-        raise ShapeError("row needs a matrix, got dims %r" % (m.dims,))
-    i = int(index)
-    if not 0 <= i < m.data.shape[0]:
-        raise IndexError("row index %d out of range for %d rows" % (i, m.data.shape[0]))
-
-    def _bw(g):
-        if m.grad is None:
-            m.grad = np.zeros(m.data.shape)
-        m.grad[i] += g
-
-    return Tensor(m.data[i], (m,), _bw)
 
 
 def add_rowvec(m, v):

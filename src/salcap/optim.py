@@ -109,7 +109,7 @@ def caption_loss(params, raw, sal, token_ids):
 
 
 def optimizer_step(slots, opt_state, config):
-    """One Adam or Nadam update over all slots; gradients are zeroed after.
+    """One Adam or Nadam update over all slots; every gradient is zero after.
 
     The update runs in place, in one scratch buffer and each slot's own
     gradient buffer.  It applies the operations of the textbook formula
@@ -214,8 +214,8 @@ def train_epoch(examples, params, opt_state, config, epoch_index=0):
     started = time.perf_counter()
     epoch_nll = 0.0
     epoch_tokens = 0
+    params.store.zero_grads()  # once: each optimizer_step leaves them at zero
     for batch in _batches(examples, config, epoch_index):
-        params.store.zero_grads()
         probs, targets = [], []
         for index in batch:
             ex = examples[index]
@@ -310,8 +310,6 @@ def grad_check(model_config, tolerance=1e-4, seed=0):
     def loss_fn():
         return caption_loss(params, raw, sal, token_ids).item()
 
-    params.store.zero_grads()
-    nm.backward(caption_loss(params, raw, sal, token_ids))
+    nm.backward(caption_loss(params, raw, sal, token_ids))  # fresh slots start at zero
     analytic = {slot.name: slot.grad.copy() for slot in params.store.slots()}
-    params.store.zero_grads()
     return finite_difference_check(loss_fn, params.store.slots(), tolerance, analytic=analytic)

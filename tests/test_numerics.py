@@ -131,6 +131,24 @@ class TestSoftmax:
             nm.softmax_vec(Tensor(np.zeros(0)))
 
 
+class TestPick:
+    def test_vector_entry_and_matrix_row(self):
+        assert nm.pick(Tensor([4.0, 5.0]), 1).data == 5.0
+        npt.assert_array_equal(nm.pick(Tensor(np.arange(6.0).reshape(3, 2)), 2).data, [4.0, 5.0])
+
+    @pytest.mark.parametrize("value,index,error,message", [
+        (np.float64(1.0), 0, ShapeError, r"pick needs a vector or a matrix, got dims \[\]"),
+        (np.zeros((2, 3, 4)), 0, ShapeError, r"pick needs .*, got dims \[2, 3, 4\]"),
+        (np.zeros(3), -1, IndexError, r"pick index -1 out of range for length 3"),
+        (np.zeros(3), 3, IndexError, r"pick index 3 out of range for length 3"),
+        (np.zeros((4, 2)), -1, IndexError, r"pick index -1 out of range for length 4"),
+        (np.zeros((4, 2)), 4, IndexError, r"pick index 4 out of range for length 4"),
+    ], ids=["0d", "3d", "vector_below", "vector_at_length", "matrix_below", "matrix_at_length"])
+    def test_rejects(self, value, index, error, message):
+        with pytest.raises(error, match=message):
+            nm.pick(Tensor(value), index)
+
+
 class TestBackward:
     def test_sigmoid_sum_at_zero(self):
         x = Tensor(np.zeros(5))
@@ -196,10 +214,10 @@ def _random_composite_cases():
         i = int(rng.integers(0, 4))
         return [x], lambda: nm.log(nm.pick(x, i))
 
-    def build_row(rng):
+    def build_pick_row(rng):
         m = Tensor(rng.normal(size=(3, 4)))
         i = int(rng.integers(0, 3))
-        return [m], lambda: nm.tsum(nm.tanh(nm.row(m, i)))
+        return [m], lambda: nm.tsum(nm.tanh(nm.pick(m, i)))
 
     def build_add_rowvec(rng):
         m = Tensor(rng.normal(size=(3, 2)))
@@ -225,7 +243,7 @@ def _random_composite_cases():
         ("matmul", build_matmul),
         ("softmax", build_softmax),
         ("log_pick", build_log_pick),
-        ("row", build_row),
+        ("pick_row", build_pick_row),
         ("add_rowvec", build_add_rowvec),
         ("transpose", build_transpose),
     ]
@@ -421,7 +439,7 @@ class TestLazyBuffers:
         table, v, c1, c2 = (rng.normal(size=(4, 3)), rng.normal(size=3),
                             rng.normal(size=3), rng.normal(size=4))
         emb = ParamStore().add("emb", table) if as_param else Tensor(table)
-        loss = nm.add(nm.tsum(nm.hadamard(nm.row(emb, 2), Tensor(c1))),
+        loss = nm.add(nm.tsum(nm.hadamard(nm.pick(emb, 2), Tensor(c1))),
                       nm.tsum(nm.hadamard(nm.matmul(emb, Tensor(v)), Tensor(c2))))
         nm.backward(loss)
         expected = np.outer(c2, v)

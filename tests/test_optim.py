@@ -84,6 +84,7 @@ class TestOptimizerStep:
         with pytest.warns(UserWarning, match="all-zero"):
             optim.optimizer_step([slot], state, optim.TrainConfig())
         npt.assert_array_equal(slot.value.data, [1.0, 2.0])
+        npt.assert_array_equal(slot.grad, [0.0, 0.0])
         assert state.t == 0
 
     def test_adam_first_step(self):
@@ -201,6 +202,25 @@ class TestTrainEpoch:
                 optim.train_epoch(examples, params, state, tc, e).mean_loss for e in range(3)
             ])
         assert losses[0] == losses[1]
+
+    def test_stale_gradients_zeroed_on_entry(self):
+        config = tiny_config()
+        runs = []
+        for stale in (0.0, 1.0):
+            params = dec.init_params(config, rng_seed=2)
+            state = optim.OptimizerState()
+            tc = optim.TrainConfig(seed=5, batch_size=2)
+            losses = []
+            for epoch in range(3):
+                for slot in params.store.slots():
+                    slot.grad[...] = stale
+                losses.append(
+                    optim.train_epoch(synthetic_examples(config), params, state, tc, epoch).mean_loss
+                )
+            runs.append((losses, [s.value.data.copy() for s in params.store.slots()]))
+        assert runs[0][0] == runs[1][0]
+        for zeroed, stale in zip(runs[0][1], runs[1][1]):
+            npt.assert_array_equal(zeroed, stale)
 
     def test_batch_permutation_invariance(self):
         config = tiny_config()
