@@ -12,13 +12,15 @@ Formats (all multi-byte integers little-endian unless noted):
   a saliency map is scaled to [0,1] by its own maxval
 - raw segmentation grids: magic ``SEGM``, u32 width, u32 height, then
   width*height u16 labels, row-major
-- JSON (indent 2, sorted keys, trailing newline), JSON lines and CSV
+- JSON (indent 2, sorted keys, trailing newline), JSON lines and CSV; the
+  parser flags ``NaN``, ``Infinity`` or ``1e400``, then ``_check_finite`` names it
 - dataset manifest: JSON with a grid size, a feature dimension and one
   entry per image (paths relative to the manifest file)
 """
 
 import csv
 import dataclasses
+import functools
 import json
 import math
 import os
@@ -189,15 +191,28 @@ def read_map(path, kinds):
 # JSON, JSON lines and CSV
 # ---------------------------------------------------------------------------
 
+def _flagging_hooks(flagged):
+    """json.loads hooks that append to ``flagged`` each NaN, infinity or overflowing float."""
+    def parse(text):  # NaN, Infinity, -Infinity, or a number literal such as 1e400
+        value = float(text)
+        if not math.isfinite(value):
+            flagged.append(text)
+        return value
+
+    return {"parse_constant": parse, "parse_float": parse}
+
+
 def read_json(path, kind):
     """The JSON object in a file, holding the fields of ``kind`` (see _check_fields)."""
+    flagged = []
     with open(path, "r", encoding="utf-8") as fh:
         try:
-            obj = json.load(fh)
+            obj = json.loads(fh.read(), **_flagging_hooks(flagged))
         except json.JSONDecodeError as exc:
             raise FormatError("%s: malformed JSON at line %d column %d (%s)"
                               % (path, exc.lineno, exc.colno, exc.msg)) from exc
-    _check_finite(path, obj)
+    if flagged:
+        _check_finite(path, obj)
     _check_fields(path, obj, kind)
     return obj
 
@@ -219,16 +234,24 @@ def _build(cls, where, obj):
     An unknown field, a missing one without a default, or a value cls rejects
     raises FormatError naming ``where``.
     """
-    fields = dataclasses.fields(cls)
-    unknown = sorted(set(obj) - {f.name for f in fields})
+    kinds, required = _field_kinds(cls)
+    unknown = sorted(obj.keys() - kinds.keys())
     if unknown:
         raise FormatError("%s: unknown field %s" % (where, ", ".join(map(repr, unknown))))
-    _check_fields(where, obj, {f.name: f.type for f in fields if f.name in obj or (
-        f.default is MISSING and f.default_factory is MISSING)})
+    _check_fields(where, obj, {name: kind for name, kind in kinds.items()
+                               if name in obj or name in required})
     try:
         return cls(**obj)
     except ValueError as exc:
         raise FormatError("%s: %s" % (where, exc)) from exc
+
+
+@functools.cache
+def _field_kinds(cls):
+    """(name -> kind of each field of dataclass cls, names of those without a default); read-only."""
+    fields = dataclasses.fields(cls)
+    return ({f.name: f.type for f in fields},
+            {f.name for f in fields if f.default is MISSING and f.default_factory is MISSING})
 
 
 def at_least(name, value, least):
@@ -306,6 +329,8 @@ def read_jsonl(path, fields, key=None):
     """
     records = []
     first_seen = {}
+    flagged = []
+    hooks = _flagging_hooks(flagged)
     with open(path, "r", encoding="utf-8") as fh:
         for number, line in enumerate(fh, start=1):
             line = line.strip()
@@ -313,12 +338,13 @@ def read_jsonl(path, fields, key=None):
                 continue
             where = "%s:%d" % (path, number)
             try:
-                obj = json.loads(line)
+                obj = json.loads(line, **hooks)
             except json.JSONDecodeError as exc:
                 raise FormatError(
                     "%s: malformed JSON at column %d (%s)" % (where, exc.colno, exc.msg)
                 ) from exc
-            _check_finite(where, obj)
+            if flagged:
+                _check_finite(where, obj)
             _check_fields(where, obj, fields)
             if key is not None:
                 if obj[key] in first_seen:
@@ -440,15 +466,19 @@ def load_manifest(path):
         seen.add(entry.id)
         if entry.split not in VALID_SPLITS:
             raise FormatError("%s: entry %r has unknown split %r" % (path, entry.id, entry.split))
-        fpath = manifest.resolve(entry.features)
-        dims = read_tensor_dims(fpath)
+        try:  # opening a directory raises IsADirectoryError
+            dims = read_tensor_dims(manifest.resolve(entry.features))
+        except (FileNotFoundError, IsADirectoryError) as exc:
+            raise FormatError("%s: features file %r missing or not a regular file"
+                              % (path, entry.features)) from exc
         if len(dims) != 2 or dims[0] != manifest.num_locations or dims[1] != manifest.feature_dim:
             raise FormatError(
                 "%s: features %r have dims %r, expected [%d, %d]"
                 % (path, entry.features, dims, manifest.num_locations, manifest.feature_dim)
             )
-        if not os.path.exists(manifest.resolve(entry.saliency)):
-            raise FormatError("%s: saliency file %r missing" % (path, entry.saliency))
+        if not os.path.isfile(manifest.resolve(entry.saliency)):
+            raise FormatError("%s: saliency file %r missing or not a regular file"
+                              % (path, entry.saliency))
     return manifest
 
 

@@ -107,6 +107,55 @@ def _gaussian(rng, rows, cols):
     return rng.normal(0.0, 0.01, size=(rows, cols))
 
 
+def _zeros(rng, *dims):
+    return np.zeros(dims)
+
+
+def _build_params(config, value):
+    """DecoderParams, each parameter named once and holding ``value(name, init, *dims)``."""
+    store = ParamStore()
+    h, e, d = config.hidden_size, config.embed_size, config.feature_size
+    d_att = config.attention_size
+
+    def add(name, init, *dims):
+        return store.add(name, value(name, init, *dims))
+
+    proj_w = add("proj.W", _glorot_uniform, d, config.raw_feature_size)
+    proj_b = add("proj.b", _zeros, d)
+    emb = add("emb", _gaussian, config.vocab_size, e)
+    w_p = add("out.W_p", _gaussian, config.vocab_size, h)
+
+    w_v, w_w, w_h, b = {}, {}, {}, {}
+    for gate in GATES:
+        w_v[gate] = add("lstm.W_v.%s" % gate, _gaussian, h, d)
+        w_w[gate] = add("lstm.W_w.%s" % gate, _gaussian, h, e)
+        w_h[gate] = add("lstm.W_h.%s" % gate, _orthogonal, h, h)
+        b[gate] = add("lstm.b.%s" % gate, _zeros, h)
+    lstm = LstmParams(w_v, w_w, w_h, b)
+
+    def new_path(prefix, w_ae=None, w_he=None):
+        if w_ae is None:
+            w_ae = add("%s.W_ae" % prefix, _gaussian, d_att, d)
+            w_he = add("%s.W_he" % prefix, _orthogonal, d_att, h)
+        return AttentionPathParams(w_ae, w_he, add("%s.v_e" % prefix, _zeros, d_att))
+
+    variant = config.variant
+    if variant in ("soft", "attention_on_saliency"):
+        attention = AttentionParams(variant, single=new_path("att.single"))
+    elif variant == "saliency_context":
+        attention = AttentionParams(variant, sal=new_path("att.sal"), ctx=new_path("att.ctx"))
+    elif variant == "shared_weights":
+        shared_ae = add("att.shared.W_ae", _gaussian, d_att, d)
+        shared_he = add("att.shared.W_he", _orthogonal, d_att, h)
+        sal = new_path("att.sal", w_ae=shared_ae, w_he=shared_he)
+        ctx = new_path("att.ctx", w_ae=shared_ae, w_he=shared_he)
+        attention = AttentionParams(variant, sal=sal, ctx=ctx)
+    else:  # saliency_pooling
+        attention = AttentionParams(variant)
+
+    return DecoderParams(config, store, proj_w, proj_b, emb, w_p, lstm, attention)
+
+
 def init_params(config, rng_seed):
     """Deterministic parameter initialization.
 
@@ -115,49 +164,7 @@ def init_params(config, rng_seed):
     start at zero; the feature projection is Glorot-uniform.
     """
     rng = np.random.default_rng(rng_seed)
-    store = ParamStore()
-    h, e, d, d_att = (
-        config.hidden_size,
-        config.embed_size,
-        config.feature_size,
-        config.attention_size,
-    )
-
-    proj_w = store.add("proj.W", _glorot_uniform(rng, d, config.raw_feature_size))
-    proj_b = store.add("proj.b", np.zeros(d))
-    emb = store.add("emb", _gaussian(rng, config.vocab_size, e))
-    w_p = store.add("out.W_p", _gaussian(rng, config.vocab_size, h))
-
-    w_v, w_w, w_h, b = {}, {}, {}, {}
-    for gate in GATES:
-        w_v[gate] = store.add("lstm.W_v.%s" % gate, _gaussian(rng, h, d))
-        w_w[gate] = store.add("lstm.W_w.%s" % gate, _gaussian(rng, h, e))
-        w_h[gate] = store.add("lstm.W_h.%s" % gate, _orthogonal(rng, h, h))
-        b[gate] = store.add("lstm.b.%s" % gate, np.zeros(h))
-    lstm = LstmParams(w_v, w_w, w_h, b)
-
-    def new_path(prefix, w_ae=None, w_he=None):
-        if w_ae is None:
-            w_ae = store.add("%s.W_ae" % prefix, _gaussian(rng, d_att, d))
-            w_he = store.add("%s.W_he" % prefix, _orthogonal(rng, d_att, h))
-        v_e = store.add("%s.v_e" % prefix, np.zeros(d_att))
-        return AttentionPathParams(w_ae, w_he, v_e)
-
-    variant = config.variant
-    if variant in ("soft", "attention_on_saliency"):
-        attention = AttentionParams(variant, single=new_path("att.single"))
-    elif variant == "saliency_context":
-        attention = AttentionParams(variant, sal=new_path("att.sal"), ctx=new_path("att.ctx"))
-    elif variant == "shared_weights":
-        shared_ae = store.add("att.shared.W_ae", _gaussian(rng, d_att, d))
-        shared_he = store.add("att.shared.W_he", _orthogonal(rng, d_att, h))
-        sal = new_path("att.sal", w_ae=shared_ae, w_he=shared_he)
-        ctx = new_path("att.ctx", w_ae=shared_ae, w_he=shared_he)
-        attention = AttentionParams(variant, sal=sal, ctx=ctx)
-    else:  # saliency_pooling
-        attention = AttentionParams(variant)
-
-    return DecoderParams(config, store, proj_w, proj_b, emb, w_p, lstm, attention)
+    return _build_params(config, lambda name, init, *dims: init(rng, *dims))
 
 
 def project_features(raw, params):
@@ -212,7 +219,7 @@ def step(params, grid, sal, state, prev_id):
 
 # ---------------------------------------------------------------------------
 # checkpoint format: config.json, vocab.json and one tensor file per
-# parameter; init_params(config) alone says which parameters, of what dims
+# parameter; _build_params(config, ...) alone says which parameters, of what dims
 # ---------------------------------------------------------------------------
 
 def _tensor_file(name):
@@ -243,19 +250,21 @@ def save_checkpoint(params, directory, vocabulary):
 
 
 def load_checkpoint(directory):
-    """Rebuild DecoderParams and the vocabulary from a checkpoint directory."""
+    """DecoderParams, each parameter read straight from its file, and the vocabulary."""
     config = data_io.read_dataclass(ModelConfig, os.path.join(directory, "config.json"))
-    params = init_params(config, rng_seed=0)
-    files = {_tensor_file(slot.name): slot for slot in params.store.slots()}
+
+    def stored(name, init, *dims):
+        path = os.path.join(directory, _tensor_file(name))
+        tensor = data_io.read_tensor(path)
+        if tensor.dims != list(dims):
+            raise FormatError("%s: dims %r, but %r has dims %r in this model"
+                              % (path, tensor.dims, name, list(dims)))
+        return tensor.data
+
+    params = _build_params(config, stored)
+    read = {_tensor_file(slot.name) for slot in params.store.slots()}
     for fname in sorted(os.listdir(directory)):
-        if fname.endswith(".tnsr") and fname not in files:
+        if fname.endswith(".tnsr") and fname not in read:
             raise FormatError("%s: %s model has no parameter stored in this file"
                               % (os.path.join(directory, fname), config.variant))
-    for fname, slot in files.items():
-        path = os.path.join(directory, fname)
-        tensor = data_io.read_tensor(path)
-        if tensor.dims != slot.value.dims:
-            raise FormatError("%s: dims %r, but %r has dims %r in this model"
-                              % (path, tensor.dims, slot.name, slot.value.dims))
-        slot.value.data[...] = tensor.data
     return params, Vocabulary.load(os.path.join(directory, "vocab.json"))

@@ -15,7 +15,9 @@ Families, one line each as ``<family> <sha256>``:
   (32 synthetic images, saliency_context at desk sizes, B=4, Nadam),
   then the trained parameters;
 - ``captions``: greedy captions of ten training images by that model;
-- ``alphas``: the ``trace_attention`` alphas of the same ten images.
+- ``alphas``: the ``trace_attention`` alphas of the same ten images;
+- ``checkpoint``: the name, dims and bytes of every parameter of
+  ``bench/checkpoint`` as ``decoder.load_checkpoint`` returns them.
 """
 
 import hashlib
@@ -25,7 +27,8 @@ import tempfile
 
 for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ[_var] = "1"
-sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src"))
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+sys.path.insert(0, os.path.join(ROOT, "src"))
 
 import numpy as np  # noqa: E402
 
@@ -87,6 +90,16 @@ def trained_model(out_dir):
     return manifest, params, losses
 
 
+def checkpoint_digest():
+    """The name, dims and bytes of each parameter of the committed checkpoint, as loaded."""
+    digest = hashlib.sha256()
+    params, _ = decoder.load_checkpoint(os.path.join(ROOT, "bench", "checkpoint"))
+    for slot in params.store.slots():
+        digest.update(repr((slot.name, slot.value.dims)).encode())
+        _update(digest, slot.value.data)
+    return digest.hexdigest()
+
+
 def main():
     lines = [("gradients", gradients_digest())]
     training, captions, alphas = hashlib.sha256(), hashlib.sha256(), hashlib.sha256()
@@ -102,7 +115,7 @@ def main():
             for step in inference.trace_attention(raw, sal, params)[1]:
                 _update(alphas, step.alpha)
     lines += [("training", training.hexdigest()), ("captions", captions.hexdigest()),
-              ("alphas", alphas.hexdigest())]
+              ("alphas", alphas.hexdigest()), ("checkpoint", checkpoint_digest())]
     for family, hexdigest in lines:
         print(family, hexdigest)
 

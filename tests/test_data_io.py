@@ -23,6 +23,10 @@ from salcap.data_io import (
     write_tensor,
 )
 from salcap.numerics import Tensor
+from salcap.optim import TrainConfig
+
+# each JSON literal that reads as a non-finite float, and that float's repr
+NON_FINITE = [("NaN", "nan"), ("Infinity", "inf"), ("-Infinity", "-inf"), ("1e400", "inf")]
 
 
 def read_pgm_samples(path):
@@ -279,6 +283,19 @@ class TestManifestValidation:
         with pytest.raises(FormatError, match="saliency file"):
             load_manifest(tmp_path / "m4" / "manifest.json")
 
+    @pytest.mark.parametrize("kind", ["features", "saliency"])
+    @pytest.mark.parametrize("replace", ["directory", "missing"])
+    def test_entry_file_must_be_a_regular_file(self, tmp_path, kind, replace):
+        manifest = gen_synthetic(small_spec(), tmp_path / "m5")
+        relpath = getattr(manifest.entries[1], kind)
+        os.remove(manifest.resolve(relpath))
+        if replace == "directory":
+            os.mkdir(manifest.resolve(relpath))
+        path = tmp_path / "m5" / "manifest.json"
+        message = "%s: %s file %r missing or not a regular file" % (path, kind, relpath)
+        with pytest.raises(FormatError, match=re.escape(message)):
+            load_manifest(path)
+
     def test_spec_json_round_trip(self):
         spec = small_spec()
         again = SyntheticSpec(**json.loads(json.dumps(asdict(spec))))
@@ -331,6 +348,17 @@ class TestManifestInputs:
         edit(obj)
         path.write_text(json.dumps(obj))
         with pytest.raises(FormatError, match=re.escape("manifest.json: " + message)):
+            load_manifest(path)
+
+    @pytest.mark.parametrize("literal,value", NON_FINITE)
+    def test_non_finite_literal_named(self, tmp_path, literal, value):
+        gen_synthetic(small_spec(), tmp_path / "n")
+        path = tmp_path / "n" / "manifest.json"
+        obj = json.loads(path.read_text())
+        obj["entries"][3]["captions"][1] = "PLACEHOLDER"
+        path.write_text(json.dumps(obj).replace('"PLACEHOLDER"', literal))
+        message = "manifest.json: entries[3]: captions[1] must be a finite number, got " + value
+        with pytest.raises(FormatError, match=re.escape(message)):
             load_manifest(path)
 
     def test_malformed_json_names_line_and_column(self, tmp_path):
@@ -411,3 +439,25 @@ class TestJsonFiles:
         path.write_text(json.dumps(obj))
         with pytest.raises(FormatError, match=r"spec\.json: unknown field 'colour'"):
             data_io.read_dataclass(SyntheticSpec, path)
+
+    @pytest.mark.parametrize("literal,value", NON_FINITE)
+    def test_jsonl_non_finite_literal_named(self, tmp_path, literal, value):
+        path = tmp_path / "c.jsonl"
+        path.write_text('{"image_id": "a", "score": 0.5}\n\n'
+                        '{"image_id": "b", "score": [1.5, %s]}\n' % literal)
+        message = "%s:3: score[1] must be a finite number, got %s" % (path, value)
+        with pytest.raises(FormatError, match=re.escape(message)):
+            data_io.read_jsonl(path, {"image_id": str})
+
+    def test_finite_floats_read_unchanged(self, tmp_path):
+        floats = [0.001, -0.0, 2.5e-300, 1.7976931348623157e308, -3e-5]
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({"learning_rate": 0.001, "grad_clip_norm": 1.7976931348623157e308}))
+        config = data_io.read_dataclass(TrainConfig, path)
+        assert (config.learning_rate, config.grad_clip_norm) == (0.001, 1.7976931348623157e308)
+        path.write_text(json.dumps({"floats": floats}))
+        assert list(map(repr, data_io.read_json(path, {})["floats"])) == list(map(repr, floats))
+        lines = tmp_path / "f.jsonl"
+        lines.write_text("".join(json.dumps({"x": x}) + "\n" for x in floats))
+        read = [r["x"] for r in data_io.read_jsonl(lines, {"x": float})]
+        assert list(map(repr, read)) == list(map(repr, floats))

@@ -10,7 +10,7 @@ import pytest
 
 from salcap import data_io
 from salcap import decoder as dec
-from salcap.attention import SaliencyGrid
+from salcap.attention import VARIANTS, SaliencyGrid
 from salcap.data_io import FormatError
 from salcap.numerics import ShapeError, Tensor
 from salcap.vocab import build_vocab
@@ -251,16 +251,49 @@ class TestCheckpoint:
         config.update(values)
         (ckpt / "config.json").write_text(json.dumps(config))
 
-    def test_round_trip(self, tmp_path):
-        config = tiny_config()
+    @pytest.mark.parametrize("variant", VARIANTS)
+    def test_round_trip(self, tmp_path, variant):
+        config = tiny_config(variant=variant)
         params = dec.init_params(config, rng_seed=11)
         vocabulary = build_vocab(["a b c", "a b", "a"], min_count=1)
         dec.save_checkpoint(params, tmp_path / "ckpt", vocabulary)
         loaded, loaded_vocab = dec.load_checkpoint(tmp_path / "ckpt")
         assert loaded.config == config
         assert loaded_vocab.words == vocabulary.words
-        for sa, sb in zip(params.store.slots(), loaded.store.slots()):
-            npt.assert_array_equal(sa.value.data, sb.value.data)
+        saved = [(s.name, s.value.dims, s.value.data.tobytes()) for s in params.store.slots()]
+        assert [(s.name, s.value.dims, s.value.data.tobytes())
+                for s in loaded.store.slots()] == saved
+
+    @pytest.mark.parametrize("variant", VARIANTS)
+    def test_load_draws_no_initial_values(self, tmp_path, monkeypatch, variant):
+        ckpt = self._saved(tmp_path, tiny_config(variant=variant))
+
+        def no_draw(*args):
+            raise AssertionError("load_checkpoint drew an initial value")
+
+        for initializer in ("_gaussian", "_orthogonal", "_glorot_uniform"):
+            monkeypatch.setattr(dec, initializer, no_draw)
+        loaded, _ = dec.load_checkpoint(ckpt)
+        assert loaded.config.variant == variant
+
+    def test_shared_weights_load_shares_tensors(self, tmp_path):
+        loaded, _ = dec.load_checkpoint(self._saved(tmp_path, tiny_config(variant="shared_weights")))
+        attention = loaded.attention
+        assert attention.sal.w_ae is attention.ctx.w_ae
+        assert attention.sal.w_he is attention.ctx.w_he
+        for shared in (attention.sal.w_ae, attention.sal.w_he):
+            assert sum(slot.value is shared for slot in loaded.store.slots()) == 1
+
+    @pytest.mark.parametrize("literal,value", [
+        ("NaN", "nan"), ("Infinity", "inf"), ("-Infinity", "-inf"), ("1e400", "inf"),
+    ])
+    def test_non_finite_config_value_named(self, tmp_path, literal, value):
+        ckpt = self._saved(tmp_path)
+        path = ckpt / "config.json"
+        path.write_text(path.read_text().replace('"hidden_size": 16', '"hidden_size": ' + literal))
+        message = "%s: hidden_size must be a finite number, got %s" % (path, value)
+        with pytest.raises(FormatError, match=re.escape(message)):
+            dec.load_checkpoint(ckpt)
 
     def test_missing_tensor_detected(self, tmp_path):
         ckpt = self._saved(tmp_path)

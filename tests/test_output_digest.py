@@ -18,7 +18,8 @@ def test_one_digest_per_family_and_repeatable(tmp_path):
         assert result.returncode == 0, result.stderr
         outputs.append(result.stdout)
     lines = outputs[0].splitlines()
-    assert [line.split()[0] for line in lines] == ["gradients", "training", "captions", "alphas"]
+    assert [line.split()[0] for line in lines] == ["gradients", "training", "captions", "alphas",
+                                                   "checkpoint"]
     for line in lines:
         assert re.fullmatch(r"[a-z]+ [0-9a-f]{64}", line), line
     assert outputs[1] == outputs[0]
