@@ -238,8 +238,8 @@ def _build(cls, where, obj):
     unknown = sorted(obj.keys() - kinds.keys())
     if unknown:
         raise FormatError("%s: unknown field %s" % (where, ", ".join(map(repr, unknown))))
-    _check_fields(where, obj, {name: kind for name, kind in kinds.items()
-                               if name in obj or name in required})
+    _check_members(where, obj, {name: kind for name, kind in kinds.items()
+                                if name in obj or name in required})
     try:
         return cls(**obj)
     except ValueError as exc:
@@ -283,17 +283,28 @@ def _check_fields(where, obj, types):
     """
     if not isinstance(obj, dict):
         raise FormatError("%s: expected a JSON object, got %s" % (where, type(obj).__name__))
-    missing = [name for name, kind in types.items()
-               if name not in obj and get_origin(kind) is not Union]
+    _check_members(where, obj, types)
+
+
+def _check_members(where, obj, types):
+    """_check_fields for an obj already known to be a dict."""
+    missing, present = [], []
+    for name, kind in types.items():
+        if get_origin(kind) is Union:
+            if obj.get(name) is not None:
+                present.append((name, get_args(kind)[0]))
+        elif name in obj:
+            present.append((name, kind))
+        else:
+            missing.append(name)
     if missing:
         raise FormatError("%s: missing field %s" % (where, ", ".join(map(repr, missing))))
-    for name, kind in types.items():
-        value = obj.get(name)
-        if get_origin(kind) is Union:
-            if value is None:
-                continue
-            kind = get_args(kind)[0]
-        _check_value("%s: %s" % (where, name), value, kind)
+    for name, kind in present:
+        _check_value(where, name, obj[name], kind)
+
+
+def _located(where, key):  # "where: key" for a field name, "where[key]" for a list index
+    return ("%s[%d]" if isinstance(key, int) else "%s: %s") % (where, key)
 
 
 def _check_finite(where, value):
@@ -302,21 +313,23 @@ def _check_finite(where, value):
         raise FormatError("%s must be a finite number, got %r" % (where, value))
     if isinstance(value, (dict, list)):
         for key, item in value.items() if isinstance(value, dict) else enumerate(value):
-            _check_finite(("%s: %s" if isinstance(value, dict) else "%s[%d]") % (where, key), item)
+            _check_finite(_located(where, key), item)
 
 
-def _check_value(where, value, kind):
+def _check_value(where, key, value, kind):
+    """value, at ``key`` of ``where``, is of ``kind``; the location is formatted only when used."""
     if isinstance(kind, dict):
-        _check_fields(where, value, kind)
+        _check_fields(_located(where, key), value, kind)
     elif isinstance(kind, list):
+        where = _located(where, key)
         if not isinstance(value, list):
             raise FormatError("%s must be a list, got %r" % (where, value))
         for index, item in enumerate(value):
-            _check_value("%s[%d]" % (where, index), item, kind[0])
+            _check_value(where, index, item, kind[0])
     else:
         description, matches = _SCALAR_KINDS[kind]
         if not matches(value):
-            raise FormatError("%s must be %s, got %r" % (where, description, value))
+            raise FormatError("%s must be %s, got %r" % (_located(where, key), description, value))
 
 
 def read_jsonl(path, fields, key=None):
@@ -377,14 +390,16 @@ def write_csv(header, row_groups, path):
 # saliency grid preparation
 # ---------------------------------------------------------------------------
 
+@functools.cache
 def _axis_overlap_weights(src, dst):
-    """Weight of each source pixel interval inside each target cell interval."""
+    """Weight of each source pixel interval inside each target cell interval; read-only, shared."""
     weights = np.zeros((dst, src))
     cell = src / dst
     for r in range(dst):
         lo, hi = r * cell, (r + 1) * cell
         for i in range(int(np.floor(lo)), min(int(np.ceil(hi)), src)):
             weights[r, i] = min(hi, i + 1) - max(lo, i)
+    weights.setflags(write=False)
     return weights
 
 

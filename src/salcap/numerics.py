@@ -8,7 +8,10 @@ reverse recording order, a reverse topological order because an op's
 parents always exist before its output.  Leaf tensors (no parents)
 accumulate gradients across backward calls until explicitly zeroed.
 Intermediate nodes start every call with no gradient buffer: the first
-contribution becomes the buffer, and later ones are added into it.
+contribution becomes the buffer, and later ones are added into it.  A
+recorded tensor gives its gradient up once its closure has used it, so
+after ``backward`` only leaves hold gradients.  The graph itself stays,
+so a second ``backward`` over it adds the same leaf gradients again.
 
 A value joins the tape one way.  ``Tensor(x)`` makes a leaf from
 anything ``np.asarray`` takes, and only an op makes a recorded tensor.
@@ -228,9 +231,10 @@ def backward(loss):
     """Accumulate d(loss)/d(leaf) into every reachable leaf tensor.
 
     Closures run latest recorded first.  Intermediate gradients are reset
-    per call, to no buffer until the first contribution; leaf gradients
-    accumulate, so repeated calls without zeroing double parameter grads,
-    and a leaf whose gradient is None gets a fresh one.  The deferred leaf
+    per call, to no buffer until the first contribution, and dropped once
+    their closure has run.  Leaf gradients accumulate and the graph is
+    kept, so repeated calls without zeroing double parameter grads, and a
+    leaf whose gradient is None gets a fresh one.  The deferred leaf
     weight gradients are added last, one GEMM per leaf.  Every queued
     recorded value is checked first (see ``check_recorded``).
     """
@@ -246,6 +250,7 @@ def backward(loss):
     try:
         for node in order:
             node._backward_fn(node.grad)
+            node.grad = None
         for leaf, terms in _DEFERRED.items():
             g, x = zip(*terms)
             _accumulate(leaf, np.stack(g).T @ np.stack(x))

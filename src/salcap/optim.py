@@ -206,6 +206,19 @@ class EpochStats:
     num_truncated: int
 
 
+def _train_batch(batch, params, opt_state, config):
+    """(mean loss, token count) of one batch's forward, backward and step; its tape dies on return."""
+    probs, targets = [], []
+    for ex in batch:
+        ex_probs, ex_targets, _ = forward_caption(params, ex.raw, ex.sal, ex.token_ids)
+        probs += ex_probs
+        targets += ex_targets
+    loss = sequence_nll(probs, targets)
+    nm.backward(loss)
+    optimizer_step(params.store.slots(), opt_state, config)
+    return loss.item(), len(targets)
+
+
 @nm.collector_paused
 def train_epoch(examples, params, opt_state, config, epoch_index=0):
     """One pass over the examples: forward, backward, optimizer step per batch."""
@@ -216,17 +229,9 @@ def train_epoch(examples, params, opt_state, config, epoch_index=0):
     epoch_tokens = 0
     params.store.zero_grads()  # once: each optimizer_step leaves them at zero
     for batch in _batches(examples, config, epoch_index):
-        probs, targets = [], []
-        for index in batch:
-            ex = examples[index]
-            ex_probs, ex_targets, _ = forward_caption(params, ex.raw, ex.sal, ex.token_ids)
-            probs += ex_probs
-            targets += ex_targets
-        loss = sequence_nll(probs, targets)
-        nm.backward(loss)
-        optimizer_step(params.store.slots(), opt_state, config)
-        epoch_nll += loss.item() * len(targets)
-        epoch_tokens += len(targets)
+        loss, tokens = _train_batch([examples[i] for i in batch], params, opt_state, config)
+        epoch_nll += loss * tokens
+        epoch_tokens += tokens
     elapsed = max(time.perf_counter() - started, 1e-9)
     return EpochStats(
         mean_loss=epoch_nll / epoch_tokens,

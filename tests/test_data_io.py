@@ -164,6 +164,13 @@ class TestPrepareSaliency:
         with pytest.raises(ValueError, match="smaller"):
             prepare_saliency(np.zeros((2, 2)), 3, 3)
 
+    def test_shared_weights_reject_writes(self):
+        weights = data_io._axis_overlap_weights(3, 2)
+        assert data_io._axis_overlap_weights(3, 2) is weights
+        npt.assert_array_equal(weights, [[1.0, 0.5, 0.0], [0.0, 0.5, 1.0]])
+        with pytest.raises(ValueError, match="read-only"):
+            weights[0, 0] = 2.0
+
 
 def small_spec(**overrides):
     base = dict(

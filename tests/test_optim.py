@@ -1,3 +1,4 @@
+import gc
 import json
 import math
 import os
@@ -262,6 +263,23 @@ class TestTrainEpoch:
         for epoch in range(1, 150):
             last = optim.train_epoch(examples, params, state, tc, epoch).mean_loss
         assert last < first * 0.5
+
+    def test_previous_batch_tape_freed(self, monkeypatch):
+        # batch_size=1: every forward_caption call starts a batch
+        config = tiny_config()
+        params = dec.init_params(config, rng_seed=1)
+        forward, live = optim.forward_caption, []
+
+        def counting_forward(*args):
+            live.append(sum(1 for obj in gc.get_objects()
+                            if isinstance(obj, Tensor) and obj._parents))
+            return forward(*args)
+
+        monkeypatch.setattr(optim, "forward_caption", counting_forward)
+        gc.collect()
+        optim.train_epoch(synthetic_examples(config), params, optim.OptimizerState(),
+                          optim.TrainConfig(batch_size=1), 0)
+        assert live == [0] * 6
 
     def test_empty_dataset_rejected(self):
         params = dec.init_params(tiny_config(), rng_seed=0)
