@@ -56,10 +56,7 @@ class SaliencyGrid:
                 "saliency values must lie in [0,1], got %r at index %d" % (float(s[i]), i)
             )
         self.s = s
-
-    @property
-    def z(self):
-        return 1.0 - self.s
+        self.z = 1.0 - s
 
     def __len__(self):
         return self.s.size
@@ -116,7 +113,7 @@ def score_path(grid, h_prev, path):
         )
     # (L x D) @ (D x D_att) + broadcast (D_att) row -> tanh -> @ v_e
     projected = nm.matmul(grid.a, nm.transpose(path.w_ae))
-    shifted = nm.add_rowvec(projected, nm.matmul(path.w_he, h_prev))
+    shifted = nm.add(projected, nm.matmul(path.w_he, h_prev))
     return nm.matmul(nm.tanh(shifted), path.v_e)
 
 

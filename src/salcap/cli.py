@@ -348,7 +348,8 @@ def main(argv=None):
         raise
     try:
         return args.fn(args)
-    except (ValueError, ShapeError, FormatError, FileNotFoundError, KeyError) as exc:
+    except (ValueError, ShapeError, FormatError, KeyError,
+            FileNotFoundError, IsADirectoryError, NotADirectoryError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 1
     except Exception as exc:  # pragma: no cover - defensive

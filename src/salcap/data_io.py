@@ -100,7 +100,8 @@ def _parse_tensor(blob, path):
 
 
 def read_tensor(path):
-    return Tensor(_parse_tensor(_read_bytes(path), path))
+    """The float64 array of a tensor file; its values are checked finite."""
+    return _parse_tensor(_read_bytes(path), path)
 
 
 def read_tensor_dims(path):
@@ -499,7 +500,7 @@ def load_manifest(path):
 
 def load_entry(manifest, entry):
     """(raw feature array [L x D_raw], SaliencyGrid); a PGM map is divided by its maxval."""
-    raw = read_tensor(manifest.resolve(entry.features)).data
+    raw = read_tensor(manifest.resolve(entry.features))
     path = manifest.resolve(entry.saliency)
     values, maxval = read_map(path, (PGM_MAGIC, TENSOR_MAGIC))
     if maxval is not None:

@@ -173,7 +173,7 @@ def project_features(raw, params):
         raise ShapeError(
             "raw features %r do not match projection %r" % (raw.dims, params.proj_w.dims)
         )
-    projected = nm.add_rowvec(nm.matmul(raw, nm.transpose(params.proj_w)), params.proj_b)
+    projected = nm.add(nm.matmul(raw, nm.transpose(params.proj_w)), params.proj_b)
     return FeatureGrid(nm.relu(projected))
 
 
@@ -255,11 +255,11 @@ def load_checkpoint(directory):
 
     def stored(name, init, *dims):
         path = os.path.join(directory, _tensor_file(name))
-        tensor = data_io.read_tensor(path)
-        if tensor.dims != list(dims):
+        values = data_io.read_tensor(path)
+        if values.shape != dims:
             raise FormatError("%s: dims %r, but %r has dims %r in this model"
-                              % (path, tensor.dims, name, list(dims)))
-        return tensor.data
+                              % (path, list(values.shape), name, list(dims)))
+        return values
 
     params = _build_params(config, stored)
     read = {_tensor_file(slot.name) for slot in params.store.slots()}

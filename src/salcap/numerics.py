@@ -13,6 +13,12 @@ recorded tensor gives its gradient up once its closure has used it, so
 after ``backward`` only leaves hold gradients.  The graph itself stays,
 so a second ``backward`` over it adds the same leaf gradients again.
 
+A closure owns the gradient it is handed: nothing else holds that array
+once the closure returns.  So a pass-through may hand it on as it is, and
+``add`` gives its first operand g itself and its second a copy of g, or,
+where the second is a vector added to every row of a matrix, the column
+sums of g.  ``add`` takes no other pair of shapes.
+
 A value joins the tape one way.  ``Tensor(x)`` makes a leaf from
 anything ``np.asarray`` takes, and only an op makes a recorded tensor.
 Ops take Tensors and never convert their inputs.  A constant that needs
@@ -299,11 +305,14 @@ def _require_same_dims(op, a, b):
 
 
 def add(a, b):
-    _require_same_dims("add", a, b)
+    """a + b, where b has a's dims or, if a is a matrix, is a row added to every row."""
+    row = a.data.ndim == 2 and b.data.shape == a.data.shape[1:]
+    if not row:
+        _require_same_dims("add", a, b)
 
     def _bw(g):
-        _accumulate(a, g.copy())
-        _accumulate(b, g.copy())
+        _accumulate(a, g)
+        _accumulate(b, g.sum(axis=0) if row else g.copy())
 
     return Tensor(a.data + b.data, (a, b), _bw)
 
@@ -400,16 +409,3 @@ def pick(x, index):
 
     return Tensor(x.data[i], (x,), _bw)
 
-
-def add_rowvec(m, v):
-    """Add vector v to every row of matrix m."""
-    if m.data.ndim != 2 or v.data.ndim != 1 or m.data.shape[1] != v.data.shape[0]:
-        raise ShapeError(
-            "add_rowvec: incompatible dims %r + %r" % (list(m.data.shape), list(v.data.shape))
-        )
-
-    def _bw(g):
-        _accumulate(m, g.copy())
-        _accumulate(v, g.sum(axis=0))
-
-    return Tensor(m.data + v.data, (m, v), _bw)

@@ -327,7 +327,7 @@ def test_criterion_8_format_round_trips(tmp_path):
         t = Tensor(rng.normal(size=dims))
         path = tmp_path / ("t_%d.tnsr" % len(dims))
         data_io.write_tensor(t, path)
-        tensor_ok &= np.array_equal(data_io.read_tensor(path).data, t.data)
+        tensor_ok &= np.array_equal(data_io.read_tensor(path), t.data)
 
     source = rng.integers(0, 256, (15, 20)).astype(np.uint8)
     grid = data_io.prepare_saliency(source / 255.0, 5, 5)

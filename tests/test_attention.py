@@ -31,6 +31,11 @@ class TestSaliencyGrid:
         s = SaliencyGrid(np.array([0.0, 0.25, 1.0]))
         npt.assert_array_equal(s.z, [1.0, 0.75, 0.0])
 
+    def test_z_computed_once(self):
+        sal = SaliencyGrid(np.random.default_rng(5).uniform(size=7))
+        assert sal.z.tobytes() == (1.0 - sal.s).tobytes()
+        assert sal.z is sal.z
+
     def test_range_enforced(self):
         with pytest.raises(ValueError):
             SaliencyGrid(np.array([-0.1, 0.5]))

@@ -740,6 +740,34 @@ class TestErrorPaths:
             "--out", str(tmp_path / "c.jsonl"),
         ]) == 1
 
+    @pytest.mark.parametrize("command", [
+        "evaluate_candidates", "train_manifest", "gen_synth_spec", "caption_manifest", "caption_ckpt",
+    ])
+    def test_path_of_wrong_kind_named(self, dataset, tmp_path, capsys, command):
+        """A directory where a file belongs, or a file where a directory belongs, exits 1 naming it."""
+        _, out_dir = dataset
+        manifest = out_dir / "manifest.json"
+        ckpt = tmp_path / "ckpt"
+        decoder.save_checkpoint(decoder.init_params(decoder.ModelConfig(
+            variant="soft", vocab_size=6, hidden_size=4, embed_size=3, feature_size=3,
+            raw_feature_size=5, grid_rows=2, grid_cols=2,
+        ), rng_seed=0), ckpt, build_vocab(["a b"], min_count=1))
+        references = tmp_path / "refs.jsonl"
+        references.write_text(json.dumps({"image_id": "0", "references": ["a b"]}) + "\n")
+        argv, named, reason = {
+            "evaluate_candidates": (["evaluate", "--candidates", str(out_dir), "--references",
+                                     str(references)], out_dir, "Is a directory"),
+            "train_manifest": (["train", "--manifest", str(out_dir)], out_dir, "Is a directory"),
+            "gen_synth_spec": (["gen-synth", "--spec", str(out_dir)], out_dir, "Is a directory"),
+            "caption_manifest": (["caption", "--ckpt", str(ckpt), "--manifest", str(out_dir)],
+                                 out_dir, "Is a directory"),
+            "caption_ckpt": (["caption", "--ckpt", str(manifest), "--manifest", str(manifest)],
+                             manifest, "Not a directory"),
+        }[command]
+        assert main(argv + ["--out", str(tmp_path / "out")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: [Errno ") and reason in err and str(named) in err
+
     def test_unknown_config_key(self, dataset, tmp_path, capsys):
         _, out_dir = dataset
         bad = tmp_path / "bad.json"

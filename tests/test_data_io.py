@@ -41,8 +41,8 @@ class TestTensorFile:
             path = tmp_path / ("t%d.tnsr" % len(dims))
             write_tensor(t, path)
             loaded = read_tensor(path)
-            assert loaded.dims == list(dims)
-            npt.assert_array_equal(loaded.data, t.data)
+            assert loaded.shape == dims
+            npt.assert_array_equal(loaded, t.data)
 
     def test_float32_widens(self, tmp_path):
         t = Tensor([1.5, 2.25, -3.125])
@@ -50,8 +50,8 @@ class TestTensorFile:
         header = b"TNSR" + struct.pack("<BBBI", 1, 0, 1, 3)  # version 1, float32, dims [3]
         path.write_bytes(header + np.asarray(t.data, dtype="<f4").tobytes())
         loaded = read_tensor(path)
-        assert loaded.data.dtype == np.float64
-        npt.assert_array_equal(loaded.data, t.data)  # values exactly representable
+        assert loaded.dtype == np.float64
+        npt.assert_array_equal(loaded, t.data)  # values exactly representable
 
     def test_truncated_payload(self, tmp_path):
         path = tmp_path / "t.tnsr"

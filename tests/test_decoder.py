@@ -276,6 +276,21 @@ class TestCheckpoint:
         loaded, _ = dec.load_checkpoint(ckpt)
         assert loaded.config.variant == variant
 
+    def test_load_builds_one_tensor_per_parameter(self, monkeypatch):
+        """Each stored array is wrapped once, by its slot; the file reader returns a plain array."""
+        built = []
+        init = Tensor.__init__
+
+        def counted(tensor, *args, **kwargs):
+            built.append(tensor)
+            init(tensor, *args, **kwargs)
+
+        monkeypatch.setattr(Tensor, "__init__", counted)
+        loaded, _ = dec.load_checkpoint(BENCH_CHECKPOINT)
+        monkeypatch.undo()
+        files = [f for f in os.listdir(BENCH_CHECKPOINT) if f.endswith(".tnsr")]
+        assert len(built) == len(loaded.store.slots()) == len(files) == 26
+
     def test_shared_weights_load_shares_tensors(self, tmp_path):
         loaded, _ = dec.load_checkpoint(self._saved(tmp_path, tiny_config(variant="shared_weights")))
         attention = loaded.attention

@@ -166,5 +166,5 @@ class TestTraceExport:
         path = tmp_path / "alpha.tnsr"
         inference.write_trace_alphas(trace, path)
         loaded = data_io.read_tensor(path)
-        assert loaded.dims == [len(trace), config.num_locations]
-        npt.assert_array_equal(loaded.data[0], trace[0].alpha)
+        assert loaded.shape == (len(trace), config.num_locations)
+        npt.assert_array_equal(loaded[0], trace[0].alpha)

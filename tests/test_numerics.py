@@ -96,6 +96,11 @@ class TestElementwise:
     def test_mismatched_dims(self):
         with pytest.raises(ShapeError):
             nm.add(Tensor([1.0]), Tensor([1.0, 2.0]))
+        for a, b in [(np.ones((3, 2)), np.ones(3)),  # a vector as long as a column
+                     (np.ones(2), np.ones((3, 2))),  # a vector plus a matrix
+                     (np.ones((3, 2)), np.ones((2, 2)))]:
+            with pytest.raises(ShapeError, match=r"^add: mismatched dims"):
+                nm.add(Tensor(a), Tensor(b))
         with pytest.raises(ShapeError):
             nm.hadamard(Tensor([1.0]), Tensor([1.0, 2.0]))
         with pytest.raises(ShapeError, match=r"scale: mismatched dims \[1\] vs \[2\]"):
@@ -219,10 +224,10 @@ def _random_composite_cases():
         i = int(rng.integers(0, 3))
         return [m], lambda: nm.tsum(nm.tanh(nm.pick(m, i)))
 
-    def build_add_rowvec(rng):
+    def build_add_row(rng):
         m = Tensor(rng.normal(size=(3, 2)))
         v = Tensor(rng.normal(size=2))
-        return [m, v], lambda: nm.tsum(nm.sigmoid(nm.add_rowvec(m, v)))
+        return [m, v], lambda: nm.tsum(nm.sigmoid(nm.add(m, v)))
 
     def build_scale_by_array(rng):
         x = Tensor(rng.normal(size=rng.integers(1, 5)))
@@ -244,7 +249,7 @@ def _random_composite_cases():
         ("softmax", build_softmax),
         ("log_pick", build_log_pick),
         ("pick_row", build_pick_row),
-        ("add_rowvec", build_add_rowvec),
+        ("add_row", build_add_row),
         ("transpose", build_transpose),
     ]
 
@@ -419,13 +424,13 @@ class TestLazyBuffers:
             recorded = nm._recording_order(loss)  # tsum, scale or hadamard, tanh, matmul
             assert len(recorded) == 4 and all(t.grad is None for t in recorded)
 
-    @pytest.mark.parametrize("op", ["add", "add_rowvec", "transpose"])
+    @pytest.mark.parametrize("op", ["add", "add_row", "transpose"])
     def test_leaf_without_grad_gets_fresh_buffer(self, op):
         x, y = Tensor(np.ones((2, 3))), Tensor(np.ones((2, 3)))
         if op == "add":
             out = nm.add(x, y)
-        elif op == "add_rowvec":
-            out = nm.add_rowvec(x, Tensor(np.zeros(3)))
+        elif op == "add_row":
+            out = nm.add(x, Tensor(np.zeros(3)))
         else:
             out = nm.transpose(x)
         loss = nm.tsum(out)
@@ -433,9 +438,23 @@ class TestLazyBuffers:
         nm.backward(loss)
         assert out.grad is None
         npt.assert_array_equal(x.grad, np.ones((2, 3)))
-        if op == "add":  # each leaf owns its buffer: add's closure copies g for both
+        if op == "add":  # each leaf owns its buffer: x gets g, y a copy of it
             npt.assert_array_equal(y.grad, np.ones((2, 3)))
             assert not np.shares_memory(x.grad, y.grad)
+
+    @pytest.mark.parametrize("row", [False, True], ids=["same_dims", "row"])
+    def test_add_hands_on_the_gradient_it_owns(self, row):
+        a, b = Tensor(np.ones((2, 3))), Tensor(np.ones(3) if row else np.ones((2, 3)))
+        out = nm.add(a, b)
+        g = np.arange(6.0).reshape(2, 3)
+        out._backward_fn(g)
+        assert a.grad is g
+        npt.assert_array_equal(b.grad, g.sum(axis=0) if row else g)
+        assert not np.shares_memory(b.grad, g)
+        if not row:
+            x = Tensor(np.ones((2, 3)))
+            nm.add(x, x)._backward_fn(g.copy())
+            npt.assert_array_equal(x.grad, 2 * g)
 
     @pytest.mark.parametrize("as_param", [True, False], ids=["param", "leaf"])
     def test_row_and_matmul_contributions_sum(self, as_param):

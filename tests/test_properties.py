@@ -48,7 +48,7 @@ def pgm_maps(draw, least_maxval, most_maxval):
 def test_tensor_round_trip(workdir, values):
     path = workdir / "t.tnsr"
     data_io.write_tensor(Tensor(values), path)
-    assert np.array_equal(data_io.read_tensor(path).data, values)
+    assert np.array_equal(data_io.read_tensor(path), values)
     assert data_io.read_tensor_dims(path) == list(values.shape)
 
 
