@@ -2,7 +2,8 @@
 
 Every salcap operation records itself on an implicit tape; calling
 backward() on a scalar walks the tape in reverse and accumulates
-gradients into the leaf tensors.
+gradients into the parameters.  A leaf made with Tensor(x) is a
+constant and gets no gradient.
 """
 
 import numpy as np
@@ -23,9 +24,10 @@ nm.backward(loss)
 print("dL/dW:\n", store["W"].grad)
 
 # The well-known special point: sigmoid'(0) = 0.25
-z = Tensor(np.zeros(5))
+z = store.add("z", np.zeros(5))
 nm.backward(nm.tsum(nm.sigmoid(z)))
-print("\ngradient of sum(sigmoid(0)):", z.grad)  # 0.25 everywhere
+print("\ngradient of sum(sigmoid(0)):", store["z"].grad)  # 0.25 everywhere
+print("gradient of the constant x:", x.grad)  # None
 
 # Gradients accumulate until zeroed, so a second backward doubles them
 store.zero_grads()

@@ -55,8 +55,8 @@ class SaliencyGrid:
             raise ValueError(
                 "saliency values must lie in [0,1], got %r at index %d" % (float(s[i]), i)
             )
-        self.s = s
-        self.z = 1.0 - s
+        self.s, self.z = s, 1.0 - s
+        self.s_leaf, self.z_leaf = Tensor(s), Tensor(self.z)  # the tape's constants, made once
 
     def __len__(self):
         return self.s.size
@@ -124,7 +124,7 @@ def combine_saliency_context(e_sal, e_ctx, sal):
             "combine: lengths disagree (e_sal %r, e_ctx %r, s %r)"
             % (e_sal.dims, e_ctx.dims, list(sal.s.shape))
         )
-    return nm.add(nm.scale(e_sal, sal.s), nm.scale(e_ctx, sal.z))
+    return nm.add(nm.hadamard(e_sal, sal.s_leaf), nm.hadamard(e_ctx, sal.z_leaf))
 
 
 def attend(grid, sal, h_prev, params):
@@ -140,14 +140,14 @@ def attend(grid, sal, h_prev, params):
 
     if variant == "saliency_pooling":
         # no attention: v_hat = sum_i s_i a_i, independent of the decoder state
-        v_hat = nm.matmul(nm.transpose(grid.a), Tensor(sal.s))
+        v_hat = nm.matmul(nm.transpose(grid.a), sal.s_leaf)
         return AttentionOutput(e=None, alpha=None, v_hat=v_hat)
 
     if variant == "soft":
         e = score_path(grid, h_prev, params.single)
         e_sal = e_ctx = None
     elif variant == "attention_on_saliency":
-        e = nm.scale(score_path(grid, h_prev, params.single), sal.s)
+        e = nm.hadamard(score_path(grid, h_prev, params.single), sal.s_leaf)
         e_sal = e_ctx = None
     else:  # shared_weights, saliency_context
         e_sal = score_path(grid, h_prev, params.sal)

@@ -5,13 +5,13 @@ keeps its parent Tensors plus a closure that knows how to push gradients
 back to them.  ``backward(loss)`` replays the tape: it collects the
 recorded tensors reachable from the loss and calls their closures in
 reverse recording order, a reverse topological order because an op's
-parents always exist before its output.  Leaf tensors (no parents)
-accumulate gradients across backward calls until explicitly zeroed.
-Intermediate nodes start every call with no gradient buffer: the first
-contribution becomes the buffer, and later ones are added into it.  A
-recorded tensor gives its gradient up once its closure has used it, so
-after ``backward`` only leaves hold gradients.  The graph itself stays,
-so a second ``backward`` over it adds the same leaf gradients again.
+parents always exist before its output.  Parameters accumulate
+gradients across backward calls until explicitly zeroed.  Intermediate
+nodes start every call with no gradient buffer: the first contribution
+becomes the buffer, and later ones are added into it.  A recorded tensor
+gives its gradient up once its closure has used it, so after
+``backward`` only parameters hold gradients.  The graph itself stays, so
+a second ``backward`` over it adds the same gradients again.
 
 A closure owns the gradient it is handed: nothing else holds that array
 once the closure returns.  So a pass-through may hand it on as it is, and
@@ -21,16 +21,19 @@ sums of g.  ``add`` takes no other pair of shapes.
 
 A value joins the tape one way.  ``Tensor(x)`` makes a leaf from
 anything ``np.asarray`` takes, and only an op makes a recorded tensor.
-Ops take Tensors and never convert their inputs.  A constant that needs
-no gradient, such as the saliency weights s and 1 - s or the loss
-normaliser -1/T, is a float or an array given to ``scale``, not a leaf.
+Ops take Tensors and never convert their inputs.  A leaf gets a gradient
+only if it holds a buffer, as a ``ParamSlot``'s leaf does.  Any other
+leaf (the raw features, h0 and c0, the saliency weights s and 1 - s, the
+loss normaliser -1/T) is a constant: ``matmul`` and ``hadamard`` skip
+its product.  The 11 recorded ops are ``matmul``, ``transpose``, ``add``,
+``hadamard``, ``sigmoid``, ``tanh``, ``relu``, ``softmax_vec``, ``tsum``,
+``log`` and ``pick``.
 
-A closure may defer work to the end of ``backward``.  ``matmul`` of a leaf
-matrix by a vector does so for the leaf's gradient: its closure keeps the
-upstream gradient g and the vector x, and ``backward`` ends by adding
-G^T X over the stacked pairs, one GEMM per leaf for the whole call, in
-place of one outer product per decoder step.  The deferred terms are
-dropped if any closure raises.
+A closure may defer work to the end of ``backward``.  ``matmul`` of a
+parameter matrix by a vector keeps the upstream gradient g and the vector
+x; ``backward`` ends by adding G^T X over the stacked pairs, one GEMM per
+parameter for the whole call, not one outer product per decoder step.
+The deferred terms are dropped if any closure raises.
 
 Every value is tested for NaN/Inf.  A leaf is tested when it is built.
 A recorded value is queued and tested, together with everything queued
@@ -83,8 +86,8 @@ _PENDING = []
 _PENDING_LIMIT = 4096
 # Creation order of tensors; ``backward`` sorts the tape by it.
 _SEQ = itertools.count()
-# leaf -> [(upstream gradient, vector), ...]: the leaf-matrix x vector
-# products of the running ``backward`` whose leaf gradient is added at its end.
+# parameter -> [(upstream gradient, vector), ...]: the parameter-matrix x vector
+# products of the running ``backward`` whose gradient is added at its end.
 _DEFERRED = {}
 
 
@@ -224,24 +227,27 @@ def _recording_order(root):
     return sorted((t for t in seen if t._parents), key=attrgetter("_seq"), reverse=True)
 
 
+def _needs_grad(t):
+    return t.grad is not None or bool(t._parents)
+
+
 def _accumulate(t, g):
-    """Add ``g`` into t's gradient.  A first contribution becomes the buffer,
-    so ``g`` must be an array that nothing else holds."""
-    if t.grad is None:
-        t.grad = g
-    else:
+    """Add ``g`` into t's gradient unless t is a constant.  A first
+    contribution becomes the buffer, so nothing else may hold ``g``."""
+    if t.grad is not None:
         t.grad += g
+    elif _needs_grad(t):
+        t.grad = g
 
 
 def backward(loss):
-    """Accumulate d(loss)/d(leaf) into every reachable leaf tensor.
+    """Accumulate d(loss)/d(p) into every reachable parameter p.
 
     Closures run latest recorded first.  Intermediate gradients are reset
     per call, to no buffer until the first contribution, and dropped once
-    their closure has run.  Leaf gradients accumulate and the graph is
-    kept, so repeated calls without zeroing double parameter grads, and a
-    leaf whose gradient is None gets a fresh one.  The deferred leaf
-    weight gradients are added last, one GEMM per leaf.  Every queued
+    their closure has run.  Parameter gradients accumulate and the graph
+    is kept, so repeated calls without zeroing double them.  The deferred
+    parameter gradients are added last, one GEMM each.  Every queued
     recorded value is checked first (see ``check_recorded``).
     """
     check_recorded()
@@ -276,13 +282,15 @@ def matmul(a, b):
         )
 
     def _bw(g):
-        if b.data.ndim == 2:
-            _accumulate(a, g @ b.data.T)
-        elif a._parents:
-            _accumulate(a, np.outer(g, b.data))
-        else:  # a leaf's rank-1 terms are summed in one GEMM at the end of backward
-            _DEFERRED.setdefault(a, []).append((g, b.data))
-        _accumulate(b, a.data.T @ g)
+        if _needs_grad(a):
+            if b.data.ndim == 2:
+                _accumulate(a, g @ b.data.T)
+            elif a._parents:
+                _accumulate(a, np.outer(g, b.data))
+            else:  # a parameter's rank-1 terms are summed in one GEMM at the end of backward
+                _DEFERRED.setdefault(a, []).append((g, b.data))
+        if _needs_grad(b):
+            _accumulate(b, a.data.T @ g)
 
     return Tensor(a.data @ b.data, (a, b), _bw)
 
@@ -321,22 +329,12 @@ def hadamard(a, b):
     _require_same_dims("hadamard", a, b)
 
     def _bw(g):
-        _accumulate(a, g * b.data)
-        _accumulate(b, g * a.data)
+        if _needs_grad(a):
+            _accumulate(a, g * b.data)
+        if _needs_grad(b):
+            _accumulate(b, g * a.data)
 
     return Tensor(a.data * b.data, (a, b), _bw)
-
-
-def scale(a, c):
-    """Multiply by a constant c, which gets no gradient: a float or an array of a's dims."""
-    c = np.asarray(c, dtype=np.float64)
-    if c.ndim and c.shape != a.data.shape:
-        raise ShapeError("scale: mismatched dims %r vs %r" % (a.dims, list(c.shape)))
-
-    def _bw(g):
-        _accumulate(a, g * c)
-
-    return Tensor(a.data * c, (a,), _bw)
 
 
 def sigmoid(x):
@@ -403,9 +401,10 @@ def pick(x, index):
         raise IndexError("pick index %d out of range for length %d" % (i, n))
 
     def _bw(g):
-        if x.grad is None:
-            x.grad = np.zeros(x.data.shape)
-        x.grad[i] += g
+        if _needs_grad(x):
+            if x.grad is None:
+                x.grad = np.zeros(x.data.shape)
+            x.grad[i] += g
 
     return Tensor(x.data[i], (x,), _bw)
 

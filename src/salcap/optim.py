@@ -79,7 +79,7 @@ def sequence_nll(step_probs, targets):
         count += 1
     if count == 0:
         raise ValueError("sequence_nll needs at least one non-pad target")
-    return nm.scale(total, -1.0 / count)
+    return nm.hadamard(total, nm.Tensor(-1.0 / count))
 
 
 def forward_caption(params, raw, sal, token_ids):

@@ -2,7 +2,10 @@
 replaced with one GEMM per leaf and lazily made buffers.
 
 ``backward`` walks the graph by an iterative postorder, gives every node a
-zero buffer and adds each closure's contributions into it.  ``matmul``
+zero buffer and adds each closure's contributions into it; the buffers it
+made for constant leaves are dropped at the end, since a constant such as
+``SaliencyGrid.s_leaf`` outlives the call and a buffer would make it take
+gradients in every later ``backward``.  ``matmul``
 adds one outer product per leaf-matrix x vector product at the moment its
 closure runs.  The closures of every other op are the library's: with
 every buffer already made they add into it as before.  The equivalence
@@ -37,6 +40,7 @@ def _toposort(root):
 def backward(loss):
     nm.check_recorded()
     order = _toposort(loss)
+    constants = [node for node in order if not node._parents and node.grad is None]
     for node in order:
         if node._parents or node.grad is None:
             node.grad = np.zeros(node.data.shape)
@@ -44,6 +48,8 @@ def backward(loss):
     for node in reversed(order):
         if node._backward_fn is not None:
             node._backward_fn(node.grad)
+    for node in constants:
+        node.grad = None
 
 
 def matmul(a, b):

@@ -3,8 +3,10 @@ import numpy.testing as npt
 import pytest
 
 from salcap import decoder as dec
+from salcap import numerics as nm
 from salcap import optim
 from salcap.attention import (
+    VARIANTS,
     AttentionParams,
     AttentionPathParams,
     FeatureGrid,
@@ -258,11 +260,12 @@ class TestAttendVariants:
             attend(self.grid, SaliencyGrid(np.ones(self.L + 1)), self.h_prev, params)
 
 
-@pytest.mark.parametrize("variant", ["soft", "attention_on_saliency", "shared_weights", "saliency_context"])
-def test_saliency_weights_are_constants_not_leaves(variant):
-    """A caption's tape has three leaves besides the parameters: the raw
-    features, h0 and c0.  The saliency weights s and 1 - s enter as
-    ``scale`` constants, so caption length adds no leaf."""
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_only_parameters_hold_gradients(variant):
+    """After ``backward`` of a caption loss every parameter holds a gradient
+    and no other tensor on the tape does: not the constant leaves (the raw
+    features, h0 and c0, the saliency weights s and 1 - s, the loss
+    normaliser), and not the recorded tensors, which give theirs up."""
     config = dec.ModelConfig(
         variant=variant, vocab_size=9, hidden_size=6, embed_size=4,
         feature_size=4, raw_feature_size=5, grid_rows=2, grid_cols=2,
@@ -274,11 +277,16 @@ def test_saliency_weights_are_constants_not_leaves(variant):
     sal = SaliencyGrid(rng.uniform(size=config.num_locations))
     for words in ([4], [4, 5, 6, 7, 8, 4]):
         loss = optim.caption_loss(params, raw, sal, [BOS_ID] + words + [EOS_ID])
+        nm.backward(loss)
         seen, stack = {loss}, [loss]
         while stack:
             for parent in stack.pop()._parents:
                 if parent not in seen:
                     seen.add(parent)
                     stack.append(parent)
-        others = [t for t in seen if not t._parents and t not in param_leaves]
-        assert sorted(t.dims for t in others) == [[4, 5], [6], [6]]
+        constants = [t for t in seen if not t._parents and t not in param_leaves]
+        assert [config.num_locations, config.raw_feature_size] in [t.dims for t in constants]
+        assert all(t.grad is None for t in constants)
+        assert all(t.grad is None for t in seen if t._parents)
+        assert all(slot.grad is not None for slot in params.store.slots())
+        assert any(np.any(slot.grad) for slot in params.store.slots())

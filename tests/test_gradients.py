@@ -23,7 +23,7 @@ from salcap.attention import (
     combine_saliency_context,
     score_path,
 )
-from salcap.numerics import Tensor
+from salcap.numerics import ParamStore, Tensor
 
 H = 1e-4
 CONFIGS = 200
@@ -55,10 +55,14 @@ def well_conditioned(leaves):
     return True
 
 
+def param(x):
+    """A leaf that gets a gradient: the one parameter of a new store."""
+    return ParamStore().add("p", x)
+
+
 def check(leaves, loss_fn, tol=1e-4):
     for leaf in leaves:
         analytic = leaf.grad.copy()
-        leaf.grad = None
         numeric = fd(lambda: loss_fn().item(), leaf.data)
         denom = np.maximum(np.maximum(np.abs(analytic), np.abs(numeric)), 1e-8)
         worst = np.max(np.abs(analytic - numeric) / denom)
@@ -67,9 +71,9 @@ def check(leaves, loss_fn, tol=1e-4):
 
 def leaf_path(rng, d, h, d_att):
     return AttentionPathParams(
-        Tensor(rng.normal(size=(d_att, d))),
-        Tensor(rng.normal(size=(d_att, h))),
-        Tensor(rng.normal(size=d_att)),
+        param(rng.normal(size=(d_att, d))),
+        param(rng.normal(size=(d_att, h))),
+        param(rng.normal(size=d_att)),
     )
 
 
@@ -78,8 +82,8 @@ def path_leaves(p):
 
 
 def build_score_path(rng):
-    grid = FeatureGrid(Tensor(rng.normal(size=(3, 2))))
-    h_prev = Tensor(rng.normal(size=2))
+    grid = FeatureGrid(param(rng.normal(size=(3, 2))))
+    h_prev = param(rng.normal(size=2))
     path = leaf_path(rng, 2, 2, 2)
     weights = rng.normal(size=3)
     loss = lambda: nm.tsum(nm.hadamard(score_path(grid, h_prev, path), Tensor(weights)))
@@ -87,8 +91,8 @@ def build_score_path(rng):
 
 
 def build_combine(rng):
-    e_sal = Tensor(rng.normal(size=4))
-    e_ctx = Tensor(rng.normal(size=4))
+    e_sal = param(rng.normal(size=4))
+    e_ctx = param(rng.normal(size=4))
     sal = SaliencyGrid(rng.uniform(size=4))
     weights = rng.normal(size=4)
     loss = lambda: nm.tsum(
@@ -99,9 +103,9 @@ def build_combine(rng):
 
 def build_attend(variant):
     def build(rng):
-        grid = FeatureGrid(Tensor(rng.normal(size=(3, 2))))
+        grid = FeatureGrid(param(rng.normal(size=(3, 2))))
         sal = SaliencyGrid(rng.uniform(size=3))
-        h_prev = Tensor(rng.normal(size=2))
+        h_prev = param(rng.normal(size=2))
         if variant in ("soft", "attention_on_saliency"):
             path = leaf_path(rng, 2, 2, 2)
             params = AttentionParams(variant, single=path)
@@ -111,10 +115,10 @@ def build_attend(variant):
             params = AttentionParams(variant, sal=sal_p, ctx=ctx_p)
             leaves = path_leaves(sal_p) + path_leaves(ctx_p)
         elif variant == "shared_weights":
-            w_ae = Tensor(rng.normal(size=(2, 2)))
-            w_he = Tensor(rng.normal(size=(2, 2)))
-            sal_p = AttentionPathParams(w_ae, w_he, Tensor(rng.normal(size=2)))
-            ctx_p = AttentionPathParams(w_ae, w_he, Tensor(rng.normal(size=2)))
+            w_ae = param(rng.normal(size=(2, 2)))
+            w_he = param(rng.normal(size=(2, 2)))
+            sal_p = AttentionPathParams(w_ae, w_he, param(rng.normal(size=2)))
+            ctx_p = AttentionPathParams(w_ae, w_he, param(rng.normal(size=2)))
             params = AttentionParams(variant, sal=sal_p, ctx=ctx_p)
             leaves = [w_ae, w_he, sal_p.v_e, ctx_p.v_e]
         else:  # saliency_pooling
@@ -134,9 +138,9 @@ def build_project_features(rng):
     # differences straddle the nondifferentiable point
     while True:
         params = SimpleNamespace(
-            proj_w=Tensor(rng.normal(size=(2, 3))), proj_b=Tensor(rng.normal(size=2))
+            proj_w=param(rng.normal(size=(2, 3))), proj_b=param(rng.normal(size=2))
         )
-        raw = Tensor(rng.normal(size=(3, 3)))
+        raw = param(rng.normal(size=(3, 3)))
         preact = raw.data @ params.proj_w.data.T + params.proj_b.data
         if np.min(np.abs(preact)) > 2e-4:
             break
@@ -154,19 +158,19 @@ def build_lstm_step(rng):
     for kind in ("w_v", "w_w", "w_h"):
         gates[kind] = {}
         for g in "ifog":
-            t = Tensor(rng.normal(size=(h, 2)) if kind != "w_h" else rng.normal(size=(h, h)))
+            t = param(rng.normal(size=(h, 2)) if kind != "w_h" else rng.normal(size=(h, h)))
             gates[kind][g] = t
             leaves.append(t)
     gates["b"] = {}
     for g in "ifog":
-        t = Tensor(rng.normal(size=h))
+        t = param(rng.normal(size=h))
         gates["b"][g] = t
         leaves.append(t)
     p = dec.LstmParams(gates["w_v"], gates["w_w"], gates["w_h"], gates["b"])
-    v_hat = Tensor(rng.normal(size=2))
-    w = Tensor(rng.normal(size=2))
-    h0 = Tensor(rng.normal(size=h))
-    c0 = Tensor(rng.normal(size=h))
+    v_hat = param(rng.normal(size=2))
+    w = param(rng.normal(size=2))
+    h0 = param(rng.normal(size=h))
+    c0 = param(rng.normal(size=h))
     weights = rng.normal(size=h)
 
     def loss():
@@ -177,8 +181,8 @@ def build_lstm_step(rng):
 
 
 def build_output_distribution(rng):
-    params = SimpleNamespace(w_p=Tensor(rng.normal(size=(4, 2))))
-    h = Tensor(rng.normal(size=2))
+    params = SimpleNamespace(w_p=param(rng.normal(size=(4, 2))))
+    h = param(rng.normal(size=2))
     weights = rng.normal(size=4)
     loss = lambda: nm.tsum(
         nm.hadamard(dec.output_distribution(h, params), Tensor(weights))
@@ -187,7 +191,7 @@ def build_output_distribution(rng):
 
 
 def build_sequence_nll(rng):
-    logits = [Tensor(rng.normal(size=4)) for _ in range(3)]
+    logits = [param(rng.normal(size=4)) for _ in range(3)]
     targets = [int(t) for t in rng.integers(1, 4, size=3)]
     loss = lambda: optim.sequence_nll([nm.softmax_vec(l) for l in logits], targets)
     return logits, loss
@@ -219,8 +223,6 @@ def test_composite_gradients(name, builder):
         leaves, loss_fn = builder(rng)
         nm.backward(loss_fn())
         if not well_conditioned(leaves):
-            for leaf in leaves:
-                leaf.grad = None
             continue
         check(leaves, loss_fn)
         accepted += 1

@@ -54,6 +54,14 @@ class TestBleu:
         b1 = metrics.bleu(corpus)[0]
         npt.assert_allclose(b1, math.exp(1 - 4 / 2) * 1.0, atol=1e-12)
 
+    def test_tie_takes_shorter_reference(self):
+        # references of 3 and 5 tokens are both 1 from the 4-token candidate;
+        # the shorter sets the brevity penalty, exp(min(0, 1 - 3/4)) = 1,
+        # where the longer would give exp(1 - 5/4) = 0.7788; p1 = 4/4 either way
+        for refs in (["a b c", "a b c d e"], ["a b c d e", "a b c"]):
+            b1 = metrics.bleu(corpus_of(("i", "a b c d", refs)))[0]
+            npt.assert_allclose(b1, 1.0, atol=1e-12)
+
     def test_fixture_corpus(self, oracle, fixture_corpus):
         scores = metrics.bleu(fixture_corpus)
         for k in range(4):

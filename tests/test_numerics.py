@@ -37,6 +37,11 @@ def fd_grad(f, x, h=1e-4):
     return g
 
 
+def param(x):
+    """A leaf that gets a gradient: the one parameter of a new store."""
+    return ParamStore().add("p", x)
+
+
 def assert_grads_close(analytic, numeric, tol=1e-4):
     denom = np.maximum(np.maximum(np.abs(analytic), np.abs(numeric)), 1e-8)
     worst = np.max(np.abs(analytic - numeric) / denom)
@@ -101,10 +106,8 @@ class TestElementwise:
                      (np.ones((3, 2)), np.ones((2, 2)))]:
             with pytest.raises(ShapeError, match=r"^add: mismatched dims"):
                 nm.add(Tensor(a), Tensor(b))
-        with pytest.raises(ShapeError):
+        with pytest.raises(ShapeError, match=r"hadamard: mismatched dims \[1\] vs \[2\]"):
             nm.hadamard(Tensor([1.0]), Tensor([1.0, 2.0]))
-        with pytest.raises(ShapeError, match=r"scale: mismatched dims \[1\] vs \[2\]"):
-            nm.scale(Tensor([1.0]), np.array([1.0, 2.0]))
 
 
 class TestSoftmax:
@@ -156,20 +159,20 @@ class TestPick:
 
 class TestBackward:
     def test_sigmoid_sum_at_zero(self):
-        x = Tensor(np.zeros(5))
+        x = param(np.zeros(5))
         nm.backward(nm.tsum(nm.sigmoid(x)))
         npt.assert_allclose(x.grad, 0.25 * np.ones(5), atol=1e-15)
 
     def test_matmul_grad_matches_fd(self):
         rng = np.random.default_rng(5)
-        w = Tensor(rng.normal(size=(3, 4)))
+        w = param(rng.normal(size=(3, 4)))
         x = rng.normal(size=4)
         nm.backward(nm.tsum(nm.matmul(w, Tensor(x))))
         numeric = fd_grad(lambda: np.sum(w.data @ x), w.data)
         assert_grads_close(w.grad, numeric)
 
     def test_accumulation_doubles(self):
-        x = Tensor(np.ones(3))
+        x = param(np.ones(3))
         loss = nm.tsum(nm.hadamard(x, x))
         nm.backward(loss)
         first = x.grad.copy()
@@ -181,7 +184,7 @@ class TestBackward:
             nm.backward(Tensor([1.0, 2.0]))
 
     def test_reused_operand(self):
-        x = Tensor([3.0])
+        x = param([3.0])
         nm.backward(nm.tsum(nm.hadamard(x, x)))  # d(x^2)/dx = 2x
         npt.assert_allclose(x.grad, [6.0], atol=1e-12)
 
@@ -191,7 +194,7 @@ def _random_composite_cases():
 
     def unary(op):
         def build(rng):
-            x = Tensor(rng.normal(size=rng.integers(1, 5)))
+            x = param(rng.normal(size=rng.integers(1, 5)))
             return [x], lambda: nm.tsum(op(x))
 
         return build
@@ -199,50 +202,54 @@ def _random_composite_cases():
     def binary(op):
         def build(rng):
             n = rng.integers(1, 5)
-            x, y = Tensor(rng.normal(size=n)), Tensor(rng.normal(size=n))
+            x, y = param(rng.normal(size=n)), param(rng.normal(size=n))
             return [x, y], lambda: nm.tsum(op(x, y))
 
         return build
 
     def build_matmul(rng):
         m, k, n = rng.integers(1, 4, size=3)
-        a, b = Tensor(rng.normal(size=(m, k))), Tensor(rng.normal(size=(k, n)))
+        a, b = param(rng.normal(size=(m, k))), param(rng.normal(size=(k, n)))
         return [a, b], lambda: nm.tsum(nm.matmul(a, b))
 
     def build_softmax(rng):
-        x = Tensor(rng.normal(size=rng.integers(1, 6)))
+        x = param(rng.normal(size=rng.integers(1, 6)))
         w = rng.normal(size=x.data.size)
         return [x], lambda: nm.tsum(nm.hadamard(nm.softmax_vec(x), Tensor(w)))
 
     def build_log_pick(rng):
-        x = Tensor(rng.uniform(0.5, 2.0, size=4))
+        x = param(rng.uniform(0.5, 2.0, size=4))
         i = int(rng.integers(0, 4))
         return [x], lambda: nm.log(nm.pick(x, i))
 
     def build_pick_row(rng):
-        m = Tensor(rng.normal(size=(3, 4)))
+        m = param(rng.normal(size=(3, 4)))
         i = int(rng.integers(0, 3))
         return [m], lambda: nm.tsum(nm.tanh(nm.pick(m, i)))
 
     def build_add_row(rng):
-        m = Tensor(rng.normal(size=(3, 2)))
-        v = Tensor(rng.normal(size=2))
+        m = param(rng.normal(size=(3, 2)))
+        v = param(rng.normal(size=2))
         return [m, v], lambda: nm.tsum(nm.sigmoid(nm.add(m, v)))
 
-    def build_scale_by_array(rng):
-        x = Tensor(rng.normal(size=rng.integers(1, 5)))
-        c = rng.uniform(-2.0, 2.0, size=x.data.size)
-        return [x], lambda: nm.tsum(nm.tanh(nm.scale(x, c)))
+    def build_hadamard_by_constant(rng):
+        x = param(rng.normal(size=rng.integers(1, 5)))
+        c = Tensor(rng.uniform(-2.0, 2.0, size=x.data.size))
+        return [x], lambda: nm.tsum(nm.tanh(nm.hadamard(x, c)))
+
+    def build_hadamard_by_scalar(rng):  # the loss normaliser's form
+        x = param(rng.normal())
+        return [x], lambda: nm.tanh(nm.hadamard(x, Tensor(1.7)))
 
     def build_transpose(rng):
-        m = Tensor(rng.normal(size=(2, 3)))
+        m = param(rng.normal(size=(2, 3)))
         return [m], lambda: nm.tsum(nm.matmul(nm.transpose(m), m))
 
     return [
         ("sigmoid", unary(nm.sigmoid)),
         ("tanh", unary(nm.tanh)),
-        ("scale", unary(lambda x: nm.scale(x, 1.7))),
-        ("scale_by_array", build_scale_by_array),
+        ("hadamard_by_scalar", build_hadamard_by_scalar),
+        ("hadamard_by_constant", build_hadamard_by_constant),
         ("add", binary(nm.add)),
         ("hadamard", binary(nm.hadamard)),
         ("matmul", build_matmul),
@@ -262,7 +269,6 @@ def test_gradients_match_finite_differences(name, builder):
         nm.backward(loss_fn())
         for leaf in leaves:
             analytic = leaf.grad.copy()
-            leaf.grad = None
             numeric = fd_grad(lambda: loss_fn().item(), leaf.data)
             assert_grads_close(analytic, numeric)
 
@@ -287,7 +293,7 @@ class TestCheckedMode:
     def test_recorded_value_checked_at_backward(self):
         y = self._log_of_zero()
         with np.errstate(invalid="ignore"):
-            loss = nm.tsum(nm.scale(y, 2.0))
+            loss = nm.tsum(nm.hadamard(y, Tensor([2.0])))
         with pytest.raises(ValueError, match="non-finite value from log"):
             nm.backward(loss)
 
@@ -301,7 +307,7 @@ class TestCheckedMode:
         x = Tensor([1.0, 2.0])
         nm.check_recorded()
         with np.errstate(divide="ignore", invalid="ignore"):
-            nm.sigmoid(nm.log(nm.scale(x, 0.0)))
+            nm.sigmoid(nm.log(nm.hadamard(x, Tensor([0.0, 0.0]))))
         with pytest.raises(ValueError, match="from log"):
             nm.check_recorded()
 
@@ -310,10 +316,10 @@ class TestCheckedMode:
         x = Tensor([1.0])
         with pytest.raises(ValueError, match="from log"):
             for _ in range(10_000):
-                nm.scale(x, 1.0)
+                nm.hadamard(x, x)
                 assert len(nm._PENDING) <= nm._PENDING_LIMIT
         for _ in range(10_000):
-            nm.scale(x, 1.0)
+            nm.hadamard(x, x)
             assert len(nm._PENDING) <= nm._PENDING_LIMIT
         nm.check_recorded()
         assert y.data[0] == -np.inf
@@ -351,7 +357,7 @@ class TestDeferredWeightGradient:
 
     @staticmethod
     def _unrolled(rng, steps=7, m=5, k=4):
-        w = Tensor(rng.normal(size=(m, k)))
+        w = param(rng.normal(size=(m, k)))
         xs = [rng.normal(size=k) for _ in range(steps)]
         cs = [rng.normal(size=m) for _ in range(steps)]
         loss = None
@@ -381,7 +387,7 @@ class TestDeferredWeightGradient:
         w0, x0 = rng.normal(size=(3, 4)), rng.normal(size=4)
 
         def graph():
-            w = Tensor(w0)
+            w = param(w0)
             hidden = nm.tanh(Tensor(x0))  # its closure runs after matmul's
             return w, hidden, nm.tsum(nm.matmul(w, hidden))
 
@@ -395,7 +401,7 @@ class TestDeferredWeightGradient:
             nm.backward(loss)
         assert not nm._DEFERRED
         monkeypatch.undo()
-        w.grad = None
+        w.grad[...] = 0.0
         nm.backward(loss)
         fresh_w, _, fresh_loss = graph()
         nm.backward(fresh_loss)
@@ -408,43 +414,66 @@ class TestLazyBuffers:
         w0, x0 = rng.normal(size=(3, 4)), rng.normal(size=4)
 
         def graph():
-            w, x = Tensor(w0), Tensor(x0)
+            w, x = param(w0), param(x0)
             shared = nm.tanh(nm.matmul(w, x))
-            return w, x, nm.tsum(nm.scale(shared, 2.0)), nm.tsum(nm.hadamard(shared, shared))
+            two = Tensor(np.full(3, 2.0))
+            return w, x, nm.tsum(nm.hadamard(shared, two)), nm.tsum(nm.hadamard(shared, shared))
 
         w, x, first, second = graph()
         nm.backward(first)
-        w.grad = x.grad = None
+        w.grad[...] = x.grad[...] = 0.0
         nm.backward(second)
         fresh_w, fresh_x, fresh_first, fresh_second = graph()
         nm.backward(fresh_second)
         npt.assert_array_equal(w.grad, fresh_w.grad)
         npt.assert_array_equal(x.grad, fresh_x.grad)
         for loss in (first, second, fresh_first, fresh_second):
-            recorded = nm._recording_order(loss)  # tsum, scale or hadamard, tanh, matmul
+            recorded = nm._recording_order(loss)  # tsum, hadamard, tanh, matmul
             assert len(recorded) == 4 and all(t.grad is None for t in recorded)
 
-    @pytest.mark.parametrize("op", ["add", "add_row", "transpose"])
-    def test_leaf_without_grad_gets_fresh_buffer(self, op):
-        x, y = Tensor(np.ones((2, 3))), Tensor(np.ones((2, 3)))
+    @pytest.mark.parametrize("op", ["add", "add_row", "transpose", "matmul", "hadamard", "pick"])
+    def test_constant_operand_gets_no_gradient(self, op):
+        """A leaf without a gradient buffer is a constant, in either operand slot."""
+        rng = np.random.default_rng(15)
+        p = param(rng.normal(size=(2, 3)))
+        ones = np.ones((2, 3))
         if op == "add":
-            out = nm.add(x, y)
+            constants = [Tensor(rng.normal(size=(2, 3)))]
+            outs, expected = [nm.add(p, constants[0]), nm.add(constants[0], p)], 2 * ones
         elif op == "add_row":
-            out = nm.add(x, Tensor(np.zeros(3)))
-        else:
-            out = nm.transpose(x)
-        loss = nm.tsum(out)
-        assert x.grad is None
+            constants = [Tensor(rng.normal(size=3))]
+            outs, expected = [nm.add(p, constants[0])], ones
+        elif op == "transpose":
+            constants = [Tensor(rng.normal(size=(3, 2)))]
+            outs, expected = [nm.add(p, nm.transpose(constants[0]))], ones
+        elif op == "matmul":  # a constant matrix times p, and p times a constant vector
+            c, v = Tensor(rng.normal(size=(4, 2))), Tensor(rng.normal(size=3))
+            constants = [c, v]
+            outs = [nm.matmul(c, p), nm.matmul(p, v)]
+            expected = c.data.T @ np.ones((4, 3)) + np.outer(np.ones(2), v.data)
+        elif op == "hadamard":
+            constants = [Tensor(rng.normal(size=(2, 3)))]
+            outs = [nm.hadamard(p, constants[0]), nm.hadamard(constants[0], p)]
+            expected = 2 * constants[0].data
+        else:  # a row of a constant matrix times a row of p
+            constants = [Tensor(rng.normal(size=(4, 3)))]
+            outs = [nm.hadamard(nm.pick(constants[0], 1), nm.pick(p, 0))]
+            expected = np.zeros((2, 3))
+            expected[0] = constants[0].data[1]
+        loss = nm.tsum(outs[0])
+        for out in outs[1:]:
+            loss = nm.add(loss, nm.tsum(out))
         nm.backward(loss)
-        assert out.grad is None
-        npt.assert_array_equal(x.grad, np.ones((2, 3)))
-        if op == "add":  # each leaf owns its buffer: x gets g, y a copy of it
-            npt.assert_array_equal(y.grad, np.ones((2, 3)))
-            assert not np.shares_memory(x.grad, y.grad)
+        assert all(c.grad is None for c in constants)
+        assert all(out.grad is None for out in outs)
+        assert rel_err(p.grad, expected) <= 1e-12
 
     @pytest.mark.parametrize("row", [False, True], ids=["same_dims", "row"])
     def test_add_hands_on_the_gradient_it_owns(self, row):
-        a, b = Tensor(np.ones((2, 3))), Tensor(np.ones(3) if row else np.ones((2, 3)))
+        def recorded(x):  # a recorded operand takes its first contribution as its buffer
+            return nm.tanh(Tensor(x))
+
+        a, b = recorded(np.ones((2, 3))), recorded(np.ones(3) if row else np.ones((2, 3)))
         out = nm.add(a, b)
         g = np.arange(6.0).reshape(2, 3)
         out._backward_fn(g)
@@ -452,19 +481,23 @@ class TestLazyBuffers:
         npt.assert_array_equal(b.grad, g.sum(axis=0) if row else g)
         assert not np.shares_memory(b.grad, g)
         if not row:
-            x = Tensor(np.ones((2, 3)))
+            x = recorded(np.ones((2, 3)))
             nm.add(x, x)._backward_fn(g.copy())
             npt.assert_array_equal(x.grad, 2 * g)
 
-    @pytest.mark.parametrize("as_param", [True, False], ids=["param", "leaf"])
-    def test_row_and_matmul_contributions_sum(self, as_param):
+    @pytest.mark.parametrize("recorded", [False, True], ids=["param", "recorded"])
+    def test_row_and_matmul_contributions_sum(self, recorded):
+        """pick's row and matmul's outer product meet in one buffer: a
+        parameter's (the product deferred) or an intermediate's, which the
+        first contribution makes and an ``add`` hands on to the parameter."""
         rng = np.random.default_rng(14)
         table, v, c1, c2 = (rng.normal(size=(4, 3)), rng.normal(size=3),
                             rng.normal(size=3), rng.normal(size=4))
-        emb = ParamStore().add("emb", table) if as_param else Tensor(table)
+        p = ParamStore().add("emb", table)
+        emb = nm.add(p, Tensor(np.zeros((4, 3)))) if recorded else p
         loss = nm.add(nm.tsum(nm.hadamard(nm.pick(emb, 2), Tensor(c1))),
                       nm.tsum(nm.hadamard(nm.matmul(emb, Tensor(v)), Tensor(c2))))
         nm.backward(loss)
         expected = np.outer(c2, v)
         expected[2] += c1
-        assert rel_err(emb.grad, expected) <= 1e-12
+        assert rel_err(p.grad, expected) <= 1e-12

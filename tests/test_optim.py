@@ -281,6 +281,19 @@ class TestTrainEpoch:
                           optim.TrainConfig(batch_size=1), 0)
         assert live == [0] * 6
 
+    def test_batch_order_seeded_per_epoch(self):
+        # lengths 3, 4, 5, 3, 4, 5 bucket into three pairs; each epoch
+        # shuffles them with its own SeedSequence([seed, epoch])
+        examples = synthetic_examples(tiny_config())
+        tc = optim.TrainConfig(seed=5, batch_size=2)
+        orders = []
+        for epoch in range(2):
+            expected = [[0, 3], [1, 4], [2, 5]]
+            np.random.default_rng(np.random.SeedSequence([5, epoch])).shuffle(expected)
+            orders.append(optim._batches(examples, tc, epoch))
+            assert orders[-1] == expected
+        assert orders[0] != orders[1]
+
     def test_empty_dataset_rejected(self):
         params = dec.init_params(tiny_config(), rng_seed=0)
         with pytest.raises(ValueError, match="non-empty"):
