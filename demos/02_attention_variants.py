@@ -1,4 +1,4 @@
-"""The five attention formulations, side by side on one feature grid.
+"""The five attention formulations, side by side on one L x D feature tensor.
 
 Shows how the saliency grid steers each variant, and the degeneracies
 that tie the two-path model back to plain soft attention.
@@ -25,8 +25,8 @@ for variant in ("soft", "saliency_pooling", "attention_on_saliency",
     params = decoder.init_params(decoder.ModelConfig(variant=variant, **SIZES), rng_seed=2)
     for slot in params.store.slots():  # kick away from the near-zero init
         slot.value.data += rng.normal(0, 0.3, slot.value.data.shape)
-    grid = decoder.project_features(Tensor(raw), params)
-    out = attend(grid, sal, h_prev, params.attention)
+    a = decoder.project_features(Tensor(raw), params)
+    out = attend(a, sal, h_prev, params.attention)
     if out.alpha is None:
         print("%-22s alpha: (none: static pooling)  v_hat[:3] %s"
               % (variant, np.round(out.v_hat.data[:3], 3)))
@@ -38,9 +38,9 @@ for variant in ("soft", "saliency_pooling", "attention_on_saliency",
 params = decoder.init_params(decoder.ModelConfig(variant="saliency_context", **SIZES), rng_seed=3)
 for slot in params.store.slots():
     slot.value.data += rng.normal(0, 0.3, slot.value.data.shape)
-grid = decoder.project_features(Tensor(raw), params)
+a = decoder.project_features(Tensor(raw), params)
 ones = SaliencyGrid(np.ones(6))
-full = attend(grid, ones, h_prev, params.attention)
+full = attend(a, ones, h_prev, params.attention)
 
 soft_params = decoder.init_params(decoder.ModelConfig(variant="soft", **SIZES), rng_seed=3)
 for name in ("w_ae", "w_he", "v_e"):
@@ -48,8 +48,8 @@ for name in ("w_ae", "w_he", "v_e"):
 for slot in soft_params.store.slots():
     if slot.name in params.store:
         slot.value.data[...] = params.store[slot.name].value.data
-grid2 = decoder.project_features(Tensor(raw), soft_params)
-plain = attend(grid2, ones, h_prev, soft_params.attention)
+a_soft = decoder.project_features(Tensor(raw), soft_params)
+plain = attend(a_soft, ones, h_prev, soft_params.attention)
 
 print("\ns = 1 everywhere: |alpha_full - alpha_soft| =",
       np.max(np.abs(full.alpha.data - plain.alpha.data)))

@@ -4,7 +4,7 @@ Library layout:
 
 - ``numerics``   taped float64 tensors and reverse-mode differentiation
 - ``vocab``      vocabulary building and token encoding/decoding
-- ``attention``  the five attention formulations over a feature grid
+- ``attention``  the five attention formulations over the L x D feature tensor
 - ``decoder``    feature projection, word embedding, LSTM cell, output softmax
 - ``optim``      sequence NLL, Adam/Nadam, training loop, gradient checking
 - ``inference``  greedy decoding and per-step attention-path tracing

@@ -1,6 +1,6 @@
 """The generative captioner: feature projection, embeddings, LSTM, output layer.
 
-Per timestep (``step``) the decoder attends over the feature grid using
+Per timestep (``step``) the decoder attends over the L x D features using
 the state h_{t-1}, embeds the previous word, runs one LSTM step on
 (v_hat, w, h_{t-1}) and maps h_t through W_p to a softmax over the
 vocabulary.
@@ -15,7 +15,7 @@ import numpy as np
 
 from . import attention, data_io
 from . import numerics as nm
-from .attention import AttentionParams, AttentionPathParams, FeatureGrid, VARIANTS
+from .attention import AttentionParams, AttentionPathParams, VARIANTS
 from .data_io import FormatError
 from .numerics import ParamStore, ShapeError
 from .vocab import Vocabulary
@@ -168,13 +168,13 @@ def init_params(config, rng_seed):
 
 
 def project_features(raw, params):
-    """Per-location a_i = relu(proj_W raw_i + proj_b); the 1x1-conv reduction."""
+    """The L x D features that attention takes: a_i = relu(proj_W raw_i + proj_b), a 1x1 conv."""
     if raw.data.ndim != 2 or raw.data.shape[1] != params.proj_w.data.shape[1]:
         raise ShapeError(
             "raw features %r do not match projection %r" % (raw.dims, params.proj_w.dims)
         )
     projected = nm.add(nm.matmul(raw, nm.transpose(params.proj_w)), params.proj_b)
-    return FeatureGrid(nm.relu(projected))
+    return nm.relu(projected)
 
 
 def embed_word(token_id, params):
@@ -202,15 +202,15 @@ def output_distribution(h, params):
     return nm.softmax_vec(nm.matmul(params.w_p, h))
 
 
-def step(params, grid, sal, state, prev_id):
-    """One timestep from state h_{t-1} and the previous word id.
+def step(params, a, sal, state, prev_id):
+    """One timestep over the L x D features ``a`` from state h_{t-1} and the previous word id.
 
     Returns the attention output, the new LSTM state and the word
     distribution.  Training, decoding and tracing all run this step.
     Every value recorded so far is tested before it returns
     (``numerics.check_recorded``).
     """
-    out = attention.attend(grid, sal, state.h, params.attention)
+    out = attention.attend(a, sal, state.h, params.attention)
     state = lstm_step(out.v_hat, embed_word(prev_id, params), state, params.lstm)
     probs = output_distribution(state.h, params)
     nm.check_recorded()

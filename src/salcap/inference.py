@@ -39,11 +39,11 @@ class TraceStep:
 def _greedy_steps(params, raw, sal, max_len):
     """Yield (emitted id, attention output) per step, through EOS or max_len steps."""
     data_io.at_least("max_len", max_len, 1)
-    grid = dec.project_features(nm.Tensor(raw), params)
+    a = dec.project_features(nm.Tensor(raw), params)
     state = dec.LstmState.initial(params.config.hidden_size)
     emitted = BOS_ID
     for _ in range(max_len):
-        out, state, probs = dec.step(params, grid, sal, state, emitted)
+        out, state, probs = dec.step(params, a, sal, state, emitted)
         emitted = int(np.argmax(probs.data))  # ties resolve to the lowest id
         yield emitted, out
         if emitted == EOS_ID:

@@ -89,14 +89,14 @@ def forward_caption(params, raw, sal, token_ids):
     ``token_ids`` is BOS + words + EOS (+ optional right PADs, which end
     the rollout).  Attention at step t uses the state from step t-1.
     """
-    grid = dec.project_features(nm.Tensor(raw), params)
+    a = dec.project_features(nm.Tensor(raw), params)
     state = dec.LstmState.initial(params.config.hidden_size)
     probs, targets, attended = [], [], []
     for t in range(1, len(token_ids)):
         target = token_ids[t]
         if target == PAD_ID:
             break
-        out, state, step_probs = dec.step(params, grid, sal, state, token_ids[t - 1])
+        out, state, step_probs = dec.step(params, a, sal, state, token_ids[t - 1])
         probs.append(step_probs)
         targets.append(target)
         attended.append(out)

@@ -9,7 +9,6 @@ from salcap.attention import (
     VARIANTS,
     AttentionParams,
     AttentionPathParams,
-    FeatureGrid,
     SaliencyGrid,
     attend,
     combine_saliency_context,
@@ -52,31 +51,37 @@ class TestSaliencyGrid:
 
 class TestScorePath:
     def test_all_zero_params(self):
-        grid = FeatureGrid(Tensor(np.ones((4, 3))))
+        a = Tensor(np.ones((4, 3)))
         path = leaf_path(np.zeros((3, 3)), np.zeros((3, 2)), np.zeros(3))
-        e = score_path(grid, Tensor(np.ones(2)), path)
+        e = score_path(a, Tensor(np.ones(2)), path)
         npt.assert_array_equal(e.data, np.zeros(4))
 
     def test_zero_projection_nulls(self):
         rng = np.random.default_rng(0)
-        grid = FeatureGrid(Tensor(rng.normal(size=(4, 3))))
+        a = Tensor(rng.normal(size=(4, 3)))
         path = leaf_path(rng.normal(size=(5, 3)), rng.normal(size=(5, 2)), np.zeros(5))
-        e = score_path(grid, Tensor(rng.normal(size=2)), path)
+        e = score_path(a, Tensor(rng.normal(size=2)), path)
         npt.assert_array_equal(e.data, np.zeros(4))
 
     def test_scalar_hand_case(self):
         # D = D_att = H = 1, W_ae = 1, W_he = 0, v_e = 1, a = 0.5
-        grid = FeatureGrid(Tensor([[0.5]]))
+        a = Tensor([[0.5]])
         path = leaf_path([[1.0]], [[0.0]], [1.0])
-        e = score_path(grid, Tensor(np.zeros(1)), path)
+        e = score_path(a, Tensor(np.zeros(1)), path)
         npt.assert_allclose(e.data, [np.tanh(0.5)], atol=1e-12)
         assert abs(e.data[0] - 0.46212) < 1e-5
 
     def test_hidden_dim_mismatch(self):
-        grid = FeatureGrid(Tensor(np.ones((4, 3))))
+        a = Tensor(np.ones((4, 3)))
         path = leaf_path(np.zeros((3, 3)), np.zeros((3, 2)), np.zeros(3))
-        with pytest.raises(ShapeError):
-            score_path(grid, Tensor(np.ones(5)), path)
+        with pytest.raises(ShapeError, match=r"matmul: incompatible operands \[3, 2\] x \[5\]"):
+            score_path(a, Tensor(np.ones(5)), path)
+
+    def test_v_e_shorter_than_w_ae_rows(self):
+        a = Tensor(np.ones((4, 3)))
+        path = leaf_path(np.zeros((3, 3)), np.zeros((3, 2)), np.zeros(2))
+        with pytest.raises(ShapeError, match=r"matmul: incompatible operands \[4, 3\] x \[2\]"):
+            score_path(a, Tensor(np.ones(2)), path)
 
 
 class TestCombine:
@@ -101,7 +106,7 @@ class TestCombine:
             npt.assert_allclose(e.data, scores, atol=1e-12)
 
     def test_length_mismatch(self):
-        with pytest.raises(ShapeError):
+        with pytest.raises(ShapeError, match=r"hadamard: mismatched dims \[2\] vs \[1\]"):
             combine_saliency_context(Tensor([1.0]), Tensor([1.0, 2.0]), SaliencyGrid(np.array([0.5])))
 
 
@@ -109,15 +114,15 @@ class TestContextVector:
     """v_hat = sum_i alpha_i a_i, as ``attend`` computes it."""
 
     def test_one_hot(self):
-        grid = FeatureGrid(Tensor([[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]]))
+        a = Tensor([[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]])
         sal = SaliencyGrid(np.array([0.0, 1.0, 0.0]))
-        v = attend(grid, sal, None, AttentionParams("saliency_pooling")).v_hat
+        v = attend(a, sal, None, AttentionParams("saliency_pooling")).v_hat
         npt.assert_array_equal(v.data, [3.0, 4.0])
 
     def test_even_mix(self):
-        grid = FeatureGrid(Tensor([[1.0, 0.0], [0.0, 1.0]]))
+        a = Tensor([[1.0, 0.0], [0.0, 1.0]])
         path = leaf_path(np.ones((2, 2)), np.ones((2, 3)), np.zeros(2))  # uniform alpha
-        out = attend(grid, SaliencyGrid(np.array([0.3, 0.9])), Tensor(np.ones(3)),
+        out = attend(a, SaliencyGrid(np.array([0.3, 0.9])), Tensor(np.ones(3)),
                      AttentionParams("soft", single=path))
         npt.assert_array_equal(out.v_hat.data, [0.5, 0.5])
 
@@ -131,7 +136,7 @@ class TestContextVector:
             AttentionParams("attention_on_saliency", single=random_path(rng, 3, 4, 2)),
             make_two_path(rng, 3, 4, 2),
         ):
-            out = attend(FeatureGrid(Tensor(a)), sal, h_prev, params)
+            out = attend(Tensor(a), sal, h_prev, params)
             expected = np.zeros(3)
             for i in range(5):
                 expected += out.alpha.data[i] * a[i]
@@ -152,7 +157,7 @@ class TestAttendVariants:
 
     def setup_method(self):
         self.rng = np.random.default_rng(7)
-        self.grid = FeatureGrid(Tensor(self.rng.normal(size=(self.L, self.D))))
+        self.a = Tensor(self.rng.normal(size=(self.L, self.D)))
         self.h_prev = Tensor(self.rng.normal(size=self.H))
 
     def _soft_params(self, path):
@@ -162,8 +167,8 @@ class TestAttendVariants:
     def test_saliency_one_reduces_to_sal_path(self):
         params = make_two_path(self.rng, self.D, self.H, self.D_ATT)
         ones = SaliencyGrid(np.ones(self.L))
-        full = attend(self.grid, ones, self.h_prev, params)
-        soft = attend(self.grid, ones, self.h_prev, self._soft_params(params.sal))
+        full = attend(self.a, ones, self.h_prev, params)
+        soft = attend(self.a, ones, self.h_prev, self._soft_params(params.sal))
         npt.assert_allclose(full.e.data, soft.e.data, atol=1e-12)
         npt.assert_allclose(full.alpha.data, soft.alpha.data, atol=1e-12)
         npt.assert_allclose(full.v_hat.data, soft.v_hat.data, atol=1e-12)
@@ -171,8 +176,8 @@ class TestAttendVariants:
     def test_saliency_zero_reduces_to_ctx_path(self):
         params = make_two_path(self.rng, self.D, self.H, self.D_ATT)
         zeros = SaliencyGrid(np.zeros(self.L))
-        full = attend(self.grid, zeros, self.h_prev, params)
-        soft = attend(self.grid, zeros, self.h_prev, self._soft_params(params.ctx))
+        full = attend(self.a, zeros, self.h_prev, params)
+        soft = attend(self.a, zeros, self.h_prev, self._soft_params(params.ctx))
         npt.assert_allclose(full.e.data, soft.e.data, atol=1e-12)
         npt.assert_allclose(full.v_hat.data, soft.v_hat.data, atol=1e-12)
 
@@ -181,8 +186,8 @@ class TestAttendVariants:
         soft_params = self._soft_params(params.sal)
         for _ in range(100):
             s = SaliencyGrid(self.rng.uniform(size=self.L))
-            full = attend(self.grid, s, self.h_prev, params)
-            soft = attend(self.grid, s, self.h_prev, soft_params)
+            full = attend(self.a, s, self.h_prev, params)
+            soft = attend(self.a, s, self.h_prev, soft_params)
             npt.assert_allclose(full.e.data, soft.e.data, atol=1e-12)
             npt.assert_allclose(full.v_hat.data, soft.v_hat.data, atol=1e-12)
 
@@ -201,14 +206,14 @@ class TestAttendVariants:
         )
         for _ in range(10):
             s = SaliencyGrid(self.rng.uniform(size=self.L))
-            a = attend(self.grid, s, self.h_prev, params)
-            b = attend(self.grid, s, self.h_prev, soft)
-            npt.assert_allclose(a.e.data, b.e.data, atol=1e-12)
+            full = attend(self.a, s, self.h_prev, params)
+            plain = attend(self.a, s, self.h_prev, soft)
+            npt.assert_allclose(full.e.data, plain.e.data, atol=1e-12)
 
     def test_saliency_pooling_weighted_sum(self):
-        grid = FeatureGrid(Tensor([[1.0, 0.0], [0.0, 1.0]]))
+        a = Tensor([[1.0, 0.0], [0.0, 1.0]])
         params = AttentionParams("saliency_pooling")
-        out = attend(grid, SaliencyGrid(np.ones(2)), Tensor(np.zeros(4)), params)
+        out = attend(a, SaliencyGrid(np.ones(2)), Tensor(np.zeros(4)), params)
         npt.assert_array_equal(out.v_hat.data, [1.0, 1.0])
         assert out.alpha is None and out.e is None
 
@@ -216,7 +221,7 @@ class TestAttendVariants:
         params = AttentionParams("saliency_pooling")
         s = SaliencyGrid(self.rng.uniform(size=self.L))
         outputs = [
-            attend(self.grid, s, Tensor(self.rng.normal(size=self.H)), params)
+            attend(self.a, s, Tensor(self.rng.normal(size=self.H)), params)
             for _ in range(20)
         ]
         for out in outputs[1:]:
@@ -225,7 +230,7 @@ class TestAttendVariants:
     def test_attention_on_saliency_zero_gives_uniform(self):
         path = random_path(self.rng, self.D, self.H, self.D_ATT)
         params = AttentionParams("attention_on_saliency", single=path)
-        out = attend(self.grid, SaliencyGrid(np.zeros(self.L)), self.h_prev, params)
+        out = attend(self.a, SaliencyGrid(np.zeros(self.L)), self.h_prev, params)
         npt.assert_array_equal(out.e.data, np.zeros(self.L))
         npt.assert_allclose(out.alpha.data, np.full(self.L, 1 / self.L), atol=1e-15)
 
@@ -245,19 +250,15 @@ class TestAttendVariants:
             )
         for _ in range(20):
             s = SaliencyGrid(self.rng.uniform(size=self.L))
-            out = attend(self.grid, s, Tensor(self.rng.normal(size=self.H)), params)
-            lo = self.grid.a.data.min(axis=0) - 1e-12
-            hi = self.grid.a.data.max(axis=0) + 1e-12
+            out = attend(self.a, s, Tensor(self.rng.normal(size=self.H)), params)
+            lo = self.a.data.min(axis=0) - 1e-12
+            hi = self.a.data.max(axis=0) + 1e-12
             assert np.all(out.v_hat.data >= lo) and np.all(out.v_hat.data <= hi)
-
-    def test_unknown_variant(self):
-        with pytest.raises(ValueError, match="unknown attention variant"):
-            AttentionParams("hard", single=random_path(self.rng, self.D, self.H, self.D_ATT))
 
     def test_saliency_length_mismatch(self):
         params = AttentionParams("soft", single=random_path(self.rng, self.D, self.H, self.D_ATT))
         with pytest.raises(ShapeError):
-            attend(self.grid, SaliencyGrid(np.ones(self.L + 1)), self.h_prev, params)
+            attend(self.a, SaliencyGrid(np.ones(self.L + 1)), self.h_prev, params)
 
 
 @pytest.mark.parametrize("variant", VARIANTS)

@@ -44,25 +44,25 @@ class TestProjectFeatures:
         config = tiny_config(feature_size=4, raw_feature_size=4)
         params = self._params(np.eye(4), np.zeros(4), config)
         raw = np.abs(np.random.default_rng(0).normal(size=(6, 4)))
-        grid = dec.project_features(Tensor(raw), params)
-        npt.assert_allclose(grid.a.data, raw, atol=1e-15)
+        a = dec.project_features(Tensor(raw), params)
+        npt.assert_allclose(a.data, raw, atol=1e-15)
 
     def test_relu_saturation(self):
         config = tiny_config(feature_size=4, raw_feature_size=4)
         params = self._params(np.eye(4), np.full(4, -1e6), config)
         raw = np.random.default_rng(1).normal(size=(6, 4))
-        grid = dec.project_features(Tensor(raw), params)
-        npt.assert_array_equal(grid.a.data, np.zeros((6, 4)))
+        a = dec.project_features(Tensor(raw), params)
+        npt.assert_array_equal(a.data, np.zeros((6, 4)))
 
     def test_matches_per_location_loop(self):
         rng = np.random.default_rng(2)
         config = tiny_config()
         params = dec.init_params(config, rng_seed=3)
         raw = rng.normal(size=(config.num_locations, config.raw_feature_size))
-        grid = dec.project_features(Tensor(raw), params)
+        a = dec.project_features(Tensor(raw), params)
         for i in range(config.num_locations):
             expected = np.maximum(0.0, params.proj_w.data @ raw[i] + params.proj_b.data)
-            npt.assert_allclose(grid.a.data[i], expected, atol=1e-12)
+            npt.assert_allclose(a.data[i], expected, atol=1e-12)
 
     def test_dim_mismatch(self):
         params = dec.init_params(tiny_config(), rng_seed=0)
@@ -160,7 +160,7 @@ class TestCheckedStep:
         params = dec.init_params(config, rng_seed=0)
         params.lstm.w_h["i"].data[0, 0] = 1e308
         rng = np.random.default_rng(12)
-        grid = dec.project_features(
+        a = dec.project_features(
             Tensor(rng.normal(size=(config.num_locations, config.raw_feature_size))), params
         )
         sal = SaliencyGrid(rng.uniform(0.0, 1.0, config.num_locations))
@@ -170,7 +170,7 @@ class TestCheckedStep:
         expected = r"non-finite value from matmul, output dims \[16\]"
         with np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises(ValueError, match=expected) as info:
-                dec.step(params, grid, sal, state, 4)
+                dec.step(params, a, sal, state, 4)
         assert "step" in [entry.name for entry in info.traceback]
 
 
@@ -361,6 +361,14 @@ class TestCheckpoint:
         ckpt = self._saved(tmp_path)
         self._edit_config(ckpt, **{field: value})
         with pytest.raises(FormatError, match=re.escape("%s: %s" % (ckpt / "config.json", message))):
+            dec.load_checkpoint(ckpt)
+
+    def test_unknown_variant_named(self, tmp_path):
+        """ModelConfig is the one place a variant is checked."""
+        ckpt = self._saved(tmp_path)
+        self._edit_config(ckpt, variant="hard")
+        message = "%s: unknown attention variant 'hard'" % (ckpt / "config.json")
+        with pytest.raises(FormatError, match=re.escape(message)):
             dec.load_checkpoint(ckpt)
 
     def test_save_replaces_checkpoint(self, tmp_path):

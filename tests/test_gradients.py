@@ -17,7 +17,6 @@ from salcap import optim
 from salcap.attention import (
     AttentionParams,
     AttentionPathParams,
-    FeatureGrid,
     SaliencyGrid,
     attend,
     combine_saliency_context,
@@ -82,12 +81,12 @@ def path_leaves(p):
 
 
 def build_score_path(rng):
-    grid = FeatureGrid(param(rng.normal(size=(3, 2))))
+    a = param(rng.normal(size=(3, 2)))
     h_prev = param(rng.normal(size=2))
     path = leaf_path(rng, 2, 2, 2)
     weights = rng.normal(size=3)
-    loss = lambda: nm.tsum(nm.hadamard(score_path(grid, h_prev, path), Tensor(weights)))
-    return [grid.a, h_prev] + path_leaves(path), loss
+    loss = lambda: nm.tsum(nm.hadamard(score_path(a, h_prev, path), Tensor(weights)))
+    return [a, h_prev] + path_leaves(path), loss
 
 
 def build_combine(rng):
@@ -103,7 +102,7 @@ def build_combine(rng):
 
 def build_attend(variant):
     def build(rng):
-        grid = FeatureGrid(param(rng.normal(size=(3, 2))))
+        a = param(rng.normal(size=(3, 2)))
         sal = SaliencyGrid(rng.uniform(size=3))
         h_prev = param(rng.normal(size=2))
         if variant in ("soft", "attention_on_saliency"):
@@ -126,9 +125,9 @@ def build_attend(variant):
             leaves = []
         weights = rng.normal(size=2)
         loss = lambda: nm.tsum(
-            nm.hadamard(attend(grid, sal, h_prev, params).v_hat, Tensor(weights))
+            nm.hadamard(attend(a, sal, h_prev, params).v_hat, Tensor(weights))
         )
-        return [grid.a, h_prev] + leaves if variant != "saliency_pooling" else [grid.a], loss
+        return [a, h_prev] + leaves if variant != "saliency_pooling" else [a], loss
 
     return build
 
@@ -146,7 +145,7 @@ def build_project_features(rng):
             break
     weights = rng.normal(size=(3, 2))
     loss = lambda: nm.tsum(
-        nm.hadamard(dec.project_features(raw, params).a, Tensor(weights))
+        nm.hadamard(dec.project_features(raw, params), Tensor(weights))
     )
     return [params.proj_w, params.proj_b, raw], loss
 
