@@ -235,12 +235,12 @@ def _build(cls, where, obj):
     An unknown field, a missing one without a default, or a value cls rejects
     raises FormatError naming ``where``.
     """
-    kinds, required = _field_kinds(cls)
+    kinds, required, optional = _field_kinds(cls)
     unknown = sorted(obj.keys() - kinds.keys())
     if unknown:
         raise FormatError("%s: unknown field %s" % (where, ", ".join(map(repr, unknown))))
     _check_members(where, obj, {name: kind for name, kind in kinds.items()
-                                if name in obj or name in required})
+                                if name in obj or name in required}, optional)
     try:
         return cls(**obj)
     except ValueError as exc:
@@ -249,10 +249,12 @@ def _build(cls, where, obj):
 
 @functools.cache
 def _field_kinds(cls):
-    """(name -> kind of each field of dataclass cls, names of those without a default); read-only."""
+    """(name -> kind of each field of dataclass cls, names of those without a default,
+    names of its ``Optional`` fields); read-only."""
     fields = dataclasses.fields(cls)
-    return ({f.name: f.type for f in fields},
-            {f.name for f in fields if f.default is MISSING and f.default_factory is MISSING})
+    kinds = {f.name: f.type for f in fields}
+    required = {f.name for f in fields if f.default is MISSING and f.default_factory is MISSING}
+    return kinds, required, _optional_names(kinds)
 
 
 def at_least(name, value, least):
@@ -284,14 +286,19 @@ def _check_fields(where, obj, types):
     """
     if not isinstance(obj, dict):
         raise FormatError("%s: expected a JSON object, got %s" % (where, type(obj).__name__))
-    _check_members(where, obj, types)
+    _check_members(where, obj, types, _optional_names(types))
 
 
-def _check_members(where, obj, types):
-    """_check_fields for an obj already known to be a dict."""
+def _optional_names(types):
+    return frozenset(name for name, kind in types.items() if get_origin(kind) is Union)
+
+
+def _check_members(where, obj, types, optional):
+    """_check_fields for an obj already known to be a dict; ``optional`` names
+    the fields of ``types`` whose kind is ``Optional``."""
     missing, present = [], []
     for name, kind in types.items():
-        if get_origin(kind) is Union:
+        if name in optional:
             if obj.get(name) is not None:
                 present.append((name, get_args(kind)[0]))
         elif name in obj:

@@ -14,10 +14,19 @@ gives its gradient up once its closure has used it, so after
 a second ``backward`` over it adds the same gradients again.
 
 A closure owns the gradient it is handed: nothing else holds that array
-once the closure returns.  So a pass-through may hand it on as it is, and
-``add`` gives its first operand g itself and its second a copy of g, or,
-where the second is a vector added to every row of a matrix, the column
+once the closure returns.  So a pass-through may hand it on without a
+copy: ``add`` gives its first operand g itself and ``transpose`` gives
+its operand g^T, a view of g.  ``add``'s second operand, if it already
+holds a buffer, adds g into it; only when g would become its new buffer
+does it get a copy, since its first operand may hold g.  Where the second
+operand is a vector added to every row of a matrix, it gets the column
 sums of g.  ``add`` takes no other pair of shapes.
+
+At desk sizes an op's time goes to numpy's fixed cost per call more than
+to arithmetic.  So products call ``ndarray.dot``, not ``@``, outer
+products broadcast ``g[:, None] * x``, not ``np.outer``, and the deferred
+terms are stacked by ``np.array``, not ``np.stack``: each reaches the
+same BLAS call or C loop, with the same bits, at a fraction of the cost.
 
 A value joins the tape one way.  ``Tensor(x)`` makes a leaf from
 anything ``np.asarray`` takes, and only an op makes a recorded tensor.
@@ -217,14 +226,14 @@ class ParamStore:
 
 def _recording_order(root):
     """The recorded tensors reachable from ``root``, latest first."""
-    seen = {root}  # Tensor hashes by identity
+    seen = {root} if root._parents else set()  # Tensor hashes by identity; no leaf enters
     stack = [root]
     while stack:
         for parent in stack.pop()._parents:
-            if parent not in seen:
+            if parent._parents and parent not in seen:
                 seen.add(parent)
                 stack.append(parent)
-    return sorted((t for t in seen if t._parents), key=attrgetter("_seq"), reverse=True)
+    return sorted(seen, key=attrgetter("_seq"), reverse=True)
 
 
 def _needs_grad(t):
@@ -265,7 +274,7 @@ def backward(loss):
             node.grad = None
         for leaf, terms in _DEFERRED.items():
             g, x = zip(*terms)
-            _accumulate(leaf, np.stack(g).T @ np.stack(x))
+            _accumulate(leaf, np.array(g).T.dot(np.array(x)))
     finally:
         _DEFERRED.clear()
 
@@ -284,15 +293,15 @@ def matmul(a, b):
     def _bw(g):
         if _needs_grad(a):
             if b.data.ndim == 2:
-                _accumulate(a, g @ b.data.T)
+                _accumulate(a, g.dot(b.data.T))
             elif a._parents:
-                _accumulate(a, np.outer(g, b.data))
+                _accumulate(a, g[:, None] * b.data)
             else:  # a parameter's rank-1 terms are summed in one GEMM at the end of backward
                 _DEFERRED.setdefault(a, []).append((g, b.data))
         if _needs_grad(b):
-            _accumulate(b, a.data.T @ g)
+            _accumulate(b, a.data.T.dot(g))
 
-    return Tensor(a.data @ b.data, (a, b), _bw)
+    return Tensor(a.data.dot(b.data), (a, b), _bw)
 
 
 def transpose(a):
@@ -300,7 +309,7 @@ def transpose(a):
         raise ShapeError("transpose needs a matrix, got dims %r" % (a.dims,))
 
     def _bw(g):
-        _accumulate(a, g.T.copy())
+        _accumulate(a, g.T)
 
     return Tensor(a.data.T, (a,), _bw)
 
@@ -320,7 +329,11 @@ def add(a, b):
 
     def _bw(g):
         _accumulate(a, g)
-        _accumulate(b, g.sum(axis=0) if row else g.copy())
+        if row:
+            g = g.sum(axis=0)
+        elif b.grad is None and b._parents:  # b's new buffer must not be a's
+            g = g.copy()
+        _accumulate(b, g)
 
     return Tensor(a.data + b.data, (a, b), _bw)
 
@@ -371,7 +384,7 @@ def softmax_vec(e):
     y = ex / ex.sum()
 
     def _bw(g):
-        _accumulate(e, y * (g - np.dot(g, y)))
+        _accumulate(e, y * (g - g.dot(y)))
 
     return Tensor(y, (e,), _bw)
 
@@ -381,7 +394,7 @@ def tsum(x):
     def _bw(g):
         _accumulate(x, np.full(x.data.shape, g))
 
-    return Tensor(np.sum(x.data), (x,), _bw)
+    return Tensor(x.data.sum(), (x,), _bw)
 
 
 def log(x):

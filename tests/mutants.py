@@ -73,6 +73,12 @@ MUTANTS = [
     Mutant("a constant takes its first contribution as a buffer", "src/salcap/numerics.py",
            "    elif _needs_grad(t):\n        t.grad = g\n", "    else:\n        t.grad = g\n",
            "tests/test_numerics.py::TestLazyBuffers::test_constant_operand_gets_no_gradient"),
+    Mutant("add's second operand takes g itself", "src/salcap/numerics.py",
+           "            g = g.copy()\n", "            pass\n",
+           "tests/test_numerics.py::TestLazyBuffers::test_recorded_second_operand_gets_its_own_buffer"),
+    Mutant("the deferred GEMM transposed", "src/salcap/numerics.py",
+           "np.array(g).T.dot(np.array(x))", "np.array(x).T.dot(np.array(g))",
+           "tests/test_numerics.py::TestProductsKeepTheirBits::test_parameter_times_vector"),
     Mutant("a checkpoint's unknown variant accepted", "src/salcap/decoder.py",
            "if self.variant not in VARIANTS:", "if False:",
            "tests/test_decoder.py::TestCheckpoint::test_unknown_variant_named"),

@@ -3,8 +3,9 @@ import json
 import os
 import re
 import struct
-from dataclasses import asdict
+from dataclasses import asdict, dataclass
 from pathlib import Path
+from typing import Optional
 
 import numpy as np
 import numpy.testing as npt
@@ -446,6 +447,26 @@ class TestJsonFiles:
         path.write_text(json.dumps(obj))
         with pytest.raises(FormatError, match=r"spec\.json: unknown field 'colour'"):
             data_io.read_dataclass(SyntheticSpec, path)
+
+    def test_optional_dataclass_field(self, tmp_path):
+        """An ``Optional`` field may be absent or null; present, it must be of its kind."""
+
+        @dataclass(frozen=True)
+        class Run:
+            name: str
+            note: Optional[str] = None
+
+        path = tmp_path / "run.json"
+        for obj, expected in (({"name": "a"}, Run("a")), ({"name": "a", "note": None}, Run("a")),
+                              ({"name": "a", "note": "b"}, Run("a", "b"))):
+            path.write_text(json.dumps(obj))
+            assert data_io.read_dataclass(Run, path) == expected
+        path.write_text(json.dumps({"name": "a", "note": 3}))
+        with pytest.raises(FormatError, match=re.escape("%s: note must be a string, got 3" % path)):
+            data_io.read_dataclass(Run, path)
+        path.write_text(json.dumps({"note": "b"}))
+        with pytest.raises(FormatError, match=re.escape("%s: missing field 'name'" % path)):
+            data_io.read_dataclass(Run, path)
 
     @pytest.mark.parametrize("literal,value", NON_FINITE)
     def test_jsonl_non_finite_literal_named(self, tmp_path, literal, value):

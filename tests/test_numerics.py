@@ -408,6 +408,72 @@ class TestDeferredWeightGradient:
         npt.assert_array_equal(w.grad, fresh_w.grad)
 
 
+class TestProductsKeepTheirBits:
+    """``matmul``, its backward and the deferred GEMM call ``ndarray.dot``
+    and build outer products by broadcasting; each result equals the plain
+    ``@`` / ``np.outer`` / ``np.stack`` formula kept here, bit for bit, at
+    desk sizes and at the published ones (L=300 locations, D=512 features,
+    hidden 1024, vocabulary 5000)."""
+
+    @pytest.mark.parametrize("m, k, n", [(25, 32, 32), (300, 512, 512)], ids=["desk", "published"])
+    def test_matrix_times_transposed_parameter(self, m, k, n):
+        """score_path's a @ W_ae^T and both of its backward products."""
+        rng = np.random.default_rng(20)
+        a = nm.tanh(Tensor(rng.normal(size=(m, k))))  # recorded: takes its gradient as a buffer
+        w_t = nm.transpose(param(rng.normal(size=(n, k))))
+        out = nm.matmul(a, w_t)
+        npt.assert_array_equal(out.data, a.data @ w_t.data)
+        g = rng.normal(size=(m, n))
+        out._backward_fn(g)
+        npt.assert_array_equal(a.grad, g @ w_t.data.T)
+        npt.assert_array_equal(w_t.grad, a.data.T @ g)
+
+    @pytest.mark.parametrize("m, k", [(32, 25), (512, 300)], ids=["desk", "published"])
+    def test_recorded_matrix_times_vector(self, m, k):
+        """attend's a^T alpha: the recorded matrix's gradient is an outer product."""
+        rng = np.random.default_rng(21)
+        a_t = nm.transpose(nm.tanh(Tensor(rng.normal(size=(k, m)))))
+        alpha = nm.softmax_vec(Tensor(rng.normal(size=k)))
+        out = nm.matmul(a_t, alpha)
+        npt.assert_array_equal(out.data, a_t.data @ alpha.data)
+        g = rng.normal(size=m)
+        out._backward_fn(g)
+        npt.assert_array_equal(a_t.grad, np.outer(g, alpha.data))
+        npt.assert_array_equal(alpha.grad, a_t.data.T @ g)
+
+    @pytest.mark.parametrize("m, k", [(32, 32), (64, 32), (1024, 512), (5000, 1024)],
+                             ids=["desk_square", "desk", "lstm_published", "output_published"])
+    def test_parameter_times_vector(self, m, k):
+        """A parameter matrix by a vector at each of 13 steps: the products,
+        each vector's gradient and the parameter's one 13-term GEMM."""
+        rng = np.random.default_rng(22)
+        w = param(rng.normal(size=(m, k)))
+        xs = [param(rng.normal(size=k)) for _ in range(13)]
+        cs = [rng.normal(size=m) for _ in range(13)]
+        loss = None
+        for x, c in zip(xs, cs):
+            out = nm.matmul(w, x)
+            npt.assert_array_equal(out.data, w.data @ x.data)
+            term = nm.tsum(nm.hadamard(out, Tensor(c)))  # hands c on as the upstream gradient
+            loss = term if loss is None else nm.add(loss, term)
+        nm.backward(loss)
+        for x, c in zip(xs, cs):
+            npt.assert_array_equal(x.grad, w.data.T @ c)
+        latest_first = slice(None, None, -1)  # the order in which backward meets the terms
+        npt.assert_array_equal(
+            w.grad, np.stack(cs[latest_first]).T @ np.stack([x.data for x in xs][latest_first]))
+
+    @pytest.mark.parametrize("n", [25, 300], ids=["desk", "published"])
+    def test_softmax_backward_and_tsum(self, n):
+        rng = np.random.default_rng(23)
+        e = nm.tanh(Tensor(rng.normal(size=n)))
+        y = nm.softmax_vec(e)
+        g = rng.normal(size=n)
+        y._backward_fn(g)
+        npt.assert_array_equal(e.grad, y.data * (g - np.dot(g, y.data)))
+        assert nm.tsum(e).data == np.sum(e.data)
+
+
 class TestLazyBuffers:
     def test_shared_subgraph_does_not_leak(self):
         rng = np.random.default_rng(13)
@@ -501,3 +567,37 @@ class TestLazyBuffers:
         expected = np.outer(c2, v)
         expected[2] += c1
         assert rel_err(p.grad, expected) <= 1e-12
+
+    @pytest.mark.parametrize("op", ["add", "transpose"])
+    def test_parameter_gets_exactly_g_added(self, op):
+        """A bias after ``add`` adds g itself, a matrix after ``transpose`` g^T."""
+        rng = np.random.default_rng(16)
+        if op == "add":
+            p = param(rng.normal(size=3))
+            out = nm.add(nm.tanh(Tensor(rng.normal(size=3))), p)
+            g = rng.normal(size=3)
+            expected_step = g
+        else:
+            p = param(rng.normal(size=(2, 3)))
+            out = nm.transpose(p)
+            g = rng.normal(size=(3, 2))
+            expected_step = g.T
+        p.grad[...] = rng.normal(size=p.grad.shape)
+        expected = p.grad + expected_step
+        buffer = p.grad
+        out._backward_fn(g.copy())
+        assert p.grad is buffer
+        npt.assert_array_equal(p.grad, expected)
+
+    def test_recorded_second_operand_gets_its_own_buffer(self):
+        """In p + q, q's buffer is not p's: p's later contributions are
+        added into p's buffer in place."""
+        rng = np.random.default_rng(17)
+        wq, wp = param(rng.normal(size=4)), param(rng.normal(size=4))
+        q = nm.tanh(wq)
+        p = nm.tanh(wp)
+        square = nm.hadamard(p, p)  # its closure adds into p's buffer after add's has run
+        loss = nm.tsum(nm.add(nm.add(p, q), square))
+        nm.backward(loss)
+        npt.assert_allclose(wq.grad, 1.0 - q.data ** 2, rtol=1e-15)
+        npt.assert_allclose(wp.grad, (1.0 + 2.0 * p.data) * (1.0 - p.data ** 2), rtol=1e-15)
