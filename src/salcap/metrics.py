@@ -2,13 +2,25 @@
 
 BLEU is corpus-level clipped n-gram precision with the closest-reference
 brevity penalty; ROUGE_L is the LCS F-measure averaged over entries;
-CIDEr is the TF-IDF weighted n-gram cosine consensus, averaged over
-n-gram orders and entries (unscaled, in [0,1], with an optional report
-multiplier for comparability with published tables).
+CIDEr (Vedantam et al. 2015, arXiv 1411.5726) is the TF-IDF weighted
+n-gram cosine consensus, averaged over n-gram orders and entries
+(unscaled, in [0,1], with an optional report multiplier for
+comparability with published tables).
+
+BLEU and CIDEr work one n-gram order at a time from the same per-entry
+counts (``_order_counts``): ``evaluate_corpus`` counts each candidate
+and each reference once per order, BLEU clips each candidate n-gram at
+its largest reference count, and CIDEr takes that order's document
+frequencies, reference vectors and norms, and candidate vector and norm,
+once each.  ROUGE_L's LCS length is the bit-parallel algorithm of
+Allison and Dix (1986), as Hyyro (2004) gives it: a few big-integer
+operations per token of the longer sentence instead of a DP table.
+Every sum keeps the order of the plain formula, so the values are the
+same bits as a direct transcription.
 """
 
 import math
-from collections import Counter, defaultdict
+from collections import Counter
 from dataclasses import dataclass
 
 from . import data_io
@@ -51,7 +63,20 @@ class CaptionCorpus:
 
 
 def ngram_counts(tokens, n):
-    return Counter(tuple(tokens[i:i + n]) for i in range(len(tokens) - n + 1))
+    return Counter(zip(*(tokens[i:] for i in range(n))))
+
+
+def _order_counts(corpus, n_max):
+    """Per n-gram order 1..n_max, each entry's candidate and reference counts.
+
+    Yields one list of ``(candidate counts, [reference counts])`` per
+    order, so each sentence is counted once per order and only one
+    order's tables are alive at a time.
+    """
+    for n in range(1, n_max + 1):
+        yield [(ngram_counts(entry.candidate, n),
+                [ngram_counts(ref, n) for ref in entry.references])
+               for entry in corpus.entries]
 
 
 def _closest_ref_len(cand_len, references):
@@ -59,28 +84,30 @@ def _closest_ref_len(cand_len, references):
     return min((abs(len(r) - cand_len), len(r)) for r in references)[1]
 
 
-def bleu(corpus, n_max=4):
-    """Corpus-level BLEU scores B@1..B@n_max."""
-    clipped = [0] * n_max
-    total = [0] * n_max
+def _clipped_matches(order):
+    """BLEU's (clipped matches, candidate n-grams) of one order.
+
+    A candidate n-gram is clipped at its largest count in any one reference.
+    """
+    clipped = 0
+    total = 0
+    for cand, refs in order:
+        clipped += sum(min(c, max([ref.get(g, 0) for ref in refs])) for g, c in cand.items())
+        total += sum(cand.values())
+    return clipped, total
+
+
+def _bleu_scores(corpus, matches):
+    """B@1..B@len(matches) from each order's clipped and total counts."""
     cand_len = 0
     ref_len = 0
     for entry in corpus.entries:
         cand_len += len(entry.candidate)
         ref_len += _closest_ref_len(len(entry.candidate), entry.references)
-        for n in range(1, n_max + 1):
-            counts = ngram_counts(entry.candidate, n)
-            max_ref = Counter()
-            for ref in entry.references:
-                for gram, c in ngram_counts(ref, n).items():
-                    max_ref[gram] = max(max_ref[gram], c)
-            clipped[n - 1] += sum(min(c, max_ref[g]) for g, c in counts.items())
-            total[n - 1] += max(0, len(entry.candidate) - n + 1)
-
     bp = min(1.0, math.exp(1.0 - ref_len / cand_len)) if cand_len > 0 else 0.0
-    precisions = [clipped[n] / total[n] if total[n] > 0 else 0.0 for n in range(n_max)]
+    precisions = [clipped / total if total > 0 else 0.0 for clipped, total in matches]
     scores = []
-    for k in range(1, n_max + 1):
+    for k in range(1, len(matches) + 1):
         if any(precisions[n] == 0.0 for n in range(k)):
             scores.append(0.0)
         else:
@@ -88,16 +115,31 @@ def bleu(corpus, n_max=4):
     return scores
 
 
+def bleu(corpus, n_max=4):
+    """Corpus-level BLEU scores B@1..B@n_max."""
+    return _bleu_scores(corpus, [_clipped_matches(order) for order in _order_counts(corpus, n_max)])
+
+
 def _lcs_length(a, b):
+    """Length of a longest common subsequence, bit-parallel.
+
+    Allison and Dix (1986) in Hyyro's (2004) form.  After a prefix of a
+    is read, bit j of ``v`` is clear where that prefix's LCS with b[:j + 1]
+    is one longer than with b[:j], so the LCS length is the number of
+    clear bits among the len(b) that ``full`` keeps.
+    """
     if len(a) < len(b):
         a, b = b, a
-    prev = [0] * (len(b) + 1)
+    masks = {}
+    for j, y in enumerate(b):
+        masks[y] = masks.get(y, 0) | (1 << j)
+    full = (1 << len(b)) - 1
+    v = full
     for x in a:
-        cur = [0] * (len(b) + 1)
-        for j, y in enumerate(b, start=1):
-            cur[j] = prev[j - 1] + 1 if x == y else max(prev[j], cur[j - 1])
-        prev = cur
-    return prev[-1]
+        if x in masks:
+            u = v & masks[x]
+            v = ((v + u) | (v - u)) & full
+    return len(b) - v.bit_count()
 
 
 def rouge_l(corpus):
@@ -118,57 +160,79 @@ def rouge_l(corpus):
     return total / len(corpus.entries)
 
 
+def _cider_documents(corpus, multiplier):
+    """The IDF document count m, once the corpus and multiplier are checked."""
+    data_io.at_least("multiplier", multiplier, 0)
+    if len(corpus.entries) < 2:
+        raise ValueError("cider needs at least 2 corpus entries (degenerate IDF)")
+    return len(corpus.entries)
+
+
+def _cider_order(order, m):
+    """One order's CIDEr: each entry's mean TF-IDF cosine to its references, over m entries.
+
+    Document frequencies count the entries whose references hold an
+    n-gram; n-grams of different orders never share a key, so one
+    order's df equals the df over all orders.
+    """
+    df = Counter()
+    for _, refs in order:
+        df.update(set().union(*refs))
+    idf = {gram: math.log(m / d) for gram, d in df.items()}
+    unseen = math.log(m)  # a candidate n-gram that no reference holds
+
+    def tfidf(counts):
+        vec = {gram: count * idf.get(gram, unseen) for gram, count in counts.items()}
+        return vec, math.sqrt(sum(x * x for x in vec.values()))
+
+    order_total = 0.0
+    for cand, refs in order:
+        u, nu = tfidf(cand)
+        sims = []
+        for ref in refs:
+            v, nv = tfidf(ref)
+            if nu == 0.0 or nv == 0.0:
+                sims.append(0.0)
+            else:
+                sims.append(sum(x * v[g] for g, x in u.items() if g in v) / (nu * nv))
+        order_total += sum(sims) / len(sims)
+    return order_total / m
+
+
+def _cider_mean(order_scores, n_max, multiplier):
+    """The scaled mean over orders, summed in order as one running total."""
+    score = 0.0
+    for order_score in order_scores:
+        score += order_score
+    return (score / n_max) * multiplier
+
+
 def cider(corpus, n_max=4, multiplier=1.0):
     """TF-IDF n-gram cosine consensus, mean over orders 1..n_max and entries.
 
     IDF documents are the per-image reference sets; a single-entry
     corpus has no usable IDF signal and is rejected.
     """
-    data_io.at_least("multiplier", multiplier, 0)
-    if len(corpus.entries) < 2:
-        raise ValueError("cider needs at least 2 corpus entries (degenerate IDF)")
-    m = len(corpus.entries)
-    df = defaultdict(int)
-    for entry in corpus.entries:
-        grams = set()
-        for ref in entry.references:
-            for n in range(1, n_max + 1):
-                grams.update(ngram_counts(ref, n))
-        for gram in grams:
-            df[gram] += 1
-
-    def tfidf_vector(tokens, n):
-        return {
-            gram: count * math.log(m / max(df[gram], 1))
-            for gram, count in ngram_counts(tokens, n).items()
-        }
-
-    def cosine(u, v):
-        nu = math.sqrt(sum(x * x for x in u.values()))
-        nv = math.sqrt(sum(x * x for x in v.values()))
-        if nu == 0.0 or nv == 0.0:
-            return 0.0
-        dot = sum(x * v[g] for g, x in u.items() if g in v)
-        return dot / (nu * nv)
-
-    score = 0.0
-    for n in range(1, n_max + 1):
-        order_total = 0.0
-        for entry in corpus.entries:
-            cand_vec = tfidf_vector(entry.candidate, n)
-            sims = [cosine(cand_vec, tfidf_vector(ref, n)) for ref in entry.references]
-            order_total += sum(sims) / len(sims)
-        score += order_total / m
-    return (score / n_max) * multiplier
+    m = _cider_documents(corpus, multiplier)
+    return _cider_mean([_cider_order(order, m) for order in _order_counts(corpus, n_max)],
+                       n_max, multiplier)
 
 
 def evaluate_corpus(corpus, n_max=4, cider_multiplier=1.0):
-    """All caption-quality metrics as a flat dict."""
-    report = {}
-    for k, score in enumerate(bleu(corpus, n_max), start=1):
-        report["bleu_%d" % k] = score
+    """All caption-quality metrics as a flat dict.
+
+    BLEU and CIDEr share one count of each sentence per n-gram order.
+    """
+    m = _cider_documents(corpus, cider_multiplier)
+    matches = []
+    order_scores = []
+    for order in _order_counts(corpus, n_max):
+        matches.append(_clipped_matches(order))
+        order_scores.append(_cider_order(order, m))
+    report = {"bleu_%d" % k: score
+              for k, score in enumerate(_bleu_scores(corpus, matches), start=1)}
     report["rouge_l"] = rouge_l(corpus)
-    report["cider"] = cider(corpus, n_max, cider_multiplier)
+    report["cider"] = _cider_mean(order_scores, n_max, cider_multiplier)
     return report
 
 

@@ -45,8 +45,14 @@ MUTANTS = [
            "beta2 = ROUGE_BETA ** 2", "beta2 = ROUGE_BETA",
            "tests/test_metrics.py::TestRougeL::test_hand_case"),
     Mutant("CIDEr's IDF as log((m + 1) / df)", "src/salcap/metrics.py",
-           "math.log(m / max(df[gram], 1))", "math.log((m + 1) / max(df[gram], 1))",
+           "math.log(m / d)", "math.log((m + 1) / d)",
            "tests/test_metrics.py::TestCider::test_fixture_corpus"),
+    Mutant("BLEU clips by summed, not max, reference counts", "src/salcap/metrics.py",
+           "max([ref.get(g, 0) for ref in refs])", "sum([ref.get(g, 0) for ref in refs])",
+           "tests/test_metrics.py::TestBleu::test_clip_takes_the_max_not_the_sum_over_references"),
+    Mutant("LCS drops the carry mask `& full`", "src/salcap/metrics.py",
+           "v = ((v + u) | (v - u)) & full", "v = (v + u) | (v - u)",
+           "tests/test_metrics.py::TestLcsLength::test_carry_out_of_the_top_bit_is_dropped"),
     Mutant("context path weighted by s, not 1 - s", "src/salcap/attention.py",
            "nm.hadamard(e_ctx, sal.z_leaf)", "nm.hadamard(e_ctx, sal.s_leaf)",
            "tests/test_acceptance.py::test_criterion_2_reduction_equivalences"),

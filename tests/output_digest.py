@@ -17,7 +17,9 @@ Families, one line each as ``<family> <sha256>``:
 - ``captions``: greedy captions of ten training images by that model;
 - ``alphas``: the ``trace_attention`` alphas of the same ten images;
 - ``checkpoint``: the name, dims and bytes of every parameter of
-  ``bench/checkpoint`` as ``decoder.load_checkpoint`` returns them.
+  ``bench/checkpoint`` as ``decoder.load_checkpoint`` returns them;
+- ``metrics``: ``metrics.evaluate_corpus``'s report on the acceptance
+  criterion-6 fixture corpus and on a seeded random corpus.
 """
 
 import hashlib
@@ -32,7 +34,7 @@ sys.path.insert(0, os.path.join(ROOT, "src"))
 
 import numpy as np  # noqa: E402
 
-from salcap import data_io, decoder, inference, optim  # noqa: E402
+from salcap import data_io, decoder, inference, metrics, optim  # noqa: E402
 from salcap import numerics as nm  # noqa: E402
 from salcap.attention import SaliencyGrid  # noqa: E402
 from salcap.vocab import BOS_ID, EOS_ID, build_vocab  # noqa: E402
@@ -100,6 +102,31 @@ def checkpoint_digest():
     return digest.hexdigest()
 
 
+def random_corpus(seed, n_images=60, words="abcdefg"):
+    """Captions over a seven-word vocabulary, 0-12 tokens, 1-4 references each."""
+    rng = np.random.default_rng(seed)
+
+    def sentence():
+        return [words[i] for i in rng.integers(0, len(words), rng.integers(0, 13))]
+
+    return metrics.CaptionCorpus([
+        metrics.CorpusEntry(str(i), sentence(), [sentence() for _ in range(rng.integers(1, 5))])
+        for i in range(n_images)
+    ])
+
+
+def metrics_digest():
+    """The reports of ``evaluate_corpus`` on the criterion-6 fixture and a random corpus."""
+    digest = hashlib.sha256()
+    rows = data_io.read_jsonl(os.path.join(ROOT, "tests", "fixtures", "metric_corpus.jsonl"),
+                              {"image_id": str, "candidate": str, "references": list})
+    fixture = metrics.CaptionCorpus.from_pairs(
+        [(r["image_id"], r["candidate"], r["references"]) for r in rows])
+    for corpus in (fixture, random_corpus(SEED)):
+        digest.update(repr(metrics.evaluate_corpus(corpus)).encode())
+    return digest.hexdigest()
+
+
 def main():
     lines = [("gradients", gradients_digest())]
     training, captions, alphas = hashlib.sha256(), hashlib.sha256(), hashlib.sha256()
@@ -115,7 +142,8 @@ def main():
             for step in inference.trace_attention(raw, sal, params)[1]:
                 _update(alphas, step.alpha)
     lines += [("training", training.hexdigest()), ("captions", captions.hexdigest()),
-              ("alphas", alphas.hexdigest()), ("checkpoint", checkpoint_digest())]
+              ("alphas", alphas.hexdigest()), ("checkpoint", checkpoint_digest()),
+              ("metrics", metrics_digest())]
     for family, hexdigest in lines:
         print(family, hexdigest)
 

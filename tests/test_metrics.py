@@ -62,6 +62,12 @@ class TestBleu:
             b1 = metrics.bleu(corpus_of(("i", "a b c d", refs)))[0]
             npt.assert_allclose(b1, 1.0, atol=1e-12)
 
+    def test_clip_takes_the_max_not_the_sum_over_references(self):
+        # "a" occurs once in each reference: clipped at 1 of the candidate's 3,
+        # where summing the references' counts would allow 2
+        corpus = corpus_of(("i", "a a a", ["a b", "b a"]))
+        assert metrics.bleu(corpus)[0] == 1 / 3
+
     def test_fixture_corpus(self, oracle, fixture_corpus):
         scores = metrics.bleu(fixture_corpus)
         for k in range(4):
@@ -91,6 +97,16 @@ class TestRougeL:
 
     def test_fixture_corpus(self, oracle, fixture_corpus):
         npt.assert_allclose(metrics.rouge_l(fixture_corpus), oracle["corpus"]["rouge_l"], atol=1e-6)
+
+
+class TestLcsLength:
+    def test_carry_out_of_the_top_bit_is_dropped(self):
+        # in each case v + u carries past the top of the shorter sentence's
+        # len(b) bits, and a bit up there must not count as a set bit
+        assert metrics._lcs_length(["a", "a"], ["a"]) == 1
+        assert metrics._lcs_length(list("abc"), list("ac")) == 2
+        assert metrics._lcs_length(list("bcabca"), list("abca")) == 4
+        assert metrics._lcs_length(list("aaaa"), list("aa")) == 2
 
 
 class TestCider:

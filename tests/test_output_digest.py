@@ -19,7 +19,7 @@ def test_one_digest_per_family_and_repeatable(tmp_path):
         outputs.append(result.stdout)
     lines = outputs[0].splitlines()
     assert [line.split()[0] for line in lines] == ["gradients", "training", "captions", "alphas",
-                                                   "checkpoint"]
+                                                   "checkpoint", "metrics"]
     for line in lines:
         assert re.fullmatch(r"[a-z]+ [0-9a-f]{64}", line), line
     assert outputs[1] == outputs[0]

@@ -8,6 +8,7 @@ import dataclasses
 import math
 import os
 import re
+import sys
 import tempfile
 
 import numpy as np
@@ -16,6 +17,7 @@ from hypothesis import configuration, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+import make_metrics_oracle as oracle
 from salcap import cli, data_io, decoder, metrics, optim
 from salcap.numerics import Tensor
 from salcap.vocab import BOS_ID, EOS_ID, RESERVED_TOKENS, UNK_ID, build_vocab
@@ -97,6 +99,64 @@ def test_candidate_equal_to_reference_scores_one(sentences):
     )
     assert metrics.bleu(corpus)[3] == 1.0
     assert metrics.rouge_l(corpus) == 1.0
+
+
+def plain_lcs(a, b):
+    """The textbook O(len(a) len(b)) dynamic-programming LCS length."""
+    table = [[0] * (len(b) + 1) for _ in range(len(a) + 1)]
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            table[i + 1][j + 1] = table[i][j] + 1 if x == y else max(table[i][j + 1],
+                                                                     table[i + 1][j])
+    return table[-1][-1]
+
+
+def token_lists(max_size):
+    return st.lists(st.sampled_from("abcde"), max_size=max_size)
+
+
+# 2-6 entries of 0-10 tokens with 1-4 references each; empty candidates and
+# empty references allowed, and repeated n-grams likely
+corpora = st.lists(st.tuples(token_lists(10), st.lists(token_lists(10), min_size=1, max_size=4)),
+                   min_size=2, max_size=6)
+
+
+def corpus_from(entries):
+    return metrics.CaptionCorpus([metrics.CorpusEntry(str(i), candidate, references)
+                                  for i, (candidate, references) in enumerate(entries)])
+
+
+@SETTINGS
+@given(corpora)
+def test_evaluate_corpus_equals_the_standalone_metrics(entries):
+    corpus = corpus_from(entries)
+    report = metrics.evaluate_corpus(corpus, cider_multiplier=10.0)
+    assert [report["bleu_%d" % k] for k in range(1, 5)] == metrics.bleu(corpus)
+    assert report["rouge_l"] == metrics.rouge_l(corpus)
+    assert report["cider"] == metrics.cider(corpus, multiplier=10.0)
+
+
+@SETTINGS
+@given(corpora)
+def test_evaluate_corpus_matches_the_independent_oracle(entries):
+    report = metrics.evaluate_corpus(corpus_from(entries))
+    limit = sys.getrecursionlimit()
+    try:
+        rouge = oracle.oracle_rouge(entries)
+    finally:  # the oracle's memoized recursion raises the limit; hypothesis keeps its own
+        sys.setrecursionlimit(limit)
+    want = dict(zip(("bleu_1", "bleu_2", "bleu_3", "bleu_4"), oracle.oracle_bleu(entries)),
+                rouge_l=rouge, cider=oracle.oracle_cider(entries))
+    assert report.keys() == want.keys()
+    for name, value in want.items():
+        assert abs(report[name] - value) <= 1e-12, name
+
+
+@SETTINGS
+@given(token_lists(24), token_lists(24))
+def test_lcs_length_equals_the_dp_table(a, b):
+    assert metrics._lcs_length(a, b) == plain_lcs(a, b)
+    assert metrics._lcs_length(b, a) == plain_lcs(a, b)
 
 
 @SETTINGS
