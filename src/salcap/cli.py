@@ -90,7 +90,7 @@ def cmd_train(args):
     manifest = data_io.load_manifest(args.manifest)
     train_entries = manifest.split_entries("train")
     if not train_entries:
-        raise ValueError("manifest has no train split entries")
+        raise ValueError("%s: manifest has no train split entries" % args.manifest)
     vocabulary = build_vocab(
         [c for e in train_entries for c in e.captions], run.min_count
     )
@@ -127,7 +127,7 @@ def _decode_split(args, decode):
     manifest = data_io.load_manifest(args.manifest)
     entries = manifest.split_entries(args.split)
     if not entries:
-        raise ValueError("manifest has no %r split entries" % args.split)
+        raise ValueError("%s: manifest has no %r split entries" % (args.manifest, args.split))
     return vocabulary, [
         (entry, decode(*data_io.load_entry(manifest, entry), params, max_len=args.max_len))
         for entry in entries

@@ -144,7 +144,8 @@ def _parse_pgm(blob, path):
     width, height, maxval = (int(t) for t in header.groups())
     pos = header.end()
     if width <= 0 or height <= 0 or not 0 < maxval < 65536:
-        raise FormatError("%s: bad PGM dimensions %dx%d maxval %d" % (path, width, height, maxval))
+        raise FormatError("%s: bad PGM dimensions %dx%d maxval %d at byte %d"
+                          % (path, width, height, maxval, header.start(1)))
     dtype = np.dtype(">u2") if maxval > 255 else np.dtype("u1")
     _check_payload(path, pos, len(blob) - pos, width * height * dtype.itemsize)
     data = np.frombuffer(blob, dtype=dtype, offset=pos)

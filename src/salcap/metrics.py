@@ -5,18 +5,20 @@ brevity penalty; ROUGE_L is the LCS F-measure averaged over entries;
 CIDEr (Vedantam et al. 2015, arXiv 1411.5726) is the TF-IDF weighted
 n-gram cosine consensus, averaged over n-gram orders and entries
 (unscaled, in [0,1], with an optional report multiplier for
-comparability with published tables).
+comparability with published tables).  BLEU and CIDEr both use the
+n-gram orders 1..4 (``N_MAX``).
 
-BLEU and CIDEr work one n-gram order at a time from the same per-entry
-counts (``_order_counts``): ``evaluate_corpus`` counts each candidate
-and each reference once per order, BLEU clips each candidate n-gram at
-its largest reference count, and CIDEr takes that order's document
-frequencies, reference vectors and norms, and candidate vector and norm,
-once each.  ROUGE_L's LCS length is the bit-parallel algorithm of
-Allison and Dix (1986), as Hyyro (2004) gives it: a few big-integer
-operations per token of the longer sentence instead of a DP table.
-Every sum keeps the order of the plain formula, so the values are the
-same bits as a direct transcription.
+A ``CaptionCorpus`` counts each candidate and each reference once per
+order when it is built (``corpus.orders``), and BLEU and CIDEr read
+those counts: BLEU clips each candidate n-gram at its largest reference
+count, and CIDEr takes each order's document frequencies, reference
+vectors and norms, and candidate vector and norm, once each.
+``evaluate_corpus`` is ``bleu``, ``rouge_l`` and ``cider`` side by side.
+ROUGE_L's LCS length is the bit-parallel algorithm of Allison and Dix
+(1986), as Hyyro (2004) gives it: a few big-integer operations per token
+of the longer sentence instead of a DP table.  Every sum keeps the order
+of the plain formula, so the values are the same bits as a direct
+transcription.
 """
 
 import math
@@ -27,6 +29,7 @@ from . import data_io
 from .vocab import tokenize
 
 ROUGE_BETA = 1.2
+N_MAX = 4  # BLEU and CIDEr use the n-gram orders 1..N_MAX
 
 
 @dataclass
@@ -36,8 +39,16 @@ class CorpusEntry:
     references: list  # list of token lists
 
 
+def ngram_counts(tokens, n):
+    return Counter(zip(*(tokens[i:] for i in range(n))))
+
+
 class CaptionCorpus:
-    """Per-image candidate caption plus at least one reference."""
+    """Per-image candidate caption plus at least one reference.
+
+    ``orders[n - 1]`` holds, for n-gram order n and each entry, the pair
+    ``(candidate counts, [reference counts])``.
+    """
 
     def __init__(self, entries):
         if not entries:
@@ -50,6 +61,10 @@ class CaptionCorpus:
             if not entry.references:
                 raise ValueError("entry %r has no references" % entry.image_id)
         self.entries = list(entries)
+        self.orders = [[(ngram_counts(entry.candidate, n),
+                         [ngram_counts(ref, n) for ref in entry.references])
+                        for entry in self.entries]
+                       for n in range(1, N_MAX + 1)]
 
     @classmethod
     def from_pairs(cls, pairs):
@@ -60,23 +75,6 @@ class CaptionCorpus:
                 for image_id, cand, refs in pairs
             ]
         )
-
-
-def ngram_counts(tokens, n):
-    return Counter(zip(*(tokens[i:] for i in range(n))))
-
-
-def _order_counts(corpus, n_max):
-    """Per n-gram order 1..n_max, each entry's candidate and reference counts.
-
-    Yields one list of ``(candidate counts, [reference counts])`` per
-    order, so each sentence is counted once per order and only one
-    order's tables are alive at a time.
-    """
-    for n in range(1, n_max + 1):
-        yield [(ngram_counts(entry.candidate, n),
-                [ngram_counts(ref, n) for ref in entry.references])
-               for entry in corpus.entries]
 
 
 def _closest_ref_len(cand_len, references):
@@ -97,27 +95,23 @@ def _clipped_matches(order):
     return clipped, total
 
 
-def _bleu_scores(corpus, matches):
-    """B@1..B@len(matches) from each order's clipped and total counts."""
+def bleu(corpus):
+    """Corpus-level BLEU scores B@1..B@4 from the corpus's n-gram counts."""
     cand_len = 0
     ref_len = 0
     for entry in corpus.entries:
         cand_len += len(entry.candidate)
         ref_len += _closest_ref_len(len(entry.candidate), entry.references)
     bp = min(1.0, math.exp(1.0 - ref_len / cand_len)) if cand_len > 0 else 0.0
-    precisions = [clipped / total if total > 0 else 0.0 for clipped, total in matches]
+    precisions = [clipped / total if total > 0 else 0.0
+                  for clipped, total in map(_clipped_matches, corpus.orders)]
     scores = []
-    for k in range(1, len(matches) + 1):
+    for k in range(1, N_MAX + 1):
         if any(precisions[n] == 0.0 for n in range(k)):
             scores.append(0.0)
         else:
             scores.append(bp * math.exp(sum(math.log(precisions[n]) for n in range(k)) / k))
     return scores
-
-
-def bleu(corpus, n_max=4):
-    """Corpus-level BLEU scores B@1..B@n_max."""
-    return _bleu_scores(corpus, [_clipped_matches(order) for order in _order_counts(corpus, n_max)])
 
 
 def _lcs_length(a, b):
@@ -160,14 +154,6 @@ def rouge_l(corpus):
     return total / len(corpus.entries)
 
 
-def _cider_documents(corpus, multiplier):
-    """The IDF document count m, once the corpus and multiplier are checked."""
-    data_io.at_least("multiplier", multiplier, 0)
-    if len(corpus.entries) < 2:
-        raise ValueError("cider needs at least 2 corpus entries (degenerate IDF)")
-    return len(corpus.entries)
-
-
 def _cider_order(order, m):
     """One order's CIDEr: each entry's mean TF-IDF cosine to its references, over m entries.
 
@@ -199,40 +185,28 @@ def _cider_order(order, m):
     return order_total / m
 
 
-def _cider_mean(order_scores, n_max, multiplier):
-    """The scaled mean over orders, summed in order as one running total."""
-    score = 0.0
-    for order_score in order_scores:
-        score += order_score
-    return (score / n_max) * multiplier
-
-
-def cider(corpus, n_max=4, multiplier=1.0):
-    """TF-IDF n-gram cosine consensus, mean over orders 1..n_max and entries.
+def cider(corpus, multiplier=1.0):
+    """TF-IDF n-gram cosine consensus, mean over orders 1..4 and entries.
 
     IDF documents are the per-image reference sets; a single-entry
-    corpus has no usable IDF signal and is rejected.
+    corpus has no usable IDF signal and is rejected.  The order scores
+    are summed left to right, then divided by 4 and scaled.
     """
-    m = _cider_documents(corpus, multiplier)
-    return _cider_mean([_cider_order(order, m) for order in _order_counts(corpus, n_max)],
-                       n_max, multiplier)
+    data_io.at_least("multiplier", multiplier, 0)
+    m = len(corpus.entries)
+    if m < 2:
+        raise ValueError("cider needs at least 2 corpus entries (degenerate IDF)")
+    score = 0.0
+    for order in corpus.orders:
+        score += _cider_order(order, m)
+    return (score / N_MAX) * multiplier
 
 
-def evaluate_corpus(corpus, n_max=4, cider_multiplier=1.0):
-    """All caption-quality metrics as a flat dict.
-
-    BLEU and CIDEr share one count of each sentence per n-gram order.
-    """
-    m = _cider_documents(corpus, cider_multiplier)
-    matches = []
-    order_scores = []
-    for order in _order_counts(corpus, n_max):
-        matches.append(_clipped_matches(order))
-        order_scores.append(_cider_order(order, m))
-    report = {"bleu_%d" % k: score
-              for k, score in enumerate(_bleu_scores(corpus, matches), start=1)}
+def evaluate_corpus(corpus, cider_multiplier=1.0):
+    """BLEU@1..4, ROUGE_L and CIDEr of the corpus as one flat dict."""
+    report = {"bleu_%d" % k: score for k, score in enumerate(bleu(corpus), start=1)}
     report["rouge_l"] = rouge_l(corpus)
-    report["cider"] = _cider_mean(order_scores, n_max, cider_multiplier)
+    report["cider"] = cider(corpus, cider_multiplier)
     return report
 
 

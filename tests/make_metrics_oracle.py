@@ -78,10 +78,13 @@ def oracle_rouge(entries, beta=1.2):
                 return rec(i - 1, j - 1) + 1
             return max(rec(i - 1, j), rec(i, j - 1))
 
+        limit = sys.getrecursionlimit()
         sys.setrecursionlimit(10000)
-        result = rec(len(a), len(b))
-        rec.cache_clear()
-        return result
+        try:
+            return rec(len(a), len(b))
+        finally:
+            sys.setrecursionlimit(limit)
+            rec.cache_clear()
 
     total = 0.0
     for cand, refs in entries:

@@ -53,6 +53,12 @@ MUTANTS = [
     Mutant("LCS drops the carry mask `& full`", "src/salcap/metrics.py",
            "v = ((v + u) | (v - u)) & full", "v = (v + u) | (v - u)",
            "tests/test_metrics.py::TestLcsLength::test_carry_out_of_the_top_bit_is_dropped"),
+    Mutant("the corpus counts orders 1..3 only", "src/salcap/metrics.py",
+           "for n in range(1, N_MAX + 1)", "for n in range(1, N_MAX)",
+           "tests/test_metrics.py::TestBleu::test_fixture_corpus"),
+    Mutant("evaluate_corpus reports CIDEr without its multiplier", "src/salcap/metrics.py",
+           'report["cider"] = cider(corpus, cider_multiplier)', 'report["cider"] = cider(corpus)',
+           "tests/test_properties.py::test_evaluate_corpus_equals_the_standalone_metrics"),
     Mutant("context path weighted by s, not 1 - s", "src/salcap/attention.py",
            "nm.hadamard(e_ctx, sal.z_leaf)", "nm.hadamard(e_ctx, sal.s_leaf)",
            "tests/test_acceptance.py::test_criterion_2_reduction_equivalences"),

@@ -482,8 +482,9 @@ class TestMalformedInputs:
         ({"split_counts": {"train": "3"}},
          "split_counts['train'] must be a non-negative integer, got '3'"),
         ({"n_images": float("nan")}, "n_images must be a finite number, got nan"),
+        ({"split_counts": {"train": 2, "holdout": 1}}, "unknown split 'holdout'"),
     ], ids=["grid_rows_zero", "seed_negative", "count_float", "count_negative", "count_string",
-            "n_images_nan"])
+            "n_images_nan", "split_unknown"])
     def test_gen_synth_spec_field(self, tmp_path, capsys, values, message):
         spec = tmp_path / "spec.json"
         spec.write_text(json.dumps(dict({
@@ -767,6 +768,41 @@ class TestErrorPaths:
         assert main(argv + ["--out", str(tmp_path / "out")]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: [Errno ") and reason in err and str(named) in err
+
+    def test_train_without_train_entries(self, dataset, tmp_path, capsys):
+        _, out_dir = dataset
+        data = tmp_path / "data"
+        shutil.copytree(out_dir, data)
+        manifest = json.loads((data / "manifest.json").read_text())
+        for entry in manifest["entries"]:
+            entry["split"] = "test"
+        (data / "manifest.json").write_text(json.dumps(manifest))
+        assert main(["train", "--manifest", str(data / "manifest.json"),
+                     "--out", str(tmp_path / "run")]) == 1
+        assert capsys.readouterr().err == (
+            "error: %s: manifest has no train split entries\n" % (data / "manifest.json"))
+        assert not (tmp_path / "run").exists()
+
+    def test_caption_on_empty_split(self, dataset, tmp_path, capsys):
+        _, out_dir = dataset
+        manifest = out_dir / "manifest.json"
+        ckpt = tmp_path / "ckpt"
+        decoder.save_checkpoint(decoder.init_params(decoder.ModelConfig(
+            variant="soft", vocab_size=6, hidden_size=4, embed_size=3, feature_size=3,
+            raw_feature_size=5, grid_rows=2, grid_cols=2,
+        ), rng_seed=0), ckpt, build_vocab(["a b"], min_count=1))
+        assert main(["caption", "--ckpt", str(ckpt), "--manifest", str(manifest),
+                     "--split", "val", "--out", str(tmp_path / "caps.jsonl")]) == 1
+        assert capsys.readouterr().err == (
+            "error: %s: manifest has no 'val' split entries\n" % manifest)
+        assert not (tmp_path / "caps.jsonl").exists()
+
+    def test_pairs_file_listing_no_pairs(self, tmp_path, capsys):
+        pairs = tmp_path / "pairs.json"
+        pairs.write_text(json.dumps({"pairs": []}))
+        assert main(["analyze-saliency", "--pairs", str(pairs), "--out", str(tmp_path / "s")]) == 1
+        assert capsys.readouterr().err == "error: %s lists no pairs\n" % pairs
+        assert not (tmp_path / "s").exists()
 
     def test_unknown_config_key(self, dataset, tmp_path, capsys):
         _, out_dir = dataset

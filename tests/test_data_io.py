@@ -83,6 +83,20 @@ class TestTensorFile:
             read_tensor(path)
 
 
+    @pytest.mark.parametrize("blob,message", [
+        (b"TNSR\x01", "truncated header at byte 5"),
+        (b"TNSR" + struct.pack("<BBBI", 1, 7, 1, 1) + bytes(8), "unknown dtype code 7 at byte 5"),
+        (b"TNSR" + struct.pack("<BBBI", 1, 1, 2, 3), "truncated dims at byte 11"),
+        (b"TNSR" + struct.pack("<BBB2I", 1, 1, 2, 2, 0), "zero extent in dims [2, 0] at byte 7"),
+    ], ids=["truncated_header", "unknown_dtype", "truncated_dims", "zero_extent"])
+    def test_bad_header_names_file_and_byte(self, tmp_path, blob, message):
+        path = tmp_path / "t.tnsr"
+        path.write_bytes(blob)
+        for read in (read_tensor, data_io.read_tensor_dims):
+            with pytest.raises(FormatError, match="^%s$" % re.escape("%s: %s" % (path, message))):
+                read(path)
+
+
 class TestPgm:
     def test_eight_bit_round_trip(self, tmp_path):
         rng = np.random.default_rng(1)
@@ -113,6 +127,19 @@ class TestPgm:
             read_pgm_samples(path)
 
 
+    @pytest.mark.parametrize("header,message", [
+        (b"P5\n0 2\n255\n", "bad PGM dimensions 0x2 maxval 255 at byte 3"),
+        (b"P5\n3 0\n255\n", "bad PGM dimensions 3x0 maxval 255 at byte 3"),
+        (b"P5 # size\n3 2\n0\n", "bad PGM dimensions 3x2 maxval 0 at byte 10"),
+        (b"P5\n3 2\n65536\n", "bad PGM dimensions 3x2 maxval 65536 at byte 3"),
+    ], ids=["width_zero", "height_zero", "maxval_zero", "maxval_too_large"])
+    def test_bad_dimensions_name_file_and_byte(self, tmp_path, header, message):
+        path = tmp_path / "m.pgm"
+        path.write_bytes(header + bytes(12))
+        with pytest.raises(FormatError, match="^%s$" % re.escape("%s: %s" % (path, message))):
+            read_pgm_samples(path)
+
+
 class TestSegm:
     def test_round_trip(self, tmp_path):
         rng = np.random.default_rng(3)
@@ -126,6 +153,14 @@ class TestSegm:
         path.write_bytes(b"XXXX" + b"\x00" * 8)
         with pytest.raises(FormatError, match="bad magic"):
             data_io.read_map(path, (data_io.SEGM_MAGIC,))[0]
+
+
+    def test_truncated_header_names_file_and_byte(self, tmp_path):
+        path = tmp_path / "m.segm"
+        path.write_bytes(b"SEGM" + struct.pack("<I", 3))
+        with pytest.raises(FormatError, match="^%s$" % re.escape(
+                "%s: truncated header at byte 8" % path)):
+            data_io.read_map(path, (data_io.SEGM_MAGIC,))
 
 
 class TestPrepareSaliency:
