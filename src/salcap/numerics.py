@@ -27,6 +27,9 @@ to arithmetic.  So products call ``ndarray.dot``, not ``@``, outer
 products broadcast ``g[:, None] * x``, not ``np.outer``, and the deferred
 terms are stacked by ``np.array``, not ``np.stack``: each reaches the
 same BLAS call or C loop, with the same bits, at a fraction of the cost.
+Python's cost per call counts too, so the closures of ``matmul``,
+``transpose``, ``add``, ``hadamard``, ``sigmoid`` and ``tanh``, which
+run most often, apply ``_accumulate``'s rule inline.
 
 A value joins the tape one way.  ``Tensor(x)`` makes a leaf from
 anything ``np.asarray`` takes, and only an op makes a recorded tensor.
@@ -44,13 +47,23 @@ x; ``backward`` ends by adding G^T X over the stacked pairs, one GEMM per
 parameter for the whole call, not one outer product per decoder step.
 The deferred terms are dropped if any closure raises.
 
-Every value is tested for NaN/Inf.  A leaf is tested when it is built.
-A recorded value is queued and tested, together with everything queued
+Every value is tested for NaN/Inf where one can arise.  A leaf is tested
+when it is built, and ``optim.optimizer_step`` tests each parameter
+after its update.  Of the recorded ops, only ``matmul``, ``add``,
+``hadamard``, ``log`` and ``tsum`` can turn finite inputs into a
+non-finite output, by overflow or by the log of 0, so only their outputs
+are queued for the check.  The other six give finite output for finite
+input: ``transpose`` and ``pick`` copy values, ``relu`` keeps a finite
+value or gives 0, ``sigmoid`` stays in [0, 1] even where ``exp``
+overflows, ``tanh`` stays in [-1, 1], and ``softmax_vec`` divides by a
+sum of at least 1, since its max-shifted largest term is exp(0).  Their
+inputs are leaves or outputs of ops that are queued or finite by the
+same rule.  A queued value is tested, together with everything queued
 since, before it leaves the tape: at the end of ``decoder.step``, at the
 start of ``backward``, in ``Tensor.item()`` or at an explicit
 ``check_recorded()``.  So one check covers a whole decoder step instead
-of each of its ops, and a failure names the first op, in recording
-order, that went non-finite.
+of each of its ops, and a failure names the first queued op, in
+recording order, that went non-finite.
 
 The tape holds no reference cycles.  A recorded tensor refers to its
 parents and its closure, the closure to the op's inputs and plain arrays,
@@ -88,7 +101,7 @@ class ShapeError(ValueError):
     """Operand dimensions are incompatible with the requested operation."""
 
 
-# Recorded tensors whose values have not been tested yet.
+# Outputs of the queued ops whose values have not been tested yet.
 _PENDING = []
 # A recording that never reaches a check point is tested once the queue
 # holds this many tensors, so the queue cannot grow without bound.
@@ -148,11 +161,7 @@ class Tensor:
     __slots__ = ("data", "grad", "_parents", "_backward_fn", "_seq")
 
     def __init__(self, data, parents=(), backward_fn=None):
-        if parents:
-            if len(_PENDING) >= _PENDING_LIMIT:
-                check_recorded()
-            _PENDING.append(self)
-        else:
+        if not parents:
             data = np.asarray(data, dtype=np.float64)
             if not np.isfinite(data).all():
                 raise ValueError("non-finite value in tensor of dims %r" % (list(data.shape),))
@@ -236,16 +245,12 @@ def _recording_order(root):
     return sorted(seen, key=attrgetter("_seq"), reverse=True)
 
 
-def _needs_grad(t):
-    return t.grad is not None or bool(t._parents)
-
-
 def _accumulate(t, g):
     """Add ``g`` into t's gradient unless t is a constant.  A first
     contribution becomes the buffer, so nothing else may hold ``g``."""
     if t.grad is not None:
         t.grad += g
-    elif _needs_grad(t):
+    elif t._parents:
         t.grad = g
 
 
@@ -283,6 +288,14 @@ def backward(loss):
 # recorded operations
 # ---------------------------------------------------------------------------
 
+def _queued(t):
+    """``t``, queued for the check; a full queue is tested first."""
+    if len(_PENDING) >= _PENDING_LIMIT:
+        check_recorded()
+    _PENDING.append(t)
+    return t
+
+
 def matmul(a, b):
     """Matrix product a[m,k] @ b[k,n]; b may also be a k-vector."""
     if a.data.ndim != 2 or b.data.ndim not in (1, 2) or a.data.shape[1] != b.data.shape[0]:
@@ -291,17 +304,24 @@ def matmul(a, b):
         )
 
     def _bw(g):
-        if _needs_grad(a):
-            if b.data.ndim == 2:
-                _accumulate(a, g.dot(b.data.T))
+        if b.data.ndim == 2:
+            if a.grad is not None:
+                a.grad += g.dot(b.data.T)
             elif a._parents:
-                _accumulate(a, g[:, None] * b.data)
-            else:  # a parameter's rank-1 terms are summed in one GEMM at the end of backward
-                _DEFERRED.setdefault(a, []).append((g, b.data))
-        if _needs_grad(b):
-            _accumulate(b, a.data.T.dot(g))
+                a.grad = g.dot(b.data.T)
+        elif a._parents:
+            if a.grad is not None:
+                a.grad += g[:, None] * b.data
+            else:
+                a.grad = g[:, None] * b.data
+        elif a.grad is not None:  # a parameter's rank-1 terms: one GEMM at the end of backward
+            _DEFERRED.setdefault(a, []).append((g, b.data))
+        if b.grad is not None:
+            b.grad += a.data.T.dot(g)
+        elif b._parents:
+            b.grad = a.data.T.dot(g)
 
-    return Tensor(a.data.dot(b.data), (a, b), _bw)
+    return _queued(Tensor(a.data.dot(b.data), (a, b), _bw))
 
 
 def transpose(a):
@@ -309,7 +329,10 @@ def transpose(a):
         raise ShapeError("transpose needs a matrix, got dims %r" % (a.dims,))
 
     def _bw(g):
-        _accumulate(a, g.T)
+        if a.grad is not None:
+            a.grad += g.T
+        elif a._parents:
+            a.grad = g.T
 
     return Tensor(a.data.T, (a,), _bw)
 
@@ -328,33 +351,43 @@ def add(a, b):
         _require_same_dims("add", a, b)
 
     def _bw(g):
-        _accumulate(a, g)
-        if row:
-            g = g.sum(axis=0)
-        elif b.grad is None and b._parents:  # b's new buffer must not be a's
-            g = g.copy()
-        _accumulate(b, g)
+        if a.grad is not None:
+            a.grad += g
+        elif a._parents:
+            a.grad = g
+        if b.grad is not None:
+            b.grad += g.sum(axis=0) if row else g
+        elif b._parents:  # b's new buffer must not be a's
+            b.grad = g.sum(axis=0) if row else g.copy()
 
-    return Tensor(a.data + b.data, (a, b), _bw)
+    return _queued(Tensor(a.data + b.data, (a, b), _bw))
 
 
 def hadamard(a, b):
     _require_same_dims("hadamard", a, b)
 
     def _bw(g):
-        if _needs_grad(a):
-            _accumulate(a, g * b.data)
-        if _needs_grad(b):
-            _accumulate(b, g * a.data)
+        if a.grad is not None:
+            a.grad += g * b.data
+        elif a._parents:
+            a.grad = g * b.data
+        if b.grad is not None:
+            b.grad += g * a.data
+        elif b._parents:
+            b.grad = g * a.data
 
-    return Tensor(a.data * b.data, (a, b), _bw)
+    return _queued(Tensor(a.data * b.data, (a, b), _bw))
 
 
 def sigmoid(x):
     y = 1.0 / (1.0 + np.exp(-x.data))
 
     def _bw(g):
-        _accumulate(x, g * y * (1.0 - y))
+        g = g * y * (1.0 - y)
+        if x.grad is not None:
+            x.grad += g
+        elif x._parents:
+            x.grad = g
 
     return Tensor(y, (x,), _bw)
 
@@ -363,7 +396,11 @@ def tanh(x):
     y = np.tanh(x.data)
 
     def _bw(g):
-        _accumulate(x, g * (1.0 - y * y))
+        g = g * (1.0 - y * y)
+        if x.grad is not None:
+            x.grad += g
+        elif x._parents:
+            x.grad = g
 
     return Tensor(y, (x,), _bw)
 
@@ -394,14 +431,14 @@ def tsum(x):
     def _bw(g):
         _accumulate(x, np.full(x.data.shape, g))
 
-    return Tensor(x.data.sum(), (x,), _bw)
+    return _queued(Tensor(x.data.sum(), (x,), _bw))
 
 
 def log(x):
     def _bw(g):
         _accumulate(x, g / x.data)
 
-    return Tensor(np.log(x.data), (x,), _bw)
+    return _queued(Tensor(np.log(x.data), (x,), _bw))
 
 
 def pick(x, index):
@@ -414,9 +451,9 @@ def pick(x, index):
         raise IndexError("pick index %d out of range for length %d" % (i, n))
 
     def _bw(g):
-        if _needs_grad(x):
-            if x.grad is None:
-                x.grad = np.zeros(x.data.shape)
+        if x.grad is None and x._parents:
+            x.grad = np.zeros(x.data.shape)
+        if x.grad is not None:
             x.grad[i] += g
 
     return Tensor(x.data[i], (x,), _bw)

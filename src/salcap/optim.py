@@ -113,7 +113,9 @@ def optimizer_step(slots, opt_state, config):
 
     The update runs in place, in one scratch buffer and each slot's own
     gradient buffer.  It applies the operations of the textbook formula
-    in the same order, so its bits equal the formula's.
+    in the same order, so its bits equal the formula's.  Each updated
+    value is tested for NaN/Inf, since the tape's checked mode does not
+    test a parameter again once it is built (see ``numerics``).
     """
     slots = list(slots)
     if not slots or all(not np.any(slot.grad) for slot in slots):
@@ -152,6 +154,8 @@ def optimizer_step(slots, opt_state, config):
         tmp /= g
         tmp *= config.learning_rate
         slot.value.data -= tmp
+        if not np.isfinite(slot.value.data).all():
+            raise ValueError("non-finite value in %r after optimizer step %d" % (slot.name, t))
         slot.zero_grad()
 
 

@@ -66,7 +66,7 @@ MUTANTS = [
            "truncated=emitted[-1] != EOS_ID", "truncated=False",
            "tests/test_inference.py::TestGreedyDecode::test_max_len_cap_flags_truncation"),
     Mutant("tanh gradient scaled by 1 + 1e-6", "src/salcap/numerics.py",
-           "_accumulate(x, g * (1.0 - y * y))", "_accumulate(x, g * (1.0 - y * y) * (1.0 + 1e-6))",
+           "g = g * (1.0 - y * y)\n", "g = g * (1.0 - y * y) * (1.0 + 1e-6)\n",
            "tests/test_acceptance.py::test_criterion_1_gradient_fidelity"),
     Mutant("a class hit without a salient pixel", "src/salcap/salstats.py",
            "if overlap >= 1 and", "if overlap >= 0 and",
@@ -80,13 +80,15 @@ MUTANTS = [
            "np.random.SeedSequence([config.seed, 0])",
            "tests/test_optim.py::TestTrainEpoch::test_batch_order_seeded_per_epoch"),
     Mutant("constants get a gradient again", "src/salcap/numerics.py",
-           "return t.grad is not None or bool(t._parents)", "return True",
+           "        elif b._parents:\n            b.grad = g * a.data\n",
+           "        else:\n            b.grad = g * a.data\n",
            "tests/test_attention.py::test_only_parameters_hold_gradients"),
     Mutant("a constant takes its first contribution as a buffer", "src/salcap/numerics.py",
-           "    elif _needs_grad(t):\n        t.grad = g\n", "    else:\n        t.grad = g\n",
+           "        elif b._parents:\n            b.grad = a.data.T.dot(g)\n",
+           "        else:\n            b.grad = a.data.T.dot(g)\n",
            "tests/test_numerics.py::TestLazyBuffers::test_constant_operand_gets_no_gradient"),
     Mutant("add's second operand takes g itself", "src/salcap/numerics.py",
-           "            g = g.copy()\n", "            pass\n",
+           "else g.copy()", "else g",
            "tests/test_numerics.py::TestLazyBuffers::test_recorded_second_operand_gets_its_own_buffer"),
     Mutant("the deferred GEMM transposed", "src/salcap/numerics.py",
            "np.array(g).T.dot(np.array(x))", "np.array(x).T.dot(np.array(g))",
@@ -94,6 +96,35 @@ MUTANTS = [
     Mutant("a checkpoint's unknown variant accepted", "src/salcap/decoder.py",
            "if self.variant not in VARIANTS:", "if False:",
            "tests/test_decoder.py::TestCheckpoint::test_unknown_variant_named"),
+    Mutant("softmax_vec without its max shift", "src/salcap/numerics.py",
+           "shifted = e.data - e.data.max()", "shifted = e.data",
+           "tests/test_numerics.py::TestSoftmax::test_large_logits_equal_the_shifted_formula"),
+    Mutant("matmul's output not queued", "src/salcap/numerics.py",
+           "return _queued(Tensor(a.data.dot(b.data), (a, b), _bw))",
+           "return Tensor(a.data.dot(b.data), (a, b), _bw)",
+           "tests/test_numerics.py::TestCheckedMode::test_queued_ops_queue_their_outputs"),
+    Mutant("optimizer_step skips its parameter test", "src/salcap/optim.py",
+           "if not np.isfinite(slot.value.data).all():", "if False:",
+           "tests/test_optim.py::TestOptimizerStep::test_non_finite_update_names_slot_and_step"),
+    Mutant("a gradient under the clip norm scaled up", "src/salcap/optim.py",
+           "clip_scale = min(1.0, config.grad_clip_norm / total)",
+           "clip_scale = min(1.5, config.grad_clip_norm / total)",
+           "tests/test_optim.py::TestOptimizerStep::test_gradient_under_clip_norm_unchanged"),
+    Mutant("grad check's error times its denominator", "src/salcap/optim.py",
+           "abs(gflat[k] - numeric) / denom", "abs(gflat[k] - numeric) * denom",
+           "tests/test_optim.py::TestGradCheck::test_hand_worked_relative_error"),
+    Mutant("truncation read from the first emitted id", "src/salcap/inference.py",
+           "truncated=emitted[-1] != EOS_ID", "truncated=emitted[0] != EOS_ID",
+           "tests/test_inference.py::TestGreedyDecode::test_caption_ending_at_eos_not_truncated"),
+    Mutant("trace steps numbered from 0", "src/salcap/inference.py",
+           "enumerate(steps, start=1)", "enumerate(steps)",
+           "tests/test_inference.py::TestTraceAttention::test_steps_numbered_from_one"),
+    Mutant("a caption of max_caption_len words flagged as truncated", "src/salcap/optim.py",
+           "truncated = len(words) > max_caption_len", "truncated = len(words) >= max_caption_len",
+           "tests/test_optim.py::TestExamples::test_truncation_boundary"),
+    Mutant("num_truncated always 0", "src/salcap/optim.py",
+           "num_truncated=sum(1 for e in examples if e.truncated)", "num_truncated=0",
+           "tests/test_optim.py::TestTrainEpoch::test_num_truncated_counts_examples"),
 ]
 
 

@@ -173,6 +173,26 @@ class TestCheckedStep:
                 dec.step(params, a, sal, state, 4)
         assert "step" in [entry.name for entry in info.traceback]
 
+    @pytest.mark.parametrize("planted", ["w_ae", "emb"])
+    def test_nan_planted_in_a_parameter_is_reported(self, planted):
+        """A parameter reaches the tape through ops that are not queued for
+        the check (``transpose``, ``pick``); the queued product after them
+        still reports a NaN written into its values after it was built."""
+        config = tiny_config()
+        params = dec.init_params(config, rng_seed=0)
+        rng = np.random.default_rng(13)
+        a = dec.project_features(
+            Tensor(rng.normal(size=(config.num_locations, config.raw_feature_size))), params
+        )
+        sal = SaliencyGrid(rng.uniform(0.0, 1.0, config.num_locations))
+        state = dec.LstmState.initial(config.hidden_size)
+        if planted == "w_ae":
+            params.attention.sal.w_ae.data[2, 1] = np.nan
+        else:
+            params.emb.data[4, 3] = np.nan
+        with pytest.raises(ValueError, match="non-finite value from matmul"):
+            dec.step(params, a, sal, state, 4)
+
 
 class TestInitParams:
     def test_recurrent_matrices_orthogonal(self):

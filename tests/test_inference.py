@@ -42,6 +42,28 @@ def force_constant_logit(params, token_id, value=50.0):
     params.w_p.data[token_id, :] = value
 
 
+def word_then_eos(params, word):
+    """Make the model emit ``word`` after BOS and EOS after ``word``.
+
+    Only the word input drives the LSTM: the input gate is open, the
+    forget gate shut and the output gate open, so h depends on the previous
+    word alone.  BOS's embedding lights hidden unit 0 and ``word``'s unit 1;
+    W_p maps unit 0 to ``word`` and unit 1 to EOS.
+    """
+    for gate in "ifog":
+        for weights in (params.lstm.w_v, params.lstm.w_w, params.lstm.w_h):
+            weights[gate].data[...] = 0.0
+    params.lstm.b["i"].data[...] = 50.0
+    params.lstm.b["f"].data[...] = -50.0
+    params.lstm.b["o"].data[...] = 50.0
+    params.lstm.b["g"].data[...] = 0.0
+    params.lstm.w_w["g"].data[0, 0] = params.lstm.w_w["g"].data[1, 1] = 5.0
+    params.emb.data[...] = 0.0
+    params.emb.data[BOS_ID, 0] = params.emb.data[word, 1] = 1.0
+    params.w_p.data[...] = 0.0
+    params.w_p.data[word, 0] = params.w_p.data[EOS_ID, 1] = 10.0
+
+
 class TestGreedyDecode:
     def test_eos_dominant_gives_empty_caption(self):
         config = tiny_config()
@@ -60,6 +82,15 @@ class TestGreedyDecode:
         result = inference.greedy_decode(raw, sal, params, max_len=3)
         assert result.ids == [5, 5, 5]
         assert result.truncated
+
+    def test_caption_ending_at_eos_not_truncated(self):
+        config = tiny_config()
+        params = dec.init_params(config, rng_seed=0)
+        word_then_eos(params, 5)
+        raw, sal = fresh_inputs(config)
+        result = inference.greedy_decode(raw, sal, params, max_len=10)
+        assert result.ids == [5]
+        assert not result.truncated
 
     def test_deterministic_across_runs(self):
         config = tiny_config()
@@ -107,6 +138,14 @@ class TestTraceAttention:
         assert len(result.ids) == 0
         assert len(trace) == 1  # just the EOS emission
         assert trace[0].token_id == EOS_ID
+
+    def test_steps_numbered_from_one(self):
+        config = tiny_config()
+        params = dec.init_params(config, rng_seed=0)
+        word_then_eos(params, 5)
+        raw, sal = fresh_inputs(config)
+        _, trace = inference.trace_attention(raw, sal, params, max_len=10)
+        assert [(step.t, step.token_id) for step in trace] == [(1, 5), (2, EOS_ID)]
 
     def test_alpha_rows_normalized(self):
         config = tiny_config()

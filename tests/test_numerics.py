@@ -134,6 +134,13 @@ class TestSoftmax:
             assert abs(y.sum() - 1.0) < 1e-9
             assert np.all(y >= 0.0) and np.all(y <= 1.0)
 
+    def test_large_logits_equal_the_shifted_formula(self):
+        """Logits near +-1000 overflow ``exp`` unless the max is taken off first."""
+        e = np.array([1000.0, 999.0, 1001.5, 998.25])
+        for logits in (e, -e):
+            shifted = np.exp(logits - logits.max())
+            npt.assert_array_equal(nm.softmax_vec(Tensor(logits)).data, shifted / shifted.sum())
+
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             nm.softmax_vec(Tensor(np.zeros(0)))
@@ -324,6 +331,39 @@ class TestCheckedMode:
         nm.check_recorded()
         assert y.data[0] == -np.inf
 
+    EXEMPT = {
+        "transpose": nm.transpose,
+        "pick": lambda x: nm.pick(x, 0),
+        "relu": nm.relu,
+        "sigmoid": nm.sigmoid,
+        "tanh": nm.tanh,
+        "softmax_vec": lambda x: nm.softmax_vec(nm.pick(x, 1)),
+    }
+    QUEUED = {
+        "matmul": lambda x: nm.matmul(x, x),
+        "add": lambda x: nm.add(x, x),
+        "hadamard": lambda x: nm.hadamard(x, x),
+        "log": lambda x: nm.log(nm.hadamard(x, x)),
+        "tsum": nm.tsum,
+    }
+
+    @pytest.mark.parametrize("op", sorted(EXEMPT))
+    def test_exempt_ops_queue_nothing(self, op):
+        """An op that gives finite output for finite input leaves the queue as it was."""
+        x = param(np.array([[0.5, -1.0], [2.0, 0.25]]))
+        nm.check_recorded()
+        self.EXEMPT[op](x)
+        assert nm._PENDING == []
+
+    @pytest.mark.parametrize("op", sorted(QUEUED))
+    def test_queued_ops_queue_their_outputs(self, op):
+        x = param(np.array([[0.5, -1.0], [2.0, 0.25]]))
+        nm.check_recorded()
+        out = self.QUEUED[op](x)
+        assert nm._PENDING[-1] is out
+        assert len(nm._PENDING) == (2 if op == "log" else 1)
+        nm.check_recorded()
+
 
 class TestParamStore:
     def test_slot_grad_shape_and_zero(self):
@@ -497,7 +537,9 @@ class TestLazyBuffers:
             recorded = nm._recording_order(loss)  # tsum, hadamard, tanh, matmul
             assert len(recorded) == 4 and all(t.grad is None for t in recorded)
 
-    @pytest.mark.parametrize("op", ["add", "add_row", "transpose", "matmul", "hadamard", "pick"])
+    @pytest.mark.parametrize(
+        "op", ["add", "add_row", "transpose", "matmul", "hadamard", "sigmoid", "tanh", "pick"]
+    )
     def test_constant_operand_gets_no_gradient(self, op):
         """A leaf without a gradient buffer is a constant, in either operand slot."""
         rng = np.random.default_rng(15)
@@ -512,15 +554,22 @@ class TestLazyBuffers:
         elif op == "transpose":
             constants = [Tensor(rng.normal(size=(3, 2)))]
             outs, expected = [nm.add(p, nm.transpose(constants[0]))], ones
-        elif op == "matmul":  # a constant matrix times p, and p times a constant vector
-            c, v = Tensor(rng.normal(size=(4, 2))), Tensor(rng.normal(size=3))
-            constants = [c, v]
-            outs = [nm.matmul(c, p), nm.matmul(p, v)]
+        elif op == "matmul":  # a constant matrix times p or a row of p; p times a constant vector
+            c, v, r = (Tensor(rng.normal(size=(4, 2))), Tensor(rng.normal(size=3)),
+                       Tensor(rng.normal(size=(4, 3))))
+            constants = [c, v, r]
+            outs = [nm.matmul(c, p), nm.matmul(p, v), nm.matmul(r, nm.pick(p, 1))]
             expected = c.data.T @ np.ones((4, 3)) + np.outer(np.ones(2), v.data)
+            expected[1] += r.data.sum(axis=0)
         elif op == "hadamard":
             constants = [Tensor(rng.normal(size=(2, 3)))]
             outs = [nm.hadamard(p, constants[0]), nm.hadamard(constants[0], p)]
             expected = 2 * constants[0].data
+        elif op in ("sigmoid", "tanh"):  # p times the op of a constant
+            constants = [Tensor(rng.normal(size=(2, 3)))]
+            squashed = getattr(nm, op)(constants[0])
+            outs = [nm.hadamard(p, squashed)]
+            expected = squashed.data
         else:  # a row of a constant matrix times a row of p
             constants = [Tensor(rng.normal(size=(4, 3)))]
             outs = [nm.hadamard(nm.pick(constants[0], 1), nm.pick(p, 0))]

@@ -121,6 +121,29 @@ class TestOptimizerStep:
         expected = -config.learning_rate * 0.5 / (np.sqrt(0.5 ** 2) + 1e-8)
         npt.assert_allclose(slot.value.data, np.full(4, expected), rtol=1e-9)
 
+    def test_gradient_under_clip_norm_unchanged(self):
+        """A gradient whose norm is under ``grad_clip_norm`` steps as if unclipped."""
+        grad = np.array([3.0, -4.0])  # norm 5
+        sides = []
+        for clip in (0.0, 6.25):
+            slot = self._slot([1.0, 2.0], grad)
+            state = optim.OptimizerState()
+            optim.optimizer_step([slot], state, optim.TrainConfig(grad_clip_norm=clip))
+            sides.append((slot.value.data, state.m["w"], state.v["w"]))
+        for unclipped, clipped in zip(*sides):
+            npt.assert_array_equal(clipped, unclipped)
+        npt.assert_array_equal(sides[0][1], (1.0 - optim.ADAM_BETA1) * grad)
+
+    def test_non_finite_update_names_slot_and_step(self):
+        slots = [self._slot([1.0, 2.0], 1.0), ParamSlot("b", np.array([0.5]))]
+        state = optim.OptimizerState()
+        slots[1].grad[...] = 1.0
+        optim.optimizer_step(slots, state, optim.TrainConfig())
+        slots[0].grad[...] = 1.0
+        slots[1].grad[...] = np.nan
+        with pytest.raises(ValueError, match=r"^non-finite value in 'b' after optimizer step 2$"):
+            optim.optimizer_step(slots, state, optim.TrainConfig())
+
     @pytest.mark.parametrize("rule", ["adam", "nadam"])
     @pytest.mark.parametrize("clip", [0.0, 0.5])
     def test_in_place_update_matches_formula_copy(self, rule, clip):
@@ -294,6 +317,19 @@ class TestTrainEpoch:
             assert orders[-1] == expected
         assert orders[0] != orders[1]
 
+    def test_num_truncated_counts_examples(self):
+        config = tiny_config()
+        params = dec.init_params(config, rng_seed=3)
+        vocabulary = build_vocab(["a b c d"], min_count=1)
+        rng = np.random.default_rng(3)
+        raw = rng.normal(size=(config.num_locations, config.raw_feature_size))
+        sal = SaliencyGrid(rng.uniform(size=config.num_locations))
+        examples = [optim.make_example("img%d" % i, raw, sal, caption, vocabulary, 3)
+                    for i, caption in enumerate(["a b", "a b c d", "d c b a", "c d a"])]
+        stats = optim.train_epoch(examples, params, optim.OptimizerState(),
+                                  optim.TrainConfig(batch_size=2), 0)
+        assert stats.num_truncated == 2
+
     def test_empty_dataset_rejected(self):
         params = dec.init_params(tiny_config(), rng_seed=0)
         with pytest.raises(ValueError, match="non-empty"):
@@ -343,6 +379,15 @@ class TestExamples:
         assert len(ex.token_ids) == 5  # BOS + 3 words + EOS
         assert ex.token_ids[-1] == EOS_ID
 
+    def test_truncation_boundary(self):
+        """max_caption_len words are kept whole; one more is cut."""
+        vocabulary = build_vocab(["a b c d"], min_count=1)
+        for caption, truncated in (("a b c", False), ("a b c d", True)):
+            ex = optim.make_example("i", np.zeros((1, 1)), SaliencyGrid(np.array([0.5])),
+                                    caption, vocabulary, max_caption_len=3)
+            assert ex.truncated == truncated, caption
+            assert len(ex.token_ids) == 5
+
     def test_no_truncation_within_limit(self):
         vocabulary = build_vocab(["a b"], min_count=1)
         ex = optim.make_example("i", np.zeros((1, 1)), SaliencyGrid(np.array([0.5])),
@@ -383,6 +428,21 @@ class TestGradCheck:
         report = optim.finite_difference_check(lambda: 0.0, [], tolerance=1e-4, analytic={})
         assert report.passed
         assert report.max_rel_err == 0.0
+
+    def test_hand_worked_relative_error(self):
+        """Loss sum(w^2) / 2 has gradient w; given 3 w, each entry's error is
+        |3 w - w| / |3 w| = 2/3."""
+        slot = ParamSlot("w", np.array([1.0, -2.0, 0.5]))
+        w = slot.value.data
+
+        def loss_fn():
+            return 0.5 * float(np.sum(w * w))
+
+        report = optim.finite_difference_check(loss_fn, [slot], tolerance=1e-4,
+                                               analytic={"w": 3.0 * w})
+        assert abs(report.max_rel_err - 2.0 / 3.0) < 1e-9
+        assert [e.name for e in report.entries] == ["w"]
+        assert not report.passed
 
     @pytest.mark.parametrize("variant", ["soft", "saliency_context"])
     def test_tiny_model_passes(self, variant):

@@ -1,4 +1,5 @@
-"""Property tests: file-format round trips, caption-metric invariants and settings bounds.
+"""Property tests: file-format round trips, caption-metric invariants, settings
+bounds and the tape ops that need no NaN/Inf check.
 
 Examples are derandomized and no example database is kept, so a run is
 reproducible and writes nothing into the source tree.
@@ -18,6 +19,7 @@ from hypothesis.extra import numpy as hnp
 
 import make_metrics_oracle as oracle
 from salcap import cli, data_io, decoder, metrics, optim
+from salcap import numerics as nm
 from salcap.numerics import Tensor
 from salcap.vocab import BOS_ID, EOS_ID, RESERVED_TOKENS, UNK_ID, build_vocab
 
@@ -72,6 +74,28 @@ def test_segm_round_trip(workdir, labels):
     read, maxval = data_io.read_map(path, (data_io.SEGM_MAGIC,))
     assert np.array_equal(read, labels)
     assert maxval is None
+
+
+# any finite double, with the extremes and logits near +-1000 drawn often
+finite_values = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from([1e308, -1e308, np.finfo(np.float64).max, -np.finfo(np.float64).max]),
+    st.floats(999.0, 1001.0),
+    st.floats(-1001.0, -999.0),
+)
+
+
+@SETTINGS
+@given(hnp.arrays(np.float64, hnp.array_shapes(min_dims=2, max_dims=2, max_side=5),
+                  elements=finite_values))
+def test_unqueued_ops_give_finite_output_for_finite_input(values):
+    """The six ops that ``numerics`` does not queue for its check need none."""
+    x = Tensor(values)
+    with np.errstate(over="ignore"):  # exp overflows in sigmoid, the max shift in softmax_vec
+        outs = [nm.transpose(x), nm.pick(x, 0), nm.relu(x), nm.sigmoid(x), nm.tanh(x),
+                nm.softmax_vec(Tensor(values.reshape(-1)))]
+    for out in outs:
+        assert np.isfinite(out.data).all()
 
 
 def captions(min_words):
