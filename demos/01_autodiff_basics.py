@@ -11,10 +11,12 @@ import numpy as np
 from salcap import numerics as nm
 from salcap.numerics import ParamStore, Tensor
 
-# A tiny expression: loss = sum(sigmoid(W @ x))
+# A tiny expression: loss = sum(sigmoid(W @ x)).  The parameters W and z
+# live in a ParamStore, built once from named arrays: their values and
+# gradients are views of two flat arenas, store.values and store.grads.
 rng = np.random.default_rng(0)
-store = ParamStore()
-w = store.add("W", rng.normal(size=(3, 4)))
+store = ParamStore([("W", rng.normal(size=(3, 4))), ("z", np.zeros(5))])
+w, z = store["W"].value, store["z"].value
 x = Tensor(rng.normal(size=4))
 
 loss = nm.tsum(nm.sigmoid(nm.matmul(w, x)))
@@ -24,7 +26,6 @@ nm.backward(loss)
 print("dL/dW:\n", store["W"].grad)
 
 # The well-known special point: sigmoid'(0) = 0.25
-z = store.add("z", np.zeros(5))
 nm.backward(nm.tsum(nm.sigmoid(z)))
 print("\ngradient of sum(sigmoid(0)):", store["z"].grad)  # 0.25 everywhere
 print("gradient of the constant x:", x.grad)  # None

@@ -111,49 +111,63 @@ def _zeros(rng, *dims):
     return np.zeros(dims)
 
 
-def _build_params(config, value):
-    """DecoderParams, each parameter named once and holding ``value(name, init, *dims)``."""
-    store = ParamStore()
+# each variant's attention paths: AttentionParams field -> parameter name
+# prefix; shared_weights' two paths share one W_ae and one W_he, "att.shared"
+_SINGLE = {"single": "att.single"}
+_TWO = {"sal": "att.sal", "ctx": "att.ctx"}
+_PATHS = {"soft": _SINGLE, "attention_on_saliency": _SINGLE, "saliency_context": _TWO,
+          "shared_weights": _TWO, "saliency_pooling": {}}
+
+
+def _param_specs(config):
+    """(name, init, dims) of every parameter, in store order."""
     h, e, d = config.hidden_size, config.embed_size, config.feature_size
     d_att = config.attention_size
-
-    def add(name, init, *dims):
-        return store.add(name, value(name, init, *dims))
-
-    proj_w = add("proj.W", _glorot_uniform, d, config.raw_feature_size)
-    proj_b = add("proj.b", _zeros, d)
-    emb = add("emb", _gaussian, config.vocab_size, e)
-    w_p = add("out.W_p", _gaussian, config.vocab_size, h)
-
-    w_v, w_w, w_h, b = {}, {}, {}, {}
+    specs = [("proj.W", _glorot_uniform, (d, config.raw_feature_size)),
+             ("proj.b", _zeros, (d,)),
+             ("emb", _gaussian, (config.vocab_size, e)),
+             ("out.W_p", _gaussian, (config.vocab_size, h))]
     for gate in GATES:
-        w_v[gate] = add("lstm.W_v.%s" % gate, _gaussian, h, d)
-        w_w[gate] = add("lstm.W_w.%s" % gate, _gaussian, h, e)
-        w_h[gate] = add("lstm.W_h.%s" % gate, _orthogonal, h, h)
-        b[gate] = add("lstm.b.%s" % gate, _zeros, h)
-    lstm = LstmParams(w_v, w_w, w_h, b)
+        specs += [("lstm.W_v.%s" % gate, _gaussian, (h, d)),
+                  ("lstm.W_w.%s" % gate, _gaussian, (h, e)),
+                  ("lstm.W_h.%s" % gate, _orthogonal, (h, h)),
+                  ("lstm.b.%s" % gate, _zeros, (h,))]
+    shared = config.variant == "shared_weights"
+    if shared:
+        specs += [("att.shared.W_ae", _gaussian, (d_att, d)),
+                  ("att.shared.W_he", _orthogonal, (d_att, h))]
+    for prefix in _PATHS[config.variant].values():
+        if not shared:
+            specs += [("%s.W_ae" % prefix, _gaussian, (d_att, d)),
+                      ("%s.W_he" % prefix, _orthogonal, (d_att, h))]
+        specs.append(("%s.v_e" % prefix, _zeros, (d_att,)))
+    return specs
 
-    def new_path(prefix, w_ae=None, w_he=None):
-        if w_ae is None:
-            w_ae = add("%s.W_ae" % prefix, _gaussian, d_att, d)
-            w_he = add("%s.W_he" % prefix, _orthogonal, d_att, h)
-        return AttentionPathParams(w_ae, w_he, add("%s.v_e" % prefix, _zeros, d_att))
 
-    variant = config.variant
-    if variant in ("soft", "attention_on_saliency"):
-        attention = AttentionParams(variant, single=new_path("att.single"))
-    elif variant == "saliency_context":
-        attention = AttentionParams(variant, sal=new_path("att.sal"), ctx=new_path("att.ctx"))
-    elif variant == "shared_weights":
-        shared_ae = add("att.shared.W_ae", _gaussian, d_att, d)
-        shared_he = add("att.shared.W_he", _orthogonal, d_att, h)
-        sal = new_path("att.sal", w_ae=shared_ae, w_he=shared_he)
-        ctx = new_path("att.ctx", w_ae=shared_ae, w_he=shared_he)
-        attention = AttentionParams(variant, sal=sal, ctx=ctx)
-    else:  # saliency_pooling
-        attention = AttentionParams(variant)
+def _build_params(config, value):
+    """DecoderParams, each parameter named once and holding ``value(name, init, *dims)``.
 
-    return DecoderParams(config, store, proj_w, proj_b, emb, w_p, lstm, attention)
+    ``value`` is called in store order, so ``init_params`` draws every
+    value from its one rng stream in that order; the store is built once.
+    """
+    store = ParamStore([(name, value(name, init, *dims))
+                        for name, init, dims in _param_specs(config)])
+
+    def leaf(name):
+        return store[name].value
+
+    lstm = LstmParams(*({gate: leaf("lstm.%s.%s" % (kind, gate)) for gate in GATES}
+                        for kind in ("W_v", "W_w", "W_h", "b")))
+
+    def path(prefix):
+        weights = "att.shared" if config.variant == "shared_weights" else prefix
+        return AttentionPathParams(leaf(weights + ".W_ae"), leaf(weights + ".W_he"),
+                                   leaf(prefix + ".v_e"))
+
+    attention = AttentionParams(config.variant, **{
+        field: path(prefix) for field, prefix in _PATHS[config.variant].items()})
+    return DecoderParams(config, store, leaf("proj.W"), leaf("proj.b"), leaf("emb"),
+                         leaf("out.W_p"), lstm, attention)
 
 
 def init_params(config, rng_seed):

@@ -34,7 +34,11 @@ run most often, apply ``_accumulate``'s rule inline.
 A value joins the tape one way.  ``Tensor(x)`` makes a leaf from
 anything ``np.asarray`` takes, and only an op makes a recorded tensor.
 Ops take Tensors and never convert their inputs.  A leaf gets a gradient
-only if it holds a buffer, as a ``ParamSlot``'s leaf does.  Any other
+only if it holds a buffer, as a ``ParamSlot``'s leaf does.  A
+``ParamStore`` keeps every parameter value in one flat arena and every
+gradient in another; a slot's value and gradient are views of its span,
+so ``optim.optimizer_step`` updates all parameters in one pass over the
+arenas and ``zero_grads`` is one fill.  Any other
 leaf (the raw features, h0 and c0, the saliency weights s and 1 - s, the
 loss normaliser -1/T) is a constant: ``matmul`` and ``hadamard`` skip
 its product.  The 11 recorded ops are ``matmul``, ``transpose``, ``add``,
@@ -48,7 +52,7 @@ parameter for the whole call, not one outer product per decoder step.
 The deferred terms are dropped if any closure raises.
 
 Every value is tested for NaN/Inf where one can arise.  A leaf is tested
-when it is built, and ``optim.optimizer_step`` tests each parameter
+when it is built, and ``optim.optimizer_step`` tests the value arena
 after its update.  Of the recorded ops, only ``matmul``, ``add``,
 ``hadamard``, ``log`` and ``tsum`` can turn finite inputs into a
 non-finite output, by overflow or by the log of 0, so only their outputs
@@ -91,7 +95,6 @@ records from two threads.
 import functools
 import gc
 import itertools
-from collections import OrderedDict
 from operator import attrgetter
 
 import numpy as np
@@ -186,38 +189,61 @@ class Tensor:
 
 
 class ParamSlot:
-    """Named learned parameter: a leaf value tensor plus its running gradient."""
+    """Named learned parameter: a leaf value tensor and its running gradient,
+    each a view of the slot's span in its ``ParamStore``'s arenas."""
 
     __slots__ = ("name", "value")
 
-    def __init__(self, name, value):
+    def __init__(self, name, value, grad):
         self.name = name
         self.value = Tensor(value)
-        self.value.grad = np.zeros_like(self.value.data)
+        self.value.grad = grad
 
     @property
     def grad(self):
         return self.value.grad
 
-    def zero_grad(self):
-        self.value.grad[...] = 0.0
-
     def __repr__(self):
         return "ParamSlot(%r, dims=%r)" % (self.name, self.value.dims)
 
 
+# A span starts at a multiple of this many float64s: 64 bytes.
+_ALIGN = 8
+
+
+def _aligned_zeros(n):
+    """n float64 zeros whose first one sits on a 64-byte boundary."""
+    raw = np.zeros(n + _ALIGN)
+    skip = (-raw.ctypes.data % (8 * _ALIGN)) // 8
+    return raw[skip:skip + n]
+
+
 class ParamStore:
-    """Ordered registry of uniquely named ParamSlots."""
+    """Uniquely named ParamSlots, in the order given, over two flat arenas.
 
-    def __init__(self):
-        self._slots = OrderedDict()
+    ``values`` holds every parameter and ``grads`` every gradient; each
+    slot's ``value.data`` and ``grad`` are reshaped views of its span, so
+    a write through either is a write into the arena.  Each span starts
+    on a 64-byte boundary, and the padding between spans stays zero.  The
+    store is built once, from its ``(name, array)`` pairs, each array
+    copied into its span.
+    """
 
-    def add(self, name, array):
-        if name in self._slots:
-            raise ValueError("duplicate parameter name %r" % name)
-        slot = ParamSlot(name, array)
-        self._slots[name] = slot
-        return slot.value
+    def __init__(self, pairs):
+        pairs = [(name, np.asarray(array)) for name, array in pairs]
+        spans, end = [], 0
+        for _, array in pairs:
+            spans.append(slice(end, end + array.size))
+            end += -(-array.size // _ALIGN) * _ALIGN
+        self.values = _aligned_zeros(end)
+        self.grads = _aligned_zeros(end)
+        self._slots = {}
+        for (name, array), span in zip(pairs, spans):
+            if name in self._slots:
+                raise ValueError("duplicate parameter name %r" % name)
+            value = self.values[span].reshape(array.shape)
+            value[...] = array
+            self._slots[name] = ParamSlot(name, value, self.grads[span].reshape(array.shape))
 
     def __getitem__(self, name):
         return self._slots[name]
@@ -229,8 +255,7 @@ class ParamStore:
         return list(self._slots.values())
 
     def zero_grads(self):
-        for slot in self._slots.values():
-            slot.zero_grad()
+        self.grads.fill(0.0)
 
 
 def _recording_order(root):

@@ -44,18 +44,13 @@ class TrainConfig:
 
 
 class OptimizerState:
-    """Per-parameter first/second moments and the shared step counter."""
+    """The first and second moments, one arena-sized array each from the
+    first step on, and the step counter."""
 
     def __init__(self):
-        self.m = {}
-        self.v = {}
+        self.m = None
+        self.v = None
         self.t = 0
-
-    def moments(self, slot):
-        if slot.name not in self.m:
-            self.m[slot.name] = np.zeros_like(slot.value.data)
-            self.v[slot.name] = np.zeros_like(slot.value.data)
-        return self.m[slot.name], self.v[slot.name]
 
 
 def sequence_nll(step_probs, targets):
@@ -108,55 +103,55 @@ def caption_loss(params, raw, sal, token_ids):
     return sequence_nll(probs, targets)
 
 
-def optimizer_step(slots, opt_state, config):
-    """One Adam or Nadam update over all slots; every gradient is zero after.
+def optimizer_step(store, opt_state, config):
+    """One Adam or Nadam update of a ParamStore; every gradient is zero after.
 
-    The update runs in place, in one scratch buffer and each slot's own
-    gradient buffer.  It applies the operations of the textbook formula
-    in the same order, so its bits equal the formula's.  Each updated
-    value is tested for NaN/Inf, since the tape's checked mode does not
-    test a parameter again once it is built (see ``numerics``).
+    The update runs once over the whole arena, in place, in one scratch
+    buffer and the gradient arena.  It applies the operations of the
+    textbook formula in the same order, so its bits equal the formula's
+    applied to each parameter alone.  The updated values are tested for
+    NaN/Inf, since the tape's checked mode does not test a parameter again
+    once it is built (see ``numerics``).
     """
-    slots = list(slots)
-    if not slots or all(not np.any(slot.grad) for slot in slots):
+    g = store.grads
+    if not np.any(g):
         warnings.warn("optimizer step with all-zero gradients: skipping")
         return
 
-    clip_scale = 1.0
-    if config.grad_clip_norm > 0:
-        total = np.sqrt(sum(float(np.sum(slot.grad * slot.grad)) for slot in slots))
+    if config.grad_clip_norm > 0:  # per-slot sums, in slot order, as the formula adds them
+        total = np.sqrt(sum(float(np.sum(slot.grad * slot.grad)) for slot in store.slots()))
         clip_scale = min(1.0, config.grad_clip_norm / total)
+        g *= clip_scale
 
+    if opt_state.m is None:
+        opt_state.m, opt_state.v = np.zeros(g.size), np.zeros(g.size)
+    m, v = opt_state.m, opt_state.v
     opt_state.t += 1
     t = opt_state.t
     bc1 = 1.0 - ADAM_BETA1 ** t
     bc2 = 1.0 - ADAM_BETA2 ** t
-    scratch = np.empty(max(slot.grad.size for slot in slots))
-    for slot in slots:
-        g = slot.grad
-        tmp = scratch[:g.size].reshape(g.shape)
-        m, v = opt_state.moments(slot)
-        g *= clip_scale
-        m *= ADAM_BETA1
-        m += np.multiply(1.0 - ADAM_BETA1, g, out=tmp)
-        v *= ADAM_BETA2
-        np.multiply(g, g, out=tmp)
-        v += np.multiply(1.0 - ADAM_BETA2, tmp, out=tmp)
-        np.divide(m, bc1, out=tmp)  # m_hat
-        if config.optimizer == "nadam":  # b1 m_hat + (1 - b1) g / bc1
-            tmp *= ADAM_BETA1
-            g *= 1.0 - ADAM_BETA1
-            g /= bc1
-            tmp += g
-        np.divide(v, bc2, out=g)  # v_hat; g is not read again
-        np.sqrt(g, out=g)
-        g += ADAM_EPS
-        tmp /= g
-        tmp *= config.learning_rate
-        slot.value.data -= tmp
-        if not np.isfinite(slot.value.data).all():
-            raise ValueError("non-finite value in %r after optimizer step %d" % (slot.name, t))
-        slot.zero_grad()
+    tmp = np.empty(g.size)
+    m *= ADAM_BETA1
+    m += np.multiply(1.0 - ADAM_BETA1, g, out=tmp)
+    v *= ADAM_BETA2
+    np.multiply(g, g, out=tmp)
+    v += np.multiply(1.0 - ADAM_BETA2, tmp, out=tmp)
+    np.divide(m, bc1, out=tmp)  # m_hat
+    if config.optimizer == "nadam":  # b1 m_hat + (1 - b1) g / bc1
+        tmp *= ADAM_BETA1
+        g *= 1.0 - ADAM_BETA1
+        g /= bc1
+        tmp += g
+    np.divide(v, bc2, out=g)  # v_hat; g is not read again
+    np.sqrt(g, out=g)
+    g += ADAM_EPS
+    tmp /= g
+    tmp *= config.learning_rate
+    store.values -= tmp
+    if not np.isfinite(store.values).all():
+        bad = next(s for s in store.slots() if not np.isfinite(s.value.data).all())
+        raise ValueError("non-finite value in %r after optimizer step %d" % (bad.name, t))
+    store.zero_grads()
 
 
 # ---------------------------------------------------------------------------
@@ -219,7 +214,7 @@ def _train_batch(batch, params, opt_state, config):
         targets += ex_targets
     loss = sequence_nll(probs, targets)
     nm.backward(loss)
-    optimizer_step(params.store.slots(), opt_state, config)
+    optimizer_step(params.store, opt_state, config)
     return loss.item(), len(targets)
 
 

@@ -36,7 +36,7 @@ MUTANTS = [
            "        g *= clip_scale\n", "        g *= 1.0\n",
            "tests/test_optim.py::TestOptimizerStep::test_grad_clipping"),
     Mutant("Nadam's g term without its bias correction", "src/salcap/optim.py",
-           "            g /= bc1\n", "            g /= 1.0\n",
+           "        g /= bc1\n", "        g /= 1.0\n",
            "tests/test_optim.py::TestOptimizerStep::test_matches_formula_transcript"),
     Mutant("Adam's eps times 10", "src/salcap/optim.py",
            "ADAM_EPS = 1e-8", "ADAM_EPS = 1e-7",
@@ -104,7 +104,7 @@ MUTANTS = [
            "return Tensor(a.data.dot(b.data), (a, b), _bw)",
            "tests/test_numerics.py::TestCheckedMode::test_queued_ops_queue_their_outputs"),
     Mutant("optimizer_step skips its parameter test", "src/salcap/optim.py",
-           "if not np.isfinite(slot.value.data).all():", "if False:",
+           "if not np.isfinite(store.values).all():", "if False:",
            "tests/test_optim.py::TestOptimizerStep::test_non_finite_update_names_slot_and_step"),
     Mutant("a gradient under the clip norm scaled up", "src/salcap/optim.py",
            "clip_scale = min(1.0, config.grad_clip_norm / total)",
@@ -125,6 +125,16 @@ MUTANTS = [
     Mutant("num_truncated always 0", "src/salcap/optim.py",
            "num_truncated=sum(1 for e in examples if e.truncated)", "num_truncated=0",
            "tests/test_optim.py::TestTrainEpoch::test_num_truncated_counts_examples"),
+    Mutant("an epoch's time as its end plus its start", "src/salcap/optim.py",
+           "time.perf_counter() - started", "time.perf_counter() + started",
+           "tests/test_optim.py::TestTrainEpoch::test_tokens_per_sec_is_tokens_over_epoch_seconds"),
+    Mutant("tokens_per_sec as tokens times seconds", "src/salcap/optim.py",
+           "tokens_per_sec=epoch_tokens / elapsed", "tokens_per_sec=epoch_tokens * elapsed",
+           "tests/test_optim.py::TestTrainEpoch::test_tokens_per_sec_is_tokens_over_epoch_seconds"),
+    Mutant("a slot's value copied into the arena, not viewed", "src/salcap/numerics.py",
+           "value = self.values[span].reshape(array.shape)",
+           "value = self.values[span].reshape(array.shape).copy()",
+           "tests/test_numerics.py::TestParamStore::test_slots_view_the_arenas"),
 ]
 
 

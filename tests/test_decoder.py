@@ -285,6 +285,23 @@ class TestCheckpoint:
                 for s in loaded.store.slots()] == saved
 
     @pytest.mark.parametrize("variant", VARIANTS)
+    def test_loaded_parameters_view_the_arenas(self, tmp_path, variant):
+        """Loaded values and gradients are views of the store's arenas, and
+        saving them again writes the same bytes."""
+        ckpt = self._saved(tmp_path, tiny_config(variant=variant))
+        loaded, vocabulary = dec.load_checkpoint(ckpt)
+        store = loaded.store
+        for slot in store.slots():
+            assert np.shares_memory(slot.value.data, store.values), slot.name
+            assert np.shares_memory(slot.grad, store.grads), slot.name
+        assert loaded.emb is store["emb"].value
+        assert loaded.lstm.w_h["g"] is store["lstm.W_h.g"].value
+        dec.save_checkpoint(loaded, tmp_path / "again", vocabulary)
+        assert sorted(os.listdir(tmp_path / "again")) == sorted(os.listdir(ckpt))
+        for name in os.listdir(ckpt):
+            assert (tmp_path / "again" / name).read_bytes() == (ckpt / name).read_bytes(), name
+
+    @pytest.mark.parametrize("variant", VARIANTS)
     def test_load_draws_no_initial_values(self, tmp_path, monkeypatch, variant):
         ckpt = self._saved(tmp_path, tiny_config(variant=variant))
 

@@ -56,7 +56,7 @@ def well_conditioned(leaves):
 
 def param(x):
     """A leaf that gets a gradient: the one parameter of a new store."""
-    return ParamStore().add("p", x)
+    return ParamStore([("p", x)])["p"].value
 
 
 def check(leaves, loss_fn, tol=1e-4):

@@ -5,7 +5,7 @@ import numpy.testing as npt
 import pytest
 
 from salcap import numerics as nm
-from salcap.numerics import ParamSlot, ParamStore, ShapeError, Tensor
+from salcap.numerics import ParamStore, ShapeError, Tensor
 
 
 def matmul_oracle(a, b):
@@ -39,7 +39,7 @@ def fd_grad(f, x, h=1e-4):
 
 def param(x):
     """A leaf that gets a gradient: the one parameter of a new store."""
-    return ParamStore().add("p", x)
+    return ParamStore([("p", x)])["p"].value
 
 
 def assert_grads_close(analytic, numeric, tol=1e-4):
@@ -366,22 +366,56 @@ class TestCheckedMode:
 
 
 class TestParamStore:
+    PAIRS = [("w", np.arange(12.0).reshape(3, 4)), ("b", np.ones(5)), ("s", np.float64(2.0)),
+             ("t", -np.arange(12.0).reshape(2, 2, 3))]
+
     def test_slot_grad_shape_and_zero(self):
-        slot = ParamSlot("w", np.ones((2, 3)))
+        store = ParamStore([("w", np.ones((2, 3)))])
+        slot = store["w"]
         assert slot.grad.shape == (2, 3)
         slot.grad[...] = 1.0
-        slot.zero_grad()
+        store.zero_grads()
         npt.assert_array_equal(slot.grad, np.zeros((2, 3)))
 
+    def test_slots_view_the_arenas(self):
+        store = ParamStore(self.PAIRS)
+        assert [slot.name for slot in store.slots()] == [name for name, _ in self.PAIRS]
+        for (name, array), slot in zip(self.PAIRS, store.slots()):
+            assert np.shares_memory(slot.value.data, store.values), name
+            assert np.shares_memory(slot.grad, store.grads), name
+            npt.assert_array_equal(slot.value.data, array)
+            assert slot.grad.shape == np.shape(array)
+        assert not store.grads.any()
+
+    def test_spans_disjoint_and_64_byte_aligned(self):
+        store = ParamStore(self.PAIRS)
+        spans = []
+        for arena, views in ((store.values, [s.value.data for s in store.slots()]),
+                             (store.grads, [s.grad for s in store.slots()])):
+            assert arena.ctypes.data % 64 == 0
+            offsets = []
+            for view in views:
+                assert view.ctypes.data % 64 == 0
+                assert view.flags.c_contiguous
+                start = (view.ctypes.data - arena.ctypes.data) // 8
+                offsets.append((start, start + view.size))
+            spans.append(offsets)
+            for (_, end), (start, _) in zip(offsets, offsets[1:]):
+                assert end <= start
+            assert offsets[-1][1] <= arena.size
+        assert spans[0] == spans[1]
+        outside = np.ones(store.values.size, dtype=bool)
+        for start, end in spans[0]:
+            outside[start:end] = False
+        assert not store.values[outside].any()
+
     def test_duplicate_name_rejected(self):
-        store = ParamStore()
-        store.add("w", np.zeros(2))
         with pytest.raises(ValueError, match="duplicate"):
-            store.add("w", np.zeros(3))
+            ParamStore([("w", np.zeros(2)), ("w", np.zeros(3))])
 
     def test_backward_accumulates_into_slots(self):
-        store = ParamStore()
-        w = store.add("w", np.ones(4))
+        store = ParamStore([("w", np.ones(4))])
+        w = store["w"].value
         nm.backward(nm.tsum(nm.hadamard(w, w)))
         npt.assert_allclose(store["w"].grad, 2 * np.ones(4))
         store.zero_grads()
@@ -608,7 +642,7 @@ class TestLazyBuffers:
         rng = np.random.default_rng(14)
         table, v, c1, c2 = (rng.normal(size=(4, 3)), rng.normal(size=3),
                             rng.normal(size=3), rng.normal(size=4))
-        p = ParamStore().add("emb", table)
+        p = ParamStore([("emb", table)])["emb"].value
         emb = nm.add(p, Tensor(np.zeros((4, 3)))) if recorded else p
         loss = nm.add(nm.tsum(nm.hadamard(nm.pick(emb, 2), Tensor(c1))),
                       nm.tsum(nm.hadamard(nm.matmul(emb, Tensor(v)), Tensor(c2))))

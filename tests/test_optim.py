@@ -13,7 +13,7 @@ from salcap import decoder as dec
 from salcap import numerics as nm
 from salcap import optim
 from salcap.attention import SaliencyGrid
-from salcap.numerics import ParamSlot, Tensor
+from salcap.numerics import ParamStore, Tensor
 from salcap.vocab import BOS_ID, EOS_ID, PAD_ID, UNK_ID, build_vocab
 
 FIXTURES = os.path.join(os.path.dirname(os.path.abspath(__file__)), "fixtures")
@@ -73,50 +73,61 @@ class TestSequenceNll:
             assert loss.item() >= 0.0
 
 
+def packed(pairs):
+    """The arena a store of these ``(name, array)`` pairs lays out: the
+    layout of the optimizer's moments for a store of the same names."""
+    return ParamStore(pairs).values
+
+
 class TestOptimizerStep:
-    def _slot(self, value, grad):
-        slot = ParamSlot("w", np.asarray(value, dtype=float))
-        slot.grad[...] = grad
-        return slot
+    def _store(self, value, grad):
+        store = ParamStore([("w", np.asarray(value, dtype=float))])
+        store["w"].grad[...] = grad
+        return store
 
     def test_zero_grads_warn_and_skip(self):
-        slot = self._slot([1.0, 2.0], 0.0)
+        store = self._store([1.0, 2.0], 0.0)
+        slot = store["w"]
         state = optim.OptimizerState()
         with pytest.warns(UserWarning, match="all-zero"):
-            optim.optimizer_step([slot], state, optim.TrainConfig())
+            optim.optimizer_step(store, state, optim.TrainConfig())
         npt.assert_array_equal(slot.value.data, [1.0, 2.0])
         npt.assert_array_equal(slot.grad, [0.0, 0.0])
         assert state.t == 0
 
     def test_adam_first_step(self):
-        slot = self._slot([0.0], 1.0)
+        store = self._store([0.0], 1.0)
+        slot = store["w"]
         config = optim.TrainConfig(optimizer="adam", learning_rate=0.001)
-        optim.optimizer_step([slot], optim.OptimizerState(), config)
+        optim.optimizer_step(store, optim.OptimizerState(), config)
         npt.assert_allclose(slot.value.data, [-0.001 / (1.0 + 1e-8)], atol=1e-15)
         assert abs(slot.value.data[0] + 9.9999999e-4) < 1e-11
 
     def test_grads_zeroed_after_step(self):
-        slot = self._slot([0.0], 1.0)
-        optim.optimizer_step([slot], optim.OptimizerState(), optim.TrainConfig())
+        store = self._store([0.0], 1.0)
+        slot = store["w"]
+        optim.optimizer_step(store, optim.OptimizerState(), optim.TrainConfig())
         npt.assert_array_equal(slot.grad, [0.0])
 
     @pytest.mark.parametrize("rule", ["adam", "nadam"])
     def test_matches_formula_transcript(self, rule):
         with open(os.path.join(FIXTURES, "nadam_transcript.json")) as fh:
             fixture = json.load(fh)
-        slot = ParamSlot("w", np.array([fixture["theta0"]]))
+        store = ParamStore([("w", np.array([fixture["theta0"]]))])
+        slot = store["w"]
         config = optim.TrainConfig(optimizer=rule, learning_rate=fixture["learning_rate"])
         state = optim.OptimizerState()
         for row in fixture[rule]:
             slot.grad[...] = row["g"]
-            optim.optimizer_step([slot], state, config)
+            optim.optimizer_step(store, state, config)
             npt.assert_allclose(slot.value.data, [row["theta"]], atol=1e-15)
 
     def test_grad_clipping(self):
-        slot = self._slot(np.zeros(4), 10.0)  # norm 20
+        store = self._store(np.zeros(4), 10.0)  # norm 20
+        slot = store["w"]
         config = optim.TrainConfig(optimizer="adam", grad_clip_norm=1.0)
         state = optim.OptimizerState()
-        optim.optimizer_step([slot], state, config)
+        optim.optimizer_step(store, state, config)
         # clipped g = 0.5 per element; first adam step direction g/|g| scaled
         expected = -config.learning_rate * 0.5 / (np.sqrt(0.5 ** 2) + 1e-8)
         npt.assert_allclose(slot.value.data, np.full(4, expected), rtol=1e-9)
@@ -126,23 +137,37 @@ class TestOptimizerStep:
         grad = np.array([3.0, -4.0])  # norm 5
         sides = []
         for clip in (0.0, 6.25):
-            slot = self._slot([1.0, 2.0], grad)
+            store = self._store([1.0, 2.0], grad)
             state = optim.OptimizerState()
-            optim.optimizer_step([slot], state, optim.TrainConfig(grad_clip_norm=clip))
-            sides.append((slot.value.data, state.m["w"], state.v["w"]))
+            optim.optimizer_step(store, state, optim.TrainConfig(grad_clip_norm=clip))
+            sides.append((store["w"].value.data, state.m, state.v))
         for unclipped, clipped in zip(*sides):
             npt.assert_array_equal(clipped, unclipped)
-        npt.assert_array_equal(sides[0][1], (1.0 - optim.ADAM_BETA1) * grad)
+        npt.assert_array_equal(sides[0][1], packed([("w", (1.0 - optim.ADAM_BETA1) * grad)]))
 
     def test_non_finite_update_names_slot_and_step(self):
-        slots = [self._slot([1.0, 2.0], 1.0), ParamSlot("b", np.array([0.5]))]
+        store = ParamStore([("w", np.array([1.0, 2.0])), ("b", np.array([0.5]))])
+        slots = store.slots()
         state = optim.OptimizerState()
+        slots[0].grad[...] = 1.0
         slots[1].grad[...] = 1.0
-        optim.optimizer_step(slots, state, optim.TrainConfig())
+        optim.optimizer_step(store, state, optim.TrainConfig())
         slots[0].grad[...] = 1.0
         slots[1].grad[...] = np.nan
         with pytest.raises(ValueError, match=r"^non-finite value in 'b' after optimizer step 2$"):
-            optim.optimizer_step(slots, state, optim.TrainConfig())
+            optim.optimizer_step(store, state, optim.TrainConfig())
+
+    def test_value_written_through_a_slot_is_the_value_stepped(self):
+        """A write through ``slot.value.data`` lands in the arena the step moves."""
+        store = ParamStore([("a", np.zeros(3)), ("w", np.zeros(2))])
+        slot = store["w"]
+        slot.value.data[...] = [1.0, -2.0]
+        slot.grad[...] = 1.0
+        config = optim.TrainConfig(optimizer="adam", learning_rate=0.001)
+        optim.optimizer_step(store, optim.OptimizerState(), config)
+        step = 0.001 / (1.0 + 1e-8)
+        npt.assert_array_equal(slot.value.data, [1.0 - step, -2.0 - step])
+        npt.assert_array_equal(store["a"].value.data, np.zeros(3))
 
     @pytest.mark.parametrize("rule", ["adam", "nadam"])
     @pytest.mark.parametrize("clip", [0.0, 0.5])
@@ -151,7 +176,8 @@ class TestOptimizerStep:
         rng = np.random.default_rng(8)
         shapes = [(3, 4), (5,), (2, 2, 3)]
         values = [rng.normal(size=shape) for shape in shapes]
-        slots = [ParamSlot("w%d" % i, v.copy()) for i, v in enumerate(values)]
+        store = ParamStore([("w%d" % i, v) for i, v in enumerate(values)])
+        slots = store.slots()
         ref = [{"theta": v.copy(), "m": np.zeros(v.shape), "v": np.zeros(v.shape)} for v in values]
         config = optim.TrainConfig(optimizer=rule, learning_rate=0.01, grad_clip_norm=clip)
         state = optim.OptimizerState()
@@ -159,13 +185,14 @@ class TestOptimizerStep:
             grads = [rng.normal(size=shape) for shape in shapes]
             for slot, grad in zip(slots, grads):
                 slot.grad[...] = grad
-            optim.optimizer_step(slots, state, config)
+            optim.optimizer_step(store, state, config)
             reference_optimizer_step(ref, grads, t, config)
             for slot, r in zip(slots, ref):
                 npt.assert_array_equal(slot.value.data, r["theta"])
-                npt.assert_array_equal(state.m[slot.name], r["m"])
-                npt.assert_array_equal(state.v[slot.name], r["v"])
                 npt.assert_array_equal(slot.grad, np.zeros(slot.grad.shape))
+            for moment in ("m", "v"):
+                npt.assert_array_equal(getattr(state, moment),
+                                       packed([(s.name, r[moment]) for s, r in zip(slots, ref)]))
 
 
 def reference_optimizer_step(ref, grads, t, config):
@@ -330,6 +357,18 @@ class TestTrainEpoch:
                                   optim.TrainConfig(batch_size=2), 0)
         assert stats.num_truncated == 2
 
+    def test_tokens_per_sec_is_tokens_over_epoch_seconds(self, monkeypatch):
+        """The epoch's clock reads 10.0 at its start and 12.5 at its end."""
+        config = tiny_config()
+        params = dec.init_params(config, rng_seed=3)
+        ticks = iter([10.0, 12.5])
+        monkeypatch.setattr(optim.time, "perf_counter", lambda: next(ticks))
+        stats = optim.train_epoch(synthetic_examples(config), params, optim.OptimizerState(),
+                                  optim.TrainConfig(batch_size=2), 0)
+        monkeypatch.undo()
+        assert stats.num_tokens == 30  # 3 + 4 + 5 words, plus EOS, twice
+        assert stats.tokens_per_sec == stats.num_tokens / 2.5
+
     def test_empty_dataset_rejected(self):
         params = dec.init_params(tiny_config(), rng_seed=0)
         with pytest.raises(ValueError, match="non-empty"):
@@ -352,8 +391,8 @@ class TestBatchEquivalence:
         examples = optim.build_examples(manifest, vocabulary, "train", config)
         batch = [examples[i] for i in optim._batches(examples, config, 0)[0]]
         grads = {}
-        monkeypatch.setattr(optim, "optimizer_step", lambda slots, *_: grads.update(
-            (slot.name, slot.grad.copy()) for slot in slots))
+        monkeypatch.setattr(optim, "optimizer_step", lambda store, *_: grads.update(
+            (slot.name, slot.grad.copy()) for slot in store.slots()))
 
         def run():
             params = dec.init_params(model, rng_seed=42)
@@ -432,7 +471,7 @@ class TestGradCheck:
     def test_hand_worked_relative_error(self):
         """Loss sum(w^2) / 2 has gradient w; given 3 w, each entry's error is
         |3 w - w| / |3 w| = 2/3."""
-        slot = ParamSlot("w", np.array([1.0, -2.0, 0.5]))
+        slot = ParamStore([("w", np.array([1.0, -2.0, 0.5]))])["w"]
         w = slot.value.data
 
         def loss_fn():
