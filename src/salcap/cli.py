@@ -248,16 +248,7 @@ def cmd_analyze_saliency(args):
 
 def cmd_grad_check(args):
     seed = _env_seed(args.seed)
-    config = decoder.ModelConfig(
-        variant=args.variant,
-        vocab_size=12,
-        hidden_size=16,
-        embed_size=8,
-        feature_size=8,
-        raw_feature_size=10,
-        grid_rows=2,
-        grid_cols=3,
-    )
+    config = decoder.ModelConfig(variant=args.variant, **optim.GRAD_CHECK_SIZES)
     report = optim.grad_check(config, tolerance=args.tolerance, seed=seed)
     for entry in sorted(report.entries, key=lambda e: -e.max_rel_err):
         print("%-24s max_rel_err %.3e" % (entry.name, entry.max_rel_err))

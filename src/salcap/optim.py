@@ -21,6 +21,9 @@ from .vocab import BOS_ID, EOS_ID, PAD_ID
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
+# acceptance criterion 1: model sizes small enough to perturb every scalar
+GRAD_CHECK_SIZES = dict(vocab_size=12, hidden_size=16, embed_size=8, feature_size=8,
+                        raw_feature_size=10, grid_rows=2, grid_cols=3)
 
 
 @dataclass
@@ -289,27 +292,30 @@ def finite_difference_check(loss_fn, slots, tolerance, analytic, h=1e-4):
     return report
 
 
-def grad_check(model_config, tolerance=1e-4, seed=0):
-    """Finite-difference check of the full captioning loss for one variant.
+def grad_check_case(model_config, seed):
+    """Criterion 1's kicked model and captioned image: ``(params, raw, sal, token_ids)``.
 
-    Builds a model at the given (tiny) sizes, a random feature grid,
-    saliency grid and caption, then perturbs every scalar parameter.
+    The parameters are initialized from ``seed``; the features, saliency,
+    4-word caption and kick are drawn in that order from ``[seed, 1]``.
     """
-    data_io.at_least("seed", seed, 0)
-    data_io.at_least("tolerance", tolerance, 0)
     params = dec.init_params(model_config, rng_seed=seed)
     rng = np.random.default_rng(np.random.SeedSequence([seed, 1]))
     raw = rng.normal(0.0, 1.0, (model_config.num_locations, model_config.raw_feature_size))
     sal = SaliencyGrid(rng.uniform(0.0, 1.0, model_config.num_locations))
-    n_words = 4
-    words = [int(w) for w in rng.integers(4, model_config.vocab_size, n_words)]
-    token_ids = [BOS_ID] + words + [EOS_ID]
-
+    words = [int(w) for w in rng.integers(4, model_config.vocab_size, 4)]
     # At the N(0, 0.01^2) init many gradients sit below the relative-error
     # floor, where central-difference rounding noise (~eps*|loss|/h)
     # dominates; a moderate random kick keeps the check well conditioned.
     for slot in params.store.slots():
         slot.value.data += rng.normal(0.0, 0.25, slot.value.data.shape)
+    return params, raw, sal, [BOS_ID] + words + [EOS_ID]
+
+
+def grad_check(model_config, tolerance=1e-4, seed=0):
+    """Finite-difference check of every scalar parameter of ``grad_check_case``."""
+    data_io.at_least("seed", seed, 0)
+    data_io.at_least("tolerance", tolerance, 0)
+    params, raw, sal, token_ids = grad_check_case(model_config, seed)
 
     def loss_fn():
         return caption_loss(params, raw, sal, token_ids).item()

@@ -135,6 +135,13 @@ MUTANTS = [
            "value = self.values[span].reshape(array.shape)",
            "value = self.values[span].reshape(array.shape).copy()",
            "tests/test_numerics.py::TestParamStore::test_slots_view_the_arenas"),
+    Mutant("the grad-check kick's scale doubled", "src/salcap/optim.py",
+           "rng.normal(0.0, 0.25, slot.value.data.shape)",
+           "rng.normal(0.0, 0.5, slot.value.data.shape)",
+           "tests/test_optim.py::TestGradCheck::test_case_matches_the_benchmark_copy"),
+    Mutant("a grad-check size changed", "src/salcap/optim.py",
+           "hidden_size=16", "hidden_size=15",
+           "tests/test_optim.py::TestGradCheck::test_case_matches_the_benchmark_copy"),
 ]
 
 

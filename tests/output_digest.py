@@ -9,8 +9,9 @@ comparing the lines.  Run from anywhere:
 
 Families, one line each as ``<family> <sha256>``:
 
-- ``gradients``: the loss and every parameter gradient of each variant,
-  on the grad-check sizes and inputs of ``optim.grad_check`` (seed 0);
+- ``gradients``: the loss and every parameter gradient of each variant
+  on ``optim.grad_check_case`` at ``optim.GRAD_CHECK_SIZES`` and seed 0,
+  the case that ``optim.grad_check`` checks;
 - ``training``: three epoch losses of the acceptance criterion-4 recipe
   (32 synthetic images, saliency_context at desk sizes, B=4, Nadam),
   then the trained parameters;
@@ -36,13 +37,10 @@ import numpy as np  # noqa: E402
 
 from salcap import data_io, decoder, inference, metrics, optim  # noqa: E402
 from salcap import numerics as nm  # noqa: E402
-from salcap.attention import SaliencyGrid  # noqa: E402
-from salcap.vocab import BOS_ID, EOS_ID, build_vocab  # noqa: E402
+from salcap.vocab import build_vocab  # noqa: E402
 
 VARIANTS = ("soft", "saliency_pooling", "attention_on_saliency", "shared_weights",
             "saliency_context")
-GRAD_CHECK_SIZES = dict(vocab_size=12, hidden_size=16, embed_size=8, feature_size=8,
-                        raw_feature_size=10, grid_rows=2, grid_cols=3)
 DESK = dict(hidden_size=64, embed_size=32, feature_size=32)
 SEED = 42
 EPOCHS = 3
@@ -54,18 +52,12 @@ def _update(digest, array):
 
 
 def gradients_digest():
-    """The loss and gradients that ``optim.grad_check`` checks, at seed 0."""
+    """The loss and gradients of ``optim.grad_check_case`` at seed 0."""
     digest = hashlib.sha256()
     for variant in VARIANTS:
-        config = decoder.ModelConfig(variant=variant, **GRAD_CHECK_SIZES)
-        params = decoder.init_params(config, rng_seed=0)
-        rng = np.random.default_rng(np.random.SeedSequence([0, 1]))
-        raw = rng.normal(0.0, 1.0, (config.num_locations, config.raw_feature_size))
-        sal = SaliencyGrid(rng.uniform(0.0, 1.0, config.num_locations))
-        words = [int(w) for w in rng.integers(4, config.vocab_size, 4)]
-        for slot in params.store.slots():
-            slot.value.data += rng.normal(0.0, 0.25, slot.value.data.shape)
-        loss = optim.caption_loss(params, raw, sal, [BOS_ID] + words + [EOS_ID])
+        config = decoder.ModelConfig(variant=variant, **optim.GRAD_CHECK_SIZES)
+        params, raw, sal, token_ids = optim.grad_check_case(config, 0)
+        loss = optim.caption_loss(params, raw, sal, token_ids)
         nm.backward(loss)
         _update(digest, loss.item())
         for slot in params.store.slots():

@@ -20,14 +20,10 @@ import pytest
 from salcap import data_io, decoder, inference, metrics, optim, salstats
 from salcap.attention import SaliencyGrid
 from salcap.numerics import Tensor
+from salcap.optim import GRAD_CHECK_SIZES
 from salcap.vocab import BOS_ID, EOS_ID, build_vocab
 
 FIXTURES = os.path.join(os.path.dirname(os.path.abspath(__file__)), "fixtures")
-
-GRAD_CHECK_SIZES = dict(
-    vocab_size=12, hidden_size=16, embed_size=8, feature_size=8,
-    raw_feature_size=10, grid_rows=2, grid_cols=3,
-)
 
 DESK = dict(hidden_size=64, embed_size=32, feature_size=32)
 OVERFIT_SEED = 42

@@ -691,6 +691,14 @@ class TestGradCheckCommand:
         out = capsys.readouterr().out
         assert "grad-check PASS" in out
 
+    @pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
+        "ROADMAP item 4: at seed 25 an att.ctx.W_he gradient is under the rounding floor, "
+        "and at seed 144 a step of proj.W/proj.b crosses the ReLU kink"))
+    @pytest.mark.parametrize("seed", ["25", "144"])
+    def test_saliency_context_fails_until_item_4(self, seed, monkeypatch):
+        monkeypatch.delenv("SALCAP_SEED", raising=False)
+        assert main(["grad-check", "--variant", "saliency_context", "--seed", seed]) == 0
+
 
 class TestPeriodicCheckpoints:
     def test_checkpoint_every_epoch(self, dataset, tmp_path):

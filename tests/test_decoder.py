@@ -13,24 +13,14 @@ from salcap import decoder as dec
 from salcap.attention import VARIANTS, SaliencyGrid
 from salcap.data_io import FormatError
 from salcap.numerics import ShapeError, Tensor
+from salcap.optim import GRAD_CHECK_SIZES
 from salcap.vocab import build_vocab
 
 BENCH_CHECKPOINT = Path(__file__).resolve().parents[1] / "bench" / "checkpoint"
 
 
 def tiny_config(variant="saliency_context", **overrides):
-    base = dict(
-        variant=variant,
-        vocab_size=12,
-        hidden_size=16,
-        embed_size=8,
-        feature_size=8,
-        raw_feature_size=10,
-        grid_rows=2,
-        grid_cols=3,
-    )
-    base.update(overrides)
-    return dec.ModelConfig(**base)
+    return dec.ModelConfig(**dict(GRAD_CHECK_SIZES, variant=variant, **overrides))
 
 
 class TestProjectFeatures:

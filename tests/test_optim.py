@@ -1,7 +1,9 @@
 import gc
+import importlib
 import json
 import math
 import os
+import sys
 
 import numpy as np
 import numpy.testing as npt
@@ -12,11 +14,12 @@ from salcap import data_io
 from salcap import decoder as dec
 from salcap import numerics as nm
 from salcap import optim
-from salcap.attention import SaliencyGrid
+from salcap.attention import VARIANTS, SaliencyGrid
 from salcap.numerics import ParamStore, Tensor
 from salcap.vocab import BOS_ID, EOS_ID, PAD_ID, UNK_ID, build_vocab
 
 FIXTURES = os.path.join(os.path.dirname(os.path.abspath(__file__)), "fixtures")
+BENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "bench")
 
 
 def tiny_config(variant="saliency_context", **overrides):
@@ -482,6 +485,25 @@ class TestGradCheck:
         assert abs(report.max_rel_err - 2.0 / 3.0) < 1e-9
         assert [e.name for e in report.entries] == ["w"]
         assert not report.passed
+
+    @pytest.mark.parametrize("seed", [0, 25, 144])
+    @pytest.mark.parametrize("variant", VARIANTS)
+    def test_case_matches_the_benchmark_copy(self, variant, seed):
+        """``bench/workloads.py`` draws the same case itself; the two agree bit for bit."""
+        if BENCH not in sys.path:
+            sys.path.insert(0, BENCH)
+        bench = importlib.import_module("workloads").GradCheck._case(variant, seed)
+        config = dec.ModelConfig(variant=variant, **optim.GRAD_CHECK_SIZES)
+        params, raw, sal, token_ids = optim.grad_check_case(config, seed)
+
+        def bits(array):
+            return array.dtype, array.shape, array.tobytes()
+
+        assert ([(s.name, bits(s.value.data)) for s in params.store.slots()]
+                == [(s.name, bits(s.value.data)) for s in bench.params.store.slots()])
+        assert bits(raw) == bits(bench.raw)
+        assert bits(sal.s) == bits(bench.sal.s)
+        assert token_ids == bench.token_ids
 
     @pytest.mark.parametrize("variant", ["soft", "saliency_context"])
     def test_tiny_model_passes(self, variant):
