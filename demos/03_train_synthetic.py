@@ -7,33 +7,24 @@ the references; expect about a minute of compute.
 
 import tempfile
 
-from salcap import data_io, decoder, inference, metrics, optim
-from salcap.vocab import build_vocab
+from salcap import data_io, inference, metrics, optim
+from salcap.cli import RunConfig
 
 with tempfile.TemporaryDirectory(prefix="salcap_demo_") as work:
     spec = data_io.default_synthetic_spec(n_images=12, seed=7)
     manifest = data_io.gen_synthetic(spec, work)
     print("dataset: %d images under %s" % (len(manifest.entries), work))
 
-    captions = [c for e in manifest.entries for c in e.captions]
-    vocabulary = build_vocab(captions, min_count=1)
+    run = RunConfig(epochs=150, seed=7, batch_size=4, hidden_size=48, embed_size=24,
+                    feature_size=24, min_count=1)
+    vocabulary, params, examples = run.setup(manifest)
     print("vocabulary: %d entries" % len(vocabulary))
 
-    train_cfg = optim.TrainConfig(epochs=150, seed=7, batch_size=4)
-    model_cfg = decoder.ModelConfig(
-        variant="saliency_context",
-        vocab_size=len(vocabulary),
-        hidden_size=48, embed_size=24, feature_size=24,
-        raw_feature_size=manifest.feature_dim,
-        grid_rows=manifest.grid_rows, grid_cols=manifest.grid_cols,
-    )
-    params = decoder.init_params(model_cfg, rng_seed=7)
-    examples = optim.build_examples(manifest, vocabulary, "train", train_cfg)
     state = optim.OptimizerState()
 
-    for epoch in range(train_cfg.epochs):
-        stats = optim.train_epoch(examples, params, state, train_cfg, epoch)
-        if epoch % 25 == 0 or epoch == train_cfg.epochs - 1:
+    for epoch in range(run.epochs):
+        stats = optim.train_epoch(examples, params, state, run, epoch)
+        if epoch % 25 == 0 or epoch == run.epochs - 1:
             print("epoch %3d  loss/token %.4f  (%.0f tokens/s)"
                   % (epoch, stats.mean_loss, stats.tokens_per_sec))
 

@@ -9,27 +9,18 @@ import tempfile
 
 import numpy as np
 
-from salcap import data_io, decoder, inference, optim
-from salcap.vocab import build_vocab
+from salcap import data_io, inference, optim
+from salcap.cli import RunConfig
 
 with tempfile.TemporaryDirectory(prefix="salcap_trace_") as work:
     spec = data_io.default_synthetic_spec(n_images=8, seed=13)
     manifest = data_io.gen_synthetic(spec, work)
-    vocabulary = build_vocab([c for e in manifest.entries for c in e.captions], min_count=1)
-
-    train_cfg = optim.TrainConfig(epochs=120, seed=13, batch_size=4)
-    model_cfg = decoder.ModelConfig(
-        variant="saliency_context",
-        vocab_size=len(vocabulary),
-        hidden_size=48, embed_size=24, feature_size=24,
-        raw_feature_size=manifest.feature_dim,
-        grid_rows=manifest.grid_rows, grid_cols=manifest.grid_cols,
-    )
-    params = decoder.init_params(model_cfg, rng_seed=13)
-    examples = optim.build_examples(manifest, vocabulary, "train", train_cfg)
+    run = RunConfig(epochs=120, seed=13, batch_size=4, hidden_size=48, embed_size=24,
+                    feature_size=24, min_count=1)
+    vocabulary, params, examples = run.setup(manifest)
     state = optim.OptimizerState()
-    for epoch in range(train_cfg.epochs):
-        optim.train_epoch(examples, params, state, train_cfg, epoch)
+    for epoch in range(run.epochs):
+        optim.train_epoch(examples, params, state, run, epoch)
 
     for entry in manifest.entries[:3]:
         raw, sal = data_io.load_entry(manifest, entry)

@@ -48,6 +48,15 @@ class RunConfig(optim.TrainConfig):
         run = replace(run, **{k: v for k, v in (overrides or {}).items() if v is not None})
         return replace(run, seed=_env_seed(run.seed))
 
+    def setup(self, manifest):
+        """(vocabulary, params, examples): the train split's vocabulary at ``min_count``,
+        the parameters initialized from ``seed`` and the train split's examples."""
+        vocabulary = build_vocab(
+            [c for e in manifest.split_entries("train") for c in e.captions], self.min_count
+        )
+        params = decoder.init_params(_model_config(self, manifest, len(vocabulary)), self.seed)
+        return vocabulary, params, optim.build_examples(manifest, vocabulary, "train", self)
+
 
 def _env_seed(default):
     """SALCAP_SEED as a non-negative integer, or ``default`` when it is unset."""
@@ -88,15 +97,9 @@ def cmd_train(args):
         "epochs", "seed", "batch_size", "learning_rate", "optimizer", "variant")}
     run = RunConfig.load(args.config, overrides)
     manifest = data_io.load_manifest(args.manifest)
-    train_entries = manifest.split_entries("train")
-    if not train_entries:
+    if not manifest.split_entries("train"):
         raise ValueError("%s: manifest has no train split entries" % args.manifest)
-    vocabulary = build_vocab(
-        [c for e in train_entries for c in e.captions], run.min_count
-    )
-    config = _model_config(run, manifest, len(vocabulary))
-    params = decoder.init_params(config, rng_seed=run.seed)
-    examples = optim.build_examples(manifest, vocabulary, "train", run)
+    vocabulary, params, examples = run.setup(manifest)
     opt_state = optim.OptimizerState()
 
     def log_rows():

@@ -19,8 +19,12 @@ copy: ``add`` gives its first operand g itself and ``transpose`` gives
 its operand g^T, a view of g.  ``add``'s second operand, if it already
 holds a buffer, adds g into it; only when g would become its new buffer
 does it get a copy, since its first operand may hold g.  Where the second
-operand is a vector added to every row of a matrix, it gets the column
-sums of g.  ``add`` takes no other pair of shapes.
+operand is a vector added to every row of a matrix (the attention score,
+the feature projection), it gets the column sums of g.  ``add`` takes no
+other pair of shapes.  ``matmul``, ``add`` and ``hadamard`` raise a
+ShapeError naming both operands' dims, so the layers above check only
+what comes from outside the program: raw features against the
+checkpoint, saliency against the features, a checkpoint's config and dims.
 
 At desk sizes an op's time goes to numpy's fixed cost per call more than
 to arithmetic.  So products call ``ndarray.dot``, not ``@``, outer
@@ -35,20 +39,22 @@ A value joins the tape one way.  ``Tensor(x)`` makes a leaf from
 anything ``np.asarray`` takes, and only an op makes a recorded tensor.
 Ops take Tensors and never convert their inputs.  A leaf gets a gradient
 only if it holds a buffer, as a ``ParamSlot``'s leaf does.  A
-``ParamStore`` keeps every parameter value in one flat arena and every
-gradient in another; a slot's value and gradient are views of its span,
-so ``optim.optimizer_step`` updates all parameters in one pass over the
-arenas and ``zero_grads`` is one fill.  Any other
-leaf (the raw features, h0 and c0, the saliency weights s and 1 - s, the
-loss normaliser -1/T) is a constant: ``matmul`` and ``hadamard`` skip
-its product.  The 11 recorded ops are ``matmul``, ``transpose``, ``add``,
+``ParamStore``, built once from its named arrays, keeps every parameter
+value in one flat arena and every gradient in another; a slot's value
+and gradient are views of its 64-byte-aligned span, so
+``optim.optimizer_step`` updates all parameters in one pass over the
+arenas and ``zero_grads`` is one fill.  Any other leaf (the raw
+features, h0 and c0, the saliency weights s and 1 - s, the loss
+normaliser -1/T) is a constant: ``matmul`` and ``hadamard`` skip its
+product.  The 11 recorded ops are ``matmul``, ``transpose``, ``add``,
 ``hadamard``, ``sigmoid``, ``tanh``, ``relu``, ``softmax_vec``, ``tsum``,
 ``log`` and ``pick``.
 
 A closure may defer work to the end of ``backward``.  ``matmul`` of a
-parameter matrix by a vector keeps the upstream gradient g and the vector
-x; ``backward`` ends by adding G^T X over the stacked pairs, one GEMM per
-parameter for the whole call, not one outer product per decoder step.
+parameter matrix by a vector (the LSTM, output and ``W_he`` attention
+weights) keeps the upstream gradient g and the vector x; ``backward``
+ends by adding G^T X over the stacked pairs, one GEMM per parameter for
+the whole call, not one outer product per decoder step.
 The deferred terms are dropped if any closure raises.
 
 Every value is tested for NaN/Inf where one can arise.  A leaf is tested
@@ -72,7 +78,8 @@ recording order, that went non-finite.
 The tape holds no reference cycles.  A recorded tensor refers to its
 parents and its closure, the closure to the op's inputs and plain arrays,
 and nothing refers back to an output.  So reference counting frees a
-whole tape once its last tensor is dropped, and CPython's cyclic
+whole tape once its last tensor is dropped (training drops each batch's
+tape before the next batch records), and CPython's cyclic
 collector, which runs every few hundred allocations and scans every live
 tracked object, finds nothing to free.  With about five tracked objects
 per recorded op, those scans cost over a tenth of a training epoch.

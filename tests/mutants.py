@@ -142,6 +142,12 @@ MUTANTS = [
     Mutant("a grad-check size changed", "src/salcap/optim.py",
            "hidden_size=16", "hidden_size=15",
            "tests/test_optim.py::TestGradCheck::test_case_matches_the_benchmark_copy"),
+    Mutant("the run's vocabulary min_count lowered", "src/salcap/cli.py",
+           "min_count: int = 5", "min_count: int = 4",
+           "tests/test_cli.py::TestRunConfigSetup::test_matches_the_benchmark_copy"),
+    Mutant("the run's hidden size changed", "src/salcap/cli.py",
+           "hidden_size: int = 64", "hidden_size: int = 48",
+           "tests/test_cli.py::TestRunConfigSetup::test_matches_the_benchmark_copy"),
 ]
 
 

@@ -14,6 +14,7 @@ Families, one line each as ``<family> <sha256>``:
   the case that ``optim.grad_check`` checks;
 - ``training``: three epoch losses of the acceptance criterion-4 recipe
   (32 synthetic images, saliency_context at desk sizes, B=4, Nadam),
+  which ``cli.RunConfig.setup`` builds at its defaults with batch size 4,
   then the trained parameters;
 - ``captions``: greedy captions of ten training images by that model;
 - ``alphas``: the ``trace_attention`` alphas of the same ten images;
@@ -37,11 +38,10 @@ import numpy as np  # noqa: E402
 
 from salcap import data_io, decoder, inference, metrics, optim  # noqa: E402
 from salcap import numerics as nm  # noqa: E402
-from salcap.vocab import build_vocab  # noqa: E402
+from salcap.cli import RunConfig  # noqa: E402
 
 VARIANTS = ("soft", "saliency_pooling", "attention_on_saliency", "shared_weights",
             "saliency_context")
-DESK = dict(hidden_size=64, embed_size=32, feature_size=32)
 SEED = 42
 EPOCHS = 3
 IMAGES = 10
@@ -69,17 +69,10 @@ def trained_model(out_dir):
     """(manifest, params, epoch losses) after three criterion-4 epochs."""
     manifest = data_io.gen_synthetic(data_io.default_synthetic_spec(n_images=32, seed=SEED),
                                      out_dir)
-    vocabulary = build_vocab([c for e in manifest.entries for c in e.captions], min_count=5)
-    train_cfg = optim.TrainConfig(epochs=EPOCHS, seed=SEED, batch_size=4)
-    model_cfg = decoder.ModelConfig(
-        variant="saliency_context", vocab_size=len(vocabulary),
-        raw_feature_size=manifest.feature_dim, grid_rows=manifest.grid_rows,
-        grid_cols=manifest.grid_cols, **DESK,
-    )
-    params = decoder.init_params(model_cfg, rng_seed=SEED)
-    examples = optim.build_examples(manifest, vocabulary, "train", train_cfg)
+    run = RunConfig(epochs=EPOCHS, seed=SEED, batch_size=4)
+    _, params, examples = run.setup(manifest)
     state = optim.OptimizerState()
-    losses = [optim.train_epoch(examples, params, state, train_cfg, epoch).mean_loss
+    losses = [optim.train_epoch(examples, params, state, run, epoch).mean_loss
               for epoch in range(EPOCHS)]
     return manifest, params, losses
 

@@ -19,16 +19,12 @@ import pytest
 
 from salcap import data_io, decoder, inference, metrics, optim, salstats
 from salcap.attention import SaliencyGrid
+from salcap.cli import RunConfig
 from salcap.numerics import Tensor
 from salcap.optim import GRAD_CHECK_SIZES
-from salcap.vocab import BOS_ID, EOS_ID, build_vocab
+from salcap.vocab import BOS_ID, EOS_ID
 
 FIXTURES = os.path.join(os.path.dirname(os.path.abspath(__file__)), "fixtures")
-
-DESK = dict(hidden_size=64, embed_size=32, feature_size=32)
-OVERFIT_SEED = 42
-OVERFIT_EPOCHS = 300
-OVERFIT_BATCH = 4
 
 
 def report(criterion, ok, detail=""):
@@ -152,26 +148,14 @@ def test_criterion_3_saliency_pooling_time_invariance():
 def overfit_run(tmp_path_factory):
     out_dir = tmp_path_factory.mktemp("overfit")
     started = time.perf_counter()
-    spec = data_io.default_synthetic_spec(n_images=32, seed=OVERFIT_SEED)
+    run = RunConfig(seed=42, epochs=300, batch_size=4)
+    spec = data_io.default_synthetic_spec(n_images=32, seed=run.seed)
     manifest = data_io.gen_synthetic(spec, str(out_dir / "data"))
-    vocabulary = build_vocab([c for e in manifest.entries for c in e.captions], min_count=5)
-    train_cfg = optim.TrainConfig(
-        epochs=OVERFIT_EPOCHS, seed=OVERFIT_SEED, batch_size=OVERFIT_BATCH
-    )
-    model_cfg = decoder.ModelConfig(
-        variant="saliency_context",
-        vocab_size=len(vocabulary),
-        raw_feature_size=manifest.feature_dim,
-        grid_rows=manifest.grid_rows,
-        grid_cols=manifest.grid_cols,
-        **DESK,
-    )
-    params = decoder.init_params(model_cfg, rng_seed=OVERFIT_SEED)
-    examples = optim.build_examples(manifest, vocabulary, "train", train_cfg)
+    vocabulary, params, examples = run.setup(manifest)
     state = optim.OptimizerState()
     final = None
-    for epoch in range(OVERFIT_EPOCHS):
-        final = optim.train_epoch(examples, params, state, train_cfg, epoch)
+    for epoch in range(run.epochs):
+        final = optim.train_epoch(examples, params, state, run, epoch)
     elapsed = time.perf_counter() - started
     return {
         "manifest": manifest,

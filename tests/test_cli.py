@@ -1,7 +1,10 @@
 import csv
+import importlib
 import json
 import os
 import shutil
+import sys
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -9,8 +12,10 @@ import numpy.testing as npt
 import pytest
 
 from salcap import data_io, decoder
-from salcap.cli import main
+from salcap.cli import RunConfig, main
 from salcap.vocab import build_vocab
+
+BENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "bench")
 
 
 @pytest.fixture(scope="module")
@@ -38,6 +43,14 @@ def run_config(tmp_path_factory):
         "max_caption_len": 16,
     }))
     return path
+
+
+def save_tiny_checkpoint(ckpt):
+    """A soft-attention checkpoint for the ``dataset`` fixture's images, vocabulary "a b"."""
+    decoder.save_checkpoint(decoder.init_params(decoder.ModelConfig(
+        variant="soft", vocab_size=6, hidden_size=4, embed_size=3, feature_size=3,
+        raw_feature_size=5, grid_rows=2, grid_cols=2,
+    ), rng_seed=0), ckpt, build_vocab(["a b"], min_count=1))
 
 
 class TestGenSynth:
@@ -557,10 +570,7 @@ class TestMalformedInputs:
     def test_checkpoint_config_missing_field(self, dataset, tmp_path, capsys):
         _, out_dir = dataset
         ckpt = tmp_path / "ckpt"
-        decoder.save_checkpoint(decoder.init_params(decoder.ModelConfig(
-            variant="soft", vocab_size=6, hidden_size=4, embed_size=3, feature_size=3,
-            raw_feature_size=5, grid_rows=2, grid_cols=2,
-        ), rng_seed=0), ckpt, build_vocab(["a b"], min_count=1))
+        save_tiny_checkpoint(ckpt)
         config = json.loads((ckpt / "config.json").read_text())
         del config["vocab_size"]
         (ckpt / "config.json").write_text(json.dumps(config))
@@ -616,12 +626,7 @@ class TestMalformedInputs:
         offset = 7 + 4 * 2 + 8 * 7  # header of a [4, 5] tensor, then element [1, 2]
         blob[offset:offset + 8] = np.array([np.nan]).tobytes()
         Path(fpath).write_bytes(bytes(blob))
-        vocabulary = build_vocab(["a b"], min_count=1)
-        params = decoder.init_params(decoder.ModelConfig(
-            variant="soft", vocab_size=len(vocabulary), hidden_size=4, embed_size=3,
-            feature_size=3, raw_feature_size=5, grid_rows=2, grid_cols=2,
-        ), rng_seed=0)
-        decoder.save_checkpoint(params, tmp_path / "ckpt", vocabulary)
+        save_tiny_checkpoint(tmp_path / "ckpt")
         code, err = self._run(capsys, [
             "caption", "--ckpt", str(tmp_path / "ckpt"), "--manifest", str(data / "manifest.json"),
             "--out", str(tmp_path / "c.jsonl"),
@@ -643,11 +648,7 @@ class TestMalformedInputs:
     def test_checkpoint_config(self, dataset, tmp_path, capsys):
         _, out_dir = dataset
         ckpt = tmp_path / "ckpt"
-        params = decoder.init_params(decoder.ModelConfig(
-            variant="soft", vocab_size=6, hidden_size=4, embed_size=3, feature_size=3,
-            raw_feature_size=5, grid_rows=2, grid_cols=2,
-        ), rng_seed=0)
-        decoder.save_checkpoint(params, ckpt, build_vocab(["a b"], min_count=1))
+        save_tiny_checkpoint(ckpt)
         (ckpt / "config.json").write_text('{"variant": "soft",\n\n  "vocab_size": 6,,}')
         code, err = self._run(capsys, [
             "caption", "--ckpt", str(ckpt), "--manifest", str(out_dir / "manifest.json"),
@@ -671,11 +672,7 @@ class TestMalformedInputs:
     def test_bad_checkpoint_file_named(self, dataset, tmp_path, capsys, edit, named):
         _, out_dir = dataset
         ckpt = tmp_path / "ckpt"
-        params = decoder.init_params(decoder.ModelConfig(
-            variant="soft", vocab_size=6, hidden_size=4, embed_size=3, feature_size=3,
-            raw_feature_size=5, grid_rows=2, grid_cols=2,
-        ), rng_seed=0)
-        decoder.save_checkpoint(params, ckpt, build_vocab(["a b"], min_count=1))
+        save_tiny_checkpoint(ckpt)
         edit(ckpt)
         code, err = self._run(capsys, [
             "caption", "--ckpt", str(ckpt), "--manifest", str(out_dir / "manifest.json"),
@@ -719,6 +716,47 @@ class TestPeriodicCheckpoints:
         assert (ckpt / "final" / "config.json").exists()
 
 
+class TestRunConfigSetup:
+    @pytest.mark.parametrize("seed", [42, 7])
+    def test_matches_the_benchmark_copy(self, seed, tmp_path):
+        """``bench/workloads.py``'s ``train_recipe`` builds the criterion-4 run itself;
+        the two agree bit for bit."""
+        if BENCH not in sys.path:
+            sys.path.insert(0, BENCH)
+        workloads = importlib.import_module("workloads")
+        manifest_path = workloads.train_data(seed, str(tmp_path))
+        bench = workloads.train_recipe(seed, manifest_path)
+        run = RunConfig(seed=seed, batch_size=4, epochs=5)
+
+        def bits(array):
+            return array.dtype, array.shape, array.tobytes()
+
+        def summary(vocabulary, params, examples):
+            return (vocabulary.words, vocabulary.min_count, asdict(params.config),
+                    [(s.name, bits(s.value.data)) for s in params.store.slots()],
+                    [(e.image_id, bits(e.raw), bits(e.sal.s), e.token_ids, e.truncated)
+                     for e in examples])
+
+        assert summary(*run.setup(data_io.load_manifest(manifest_path))) == summary(
+            bench.vocabulary, decoder.init_params(bench.model_config, seed), bench.examples)
+
+    def test_vocabulary_from_the_train_split_only(self, dataset, tmp_path):
+        """A word that the test split alone holds ``min_count`` times is left out."""
+        shutil.copytree(dataset[1], tmp_path / "data")
+        path = tmp_path / "data" / "manifest.json"
+        manifest = json.loads(path.read_text())
+        for entry in manifest["entries"]:
+            if entry["split"] == "test":  # two images, so "zebra" twice
+                entry["captions"].append("a zebra")
+        path.write_text(json.dumps(manifest))
+        manifest = data_io.load_manifest(str(path))
+        assert "zebra" in build_vocab([c for e in manifest.entries for c in e.captions], 2).words
+        run = RunConfig(min_count=2, hidden_size=8, embed_size=6, feature_size=6)
+        vocabulary, params, _ = run.setup(manifest)
+        assert "zebra" not in vocabulary.words
+        assert params.config.vocab_size == len(vocabulary)
+
+
 class TestHelp:
     def test_top_level_help_lists_subcommands(self, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -757,10 +795,7 @@ class TestErrorPaths:
         _, out_dir = dataset
         manifest = out_dir / "manifest.json"
         ckpt = tmp_path / "ckpt"
-        decoder.save_checkpoint(decoder.init_params(decoder.ModelConfig(
-            variant="soft", vocab_size=6, hidden_size=4, embed_size=3, feature_size=3,
-            raw_feature_size=5, grid_rows=2, grid_cols=2,
-        ), rng_seed=0), ckpt, build_vocab(["a b"], min_count=1))
+        save_tiny_checkpoint(ckpt)
         references = tmp_path / "refs.jsonl"
         references.write_text(json.dumps({"image_id": "0", "references": ["a b"]}) + "\n")
         argv, named, reason = {
@@ -795,10 +830,7 @@ class TestErrorPaths:
         _, out_dir = dataset
         manifest = out_dir / "manifest.json"
         ckpt = tmp_path / "ckpt"
-        decoder.save_checkpoint(decoder.init_params(decoder.ModelConfig(
-            variant="soft", vocab_size=6, hidden_size=4, embed_size=3, feature_size=3,
-            raw_feature_size=5, grid_rows=2, grid_cols=2,
-        ), rng_seed=0), ckpt, build_vocab(["a b"], min_count=1))
+        save_tiny_checkpoint(ckpt)
         assert main(["caption", "--ckpt", str(ckpt), "--manifest", str(manifest),
                      "--split", "val", "--out", str(tmp_path / "caps.jsonl")]) == 1
         assert capsys.readouterr().err == (

@@ -15,6 +15,7 @@ from salcap import decoder as dec
 from salcap import numerics as nm
 from salcap import optim
 from salcap.attention import VARIANTS, SaliencyGrid
+from salcap.cli import RunConfig
 from salcap.numerics import ParamStore, Tensor
 from salcap.vocab import BOS_ID, EOS_ID, PAD_ID, UNK_ID, build_vocab
 
@@ -384,27 +385,20 @@ class TestBatchEquivalence:
         (``per_step_backward``), and its gradients within 1e-12."""
         manifest = data_io.gen_synthetic(
             data_io.default_synthetic_spec(n_images=32, seed=42), str(tmp_path / "data"))
-        vocabulary = build_vocab([c for e in manifest.entries for c in e.captions], min_count=5)
-        config = optim.TrainConfig(seed=42, batch_size=4)
-        model = dec.ModelConfig(
-            variant="saliency_context", vocab_size=len(vocabulary),
-            raw_feature_size=manifest.feature_dim, grid_rows=manifest.grid_rows,
-            grid_cols=manifest.grid_cols, hidden_size=64, embed_size=32, feature_size=32,
-        )
-        examples = optim.build_examples(manifest, vocabulary, "train", config)
-        batch = [examples[i] for i in optim._batches(examples, config, 0)[0]]
+        run = RunConfig(seed=42, batch_size=4)
+        _, params, examples = run.setup(manifest)
+        batch = [examples[i] for i in optim._batches(examples, run, 0)[0]]
         grads = {}
         monkeypatch.setattr(optim, "optimizer_step", lambda store, *_: grads.update(
             (slot.name, slot.grad.copy()) for slot in store.slots()))
 
-        def run():
-            params = dec.init_params(model, rng_seed=42)
-            stats = optim.train_epoch(batch, params, optim.OptimizerState(), config, 0)
+        def train(params):
+            stats = optim.train_epoch(batch, params, optim.OptimizerState(), run, 0)
             return stats.mean_loss, dict(grads)
 
-        loss, got = run()
+        loss, got = train(params)
         per_step_backward.patch(monkeypatch)
-        ref_loss, ref = run()
+        ref_loss, ref = train(run.setup(manifest)[1])
         assert loss == ref_loss
         assert got.keys() == ref.keys()
         for name in ref:
