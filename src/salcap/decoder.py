@@ -197,15 +197,12 @@ def embed_word(token_id, params):
 
 def lstm_step(v_hat, w, state, p):
     """One LSTM step on (visual input v_hat, word embedding w, previous state)."""
-
-    def preact(gate):
+    gates = []
+    for gate in GATES:  # each gate whole before the next: the recording order fixes the bits
         s = nm.add(nm.matmul(p.w_v[gate], v_hat), nm.matmul(p.w_w[gate], w))
-        return nm.add(nm.add(s, nm.matmul(p.w_h[gate], state.h)), p.b[gate])
-
-    i = nm.sigmoid(preact("i"))
-    f = nm.sigmoid(preact("f"))
-    o = nm.sigmoid(preact("o"))
-    g = nm.tanh(preact("g"))
+        s = nm.add(nm.add(s, nm.matmul(p.w_h[gate], state.h)), p.b[gate])
+        gates.append(nm.tanh(s) if gate == "g" else nm.sigmoid(s))
+    i, f, o, g = gates
     c = nm.add(nm.hadamard(f, state.c), nm.hadamard(i, g))
     h = nm.hadamard(o, nm.tanh(c))
     return LstmState(h, c)

@@ -33,7 +33,17 @@ terms are stacked by ``np.array``, not ``np.stack``: each reaches the
 same BLAS call or C loop, with the same bits, at a fraction of the cost.
 Python's cost per call counts too, so the closures of ``matmul``,
 ``transpose``, ``add``, ``hadamard``, ``sigmoid`` and ``tanh``, which
-run most often, apply ``_accumulate``'s rule inline.
+run most often, apply ``_accumulate``'s rule inline.  ``matmul``, ``add``
+and ``hadamard`` read each operand's ``.data`` once and test shapes by
+plain comparison, building an error message only on a mismatch; an
+array's ``.shape`` is a new tuple at every read, so ``matmul`` compares
+ranks alone and turns the ValueError of ``ndarray.dot``, which tests
+the inner dims anyway, into its ShapeError.  The three append their
+output to the check queue inline, under ``_queued``'s bound.
+``sigmoid`` computes 1 / (1 + exp(-x)) in its one output buffer: the
+same four steps in the same order, so the same bits.  A 0-d operand
+takes the formula as written, since numpy hands its steps back as
+scalars, which have no buffer.
 
 A value joins the tape one way.  ``Tensor(x)`` makes a leaf from
 anything ``np.asarray`` takes, and only an op makes a recorded tensor.
@@ -328,12 +338,20 @@ def _queued(t):
     return t
 
 
+def _product_error(ad, bd):
+    return ShapeError("matmul: incompatible operands %r x %r" % (list(ad.shape), list(bd.shape)))
+
+
 def matmul(a, b):
     """Matrix product a[m,k] @ b[k,n]; b may also be a k-vector."""
-    if a.data.ndim != 2 or b.data.ndim not in (1, 2) or a.data.shape[1] != b.data.shape[0]:
-        raise ShapeError(
-            "matmul: incompatible operands %r x %r" % (list(a.data.shape), list(b.data.shape))
-        )
+    ad = a.data
+    bd = b.data
+    if ad.ndim != 2 or bd.ndim not in (1, 2):
+        raise _product_error(ad, bd)
+    try:
+        product = ad.dot(bd)
+    except ValueError:  # a's columns do not match b's rows
+        raise _product_error(ad, bd) from None
 
     def _bw(g):
         if b.data.ndim == 2:
@@ -353,7 +371,11 @@ def matmul(a, b):
         elif b._parents:
             b.grad = a.data.T.dot(g)
 
-    return _queued(Tensor(a.data.dot(b.data), (a, b), _bw))
+    out = Tensor(product, (a, b), _bw)
+    if len(_PENDING) >= _PENDING_LIMIT:
+        check_recorded()
+    _PENDING.append(out)
+    return out
 
 
 def transpose(a):
@@ -378,8 +400,10 @@ def _require_same_dims(op, a, b):
 
 def add(a, b):
     """a + b, where b has a's dims or, if a is a matrix, is a row added to every row."""
-    row = a.data.ndim == 2 and b.data.shape == a.data.shape[1:]
-    if not row:
+    ad = a.data
+    bd = b.data
+    row = ad.shape != bd.shape
+    if row and (ad.ndim != 2 or bd.shape != ad.shape[1:]):
         _require_same_dims("add", a, b)
 
     def _bw(g):
@@ -392,11 +416,18 @@ def add(a, b):
         elif b._parents:  # b's new buffer must not be a's
             b.grad = g.sum(axis=0) if row else g.copy()
 
-    return _queued(Tensor(a.data + b.data, (a, b), _bw))
+    out = Tensor(ad + bd, (a, b), _bw)
+    if len(_PENDING) >= _PENDING_LIMIT:
+        check_recorded()
+    _PENDING.append(out)
+    return out
 
 
 def hadamard(a, b):
-    _require_same_dims("hadamard", a, b)
+    ad = a.data
+    bd = b.data
+    if ad.shape != bd.shape:
+        _require_same_dims("hadamard", a, b)
 
     def _bw(g):
         if a.grad is not None:
@@ -408,11 +439,21 @@ def hadamard(a, b):
         elif b._parents:
             b.grad = g * a.data
 
-    return _queued(Tensor(a.data * b.data, (a, b), _bw))
+    out = Tensor(ad * bd, (a, b), _bw)
+    if len(_PENDING) >= _PENDING_LIMIT:
+        check_recorded()
+    _PENDING.append(out)
+    return out
 
 
 def sigmoid(x):
-    y = 1.0 / (1.0 + np.exp(-x.data))
+    y = np.negative(x.data)
+    if y.ndim:  # 1 / (1 + exp(-x)), its four steps in order in y's one buffer
+        np.exp(y, y)
+        y += 1.0
+        np.divide(1.0, y, y)
+    else:  # a 0-d operand's negation is a numpy scalar, which has no buffer
+        y = 1.0 / (1.0 + np.exp(y))
 
     def _bw(g):
         g = g * y * (1.0 - y)

@@ -100,9 +100,31 @@ MUTANTS = [
            "shifted = e.data - e.data.max()", "shifted = e.data",
            "tests/test_numerics.py::TestSoftmax::test_large_logits_equal_the_shifted_formula"),
     Mutant("matmul's output not queued", "src/salcap/numerics.py",
-           "return _queued(Tensor(a.data.dot(b.data), (a, b), _bw))",
-           "return Tensor(a.data.dot(b.data), (a, b), _bw)",
+           "    out = Tensor(product, (a, b), _bw)\n"
+           "    if len(_PENDING) >= _PENDING_LIMIT:\n"
+           "        check_recorded()\n"
+           "    _PENDING.append(out)\n",
+           "    out = Tensor(product, (a, b), _bw)\n",
            "tests/test_numerics.py::TestCheckedMode::test_queued_ops_queue_their_outputs"),
+    Mutant("matmul lets numpy's error for unaligned operands through", "src/salcap/numerics.py",
+           "    except ValueError:  # a's columns do not match b's rows\n",
+           "    except ShapeError:\n",
+           "tests/test_numerics.py::TestShapeErrors::test_names_both_dims"),
+    Mutant("add's inline queue bound removed", "src/salcap/numerics.py",
+           "    out = Tensor(ad + bd, (a, b), _bw)\n"
+           "    if len(_PENDING) >= _PENDING_LIMIT:\n"
+           "        check_recorded()\n",
+           "    out = Tensor(ad + bd, (a, b), _bw)\n",
+           "tests/test_numerics.py::TestCheckedMode::test_queue_is_bounded"),
+    Mutant("add's row test takes a vector of any length", "src/salcap/numerics.py",
+           "bd.shape != ad.shape[1:]", "bd.ndim != 1",
+           "tests/test_numerics.py::TestShapeErrors::test_names_both_dims"),
+    Mutant("sigmoid without its += 1.0", "src/salcap/numerics.py",
+           "        y += 1.0\n", "",
+           "tests/test_numerics.py::TestElementwise::test_sigmoid_equals_the_formula_bit_for_bit"),
+    Mutant("sigmoid of a 0-d operand works in place", "src/salcap/numerics.py",
+           "    if y.ndim:  # 1 / (1 + exp(-x))", "    if True:  # 1 / (1 + exp(-x))",
+           "tests/test_numerics.py::TestElementwise::test_sigmoid_of_a_0d_operand"),
     Mutant("optimizer_step skips its parameter test", "src/salcap/optim.py",
            "if not np.isfinite(store.values).all():", "if False:",
            "tests/test_optim.py::TestOptimizerStep::test_non_finite_update_names_slot_and_step"),

@@ -84,9 +84,35 @@ class TestMatmul:
         npt.assert_allclose(nm.matmul(Tensor(a), Tensor(v)).data, a @ v, atol=1e-12)
 
 
+class TestShapeErrors:
+    @pytest.mark.parametrize("op,a,b,message", [
+        (nm.matmul, np.ones((2, 3)), np.float64(2.0), r"\[2, 3\] x \[\]$"),
+        (nm.matmul, np.ones((2, 3)), np.ones((3, 3, 2)), r"\[2, 3\] x \[3, 3, 2\]$"),
+        (nm.matmul, np.ones(3), np.ones((3, 2)), r"\[3\] x \[3, 2\]$"),
+        (nm.matmul, np.ones((2, 3)), np.ones(2), r"\[2, 3\] x \[2\]$"),
+        (nm.add, np.ones((2, 3)), np.ones(2), r"^add: mismatched dims \[2, 3\] vs \[2\]$"),
+    ], ids=["matrix_x_0d", "matrix_x_3d", "vector_x_matrix", "matrix_x_short_vector",
+            "matrix_plus_short_row"])
+    def test_names_both_dims(self, op, a, b, message):
+        """A ShapeError, not numpy's ValueError or an IndexError, names both operands' dims."""
+        with pytest.raises(ShapeError, match=message):
+            op(Tensor(a), Tensor(b))
+
+
 class TestElementwise:
     def test_sigmoid_at_zero(self):
         assert nm.sigmoid(Tensor([0.0])).data[0] == 0.5
+
+    def test_sigmoid_equals_the_formula_bit_for_bit(self):
+        x = np.array([0.0, -0.0, 1e-300, -1e-300, 30.0, -30.0, 0.375, -2.5, 17.0, -709.0])
+        assert nm.sigmoid(Tensor(x)).data.tobytes() == (1.0 / (1.0 + np.exp(-x))).tobytes()
+        x = np.array([800.0, -800.0])
+        with np.errstate(over="ignore"):  # exp(800) overflows to inf, so sigmoid(-800) is 0
+            assert nm.sigmoid(Tensor(x)).data.tobytes() == (1.0 / (1.0 + np.exp(-x))).tobytes()
+
+    def test_sigmoid_of_a_0d_operand(self):
+        x = np.array(-2.5)
+        assert nm.sigmoid(Tensor(x)).data.tobytes() == (1.0 / (1.0 + np.exp(-x))).tobytes()
 
     def test_tanh_at_zero(self):
         assert nm.tanh(Tensor([0.0])).data[0] == 0.0
@@ -318,15 +344,17 @@ class TestCheckedMode:
         with pytest.raises(ValueError, match="from log"):
             nm.check_recorded()
 
-    def test_queue_is_bounded(self):
+    @pytest.mark.parametrize("op", ["matmul", "add", "hadamard"])
+    def test_queue_is_bounded(self, op):
         y = self._log_of_zero()
-        x = Tensor([1.0])
+        x = Tensor(np.ones((2, 2)))
+        queue = self.QUEUED[op]
         with pytest.raises(ValueError, match="from log"):
             for _ in range(10_000):
-                nm.hadamard(x, x)
+                queue(x)
                 assert len(nm._PENDING) <= nm._PENDING_LIMIT
         for _ in range(10_000):
-            nm.hadamard(x, x)
+            queue(x)
             assert len(nm._PENDING) <= nm._PENDING_LIMIT
         nm.check_recorded()
         assert y.data[0] == -np.inf
