@@ -8,15 +8,14 @@ the references; expect about a minute of compute.
 import tempfile
 
 from salcap import data_io, inference, metrics, optim
-from salcap.cli import RunConfig
 
 with tempfile.TemporaryDirectory(prefix="salcap_demo_") as work:
     spec = data_io.default_synthetic_spec(n_images=12, seed=7)
     manifest = data_io.gen_synthetic(spec, work)
     print("dataset: %d images under %s" % (len(manifest.entries), work))
 
-    run = RunConfig(epochs=150, seed=7, batch_size=4, hidden_size=48, embed_size=24,
-                    feature_size=24, min_count=1)
+    run = optim.TrainConfig(epochs=150, seed=7, batch_size=4, hidden_size=48, embed_size=24,
+                            feature_size=24, min_count=1)
     vocabulary, params, examples = run.setup(manifest)
     print("vocabulary: %d entries" % len(vocabulary))
 

@@ -10,13 +10,12 @@ import tempfile
 import numpy as np
 
 from salcap import data_io, inference, optim
-from salcap.cli import RunConfig
 
 with tempfile.TemporaryDirectory(prefix="salcap_trace_") as work:
     spec = data_io.default_synthetic_spec(n_images=8, seed=13)
     manifest = data_io.gen_synthetic(spec, work)
-    run = RunConfig(epochs=120, seed=13, batch_size=4, hidden_size=48, embed_size=24,
-                    feature_size=24, min_count=1)
+    run = optim.TrainConfig(epochs=120, seed=13, batch_size=4, hidden_size=48, embed_size=24,
+                            feature_size=24, min_count=1)
     vocabulary, params, examples = run.setup(manifest)
     state = optim.OptimizerState()
     for epoch in range(run.epochs):

@@ -2,60 +2,22 @@
 
 Exit codes: 0 success, 1 input/validation failure (including a failed
 gradient check), 2 unexpected runtime failure.  ``train`` reads one
-RunConfig: the ``--config`` file's values, then the flags given, then the
-environment variable SALCAP_SEED, a non-negative integer, which overrides
-the seed (it also overrides ``grad-check --seed``).
+``optim.TrainConfig``: the ``--config`` file's values, then the flags
+given, then the environment variable SALCAP_SEED, a non-negative integer,
+which overrides the seed (it also overrides ``grad-check --seed``).
 """
 
 import argparse
 import json
 import os
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import replace
 from typing import Optional
 
 from . import data_io, decoder, inference, metrics, optim, salstats
 from .attention import VARIANTS
 from .data_io import FormatError, SyntheticSpec
 from .numerics import ShapeError
-from .vocab import Vocabulary, build_vocab
-
-
-@dataclass
-class RunConfig(optim.TrainConfig):
-    """optim.TrainConfig plus the model's desk-scale sizes, variant and vocabulary min_count."""
-
-    hidden_size: int = 64
-    embed_size: int = 32
-    feature_size: int = 32
-    attention_size: int = 0
-    min_count: int = 5
-    variant: str = "saliency_context"
-
-    def __post_init__(self):
-        super().__post_init__()
-        # the model's and the vocabulary's own checks, with 1 for each size the data sets
-        _model_config(self, data_io.DatasetManifest(1, 1, 1, []), 1)
-        Vocabulary([], self.min_count)
-
-    @classmethod
-    def load(cls, path=None, overrides=None):
-        """The file's values, then the non-None ``overrides``, then SALCAP_SEED.
-
-        A bad file value raises FormatError naming the file, even when overridden.
-        """
-        run = data_io.read_dataclass(cls, path) if path else cls()
-        run = replace(run, **{k: v for k, v in (overrides or {}).items() if v is not None})
-        return replace(run, seed=_env_seed(run.seed))
-
-    def setup(self, manifest):
-        """(vocabulary, params, examples): the train split's vocabulary at ``min_count``,
-        the parameters initialized from ``seed`` and the train split's examples."""
-        vocabulary = build_vocab(
-            [c for e in manifest.split_entries("train") for c in e.captions], self.min_count
-        )
-        params = decoder.init_params(_model_config(self, manifest, len(vocabulary)), self.seed)
-        return vocabulary, params, optim.build_examples(manifest, vocabulary, "train", self)
 
 
 def _env_seed(default):
@@ -72,18 +34,17 @@ def _env_seed(default):
     return seed
 
 
-def _model_config(run, manifest, vocab_size):
-    return decoder.ModelConfig(
-        variant=run.variant,
-        vocab_size=vocab_size,
-        hidden_size=run.hidden_size,
-        embed_size=run.embed_size,
-        feature_size=run.feature_size,
-        raw_feature_size=manifest.feature_dim,
-        grid_rows=manifest.grid_rows,
-        grid_cols=manifest.grid_cols,
-        attention_size=run.attention_size,
-    )
+def _read_run(args):
+    """The ``--config`` file's TrainConfig, then the train flags given, then SALCAP_SEED.
+
+    A bad file value raises FormatError naming the file, even when a flag overrides it.
+    """
+    run = (data_io.read_dataclass(optim.TrainConfig, args.config) if args.config
+           else optim.TrainConfig())
+    run = replace(run, **{name: getattr(args, name) for name in (
+        "epochs", "seed", "batch_size", "learning_rate", "optimizer", "variant")
+        if getattr(args, name) is not None})
+    return replace(run, seed=_env_seed(run.seed))
 
 
 def cmd_gen_synth(args):
@@ -93,9 +54,7 @@ def cmd_gen_synth(args):
 
 
 def cmd_train(args):
-    overrides = {name: getattr(args, name) for name in (
-        "epochs", "seed", "batch_size", "learning_rate", "optimizer", "variant")}
-    run = RunConfig.load(args.config, overrides)
+    run = _read_run(args)
     manifest = data_io.load_manifest(args.manifest)
     if not manifest.split_entries("train"):
         raise ValueError("%s: manifest has no train split entries" % args.manifest)
@@ -128,6 +87,9 @@ def _decode_split(args, decode):
     """
     params, vocabulary = decoder.load_checkpoint(args.ckpt)
     manifest = data_io.load_manifest(args.manifest)
+    if manifest.feature_dim != params.config.raw_feature_size:
+        raise ValueError("%s: feature_dim %d does not match the raw_feature_size %d of %s" % (
+            args.manifest, manifest.feature_dim, params.config.raw_feature_size, args.ckpt))
     entries = manifest.split_entries(args.split)
     if not entries:
         raise ValueError("%s: manifest has no %r split entries" % (args.manifest, args.split))

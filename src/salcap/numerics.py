@@ -50,10 +50,10 @@ anything ``np.asarray`` takes, and only an op makes a recorded tensor.
 Ops take Tensors and never convert their inputs.  A leaf gets a gradient
 only if it holds a buffer, as a ``ParamSlot``'s leaf does.  A
 ``ParamStore``, built once from its named arrays, keeps every parameter
-value in one flat arena and every gradient in another; a slot's value
-and gradient are views of its 64-byte-aligned span, so
-``optim.optimizer_step`` updates all parameters in one pass over the
-arenas and ``zero_grads`` is one fill.  Any other leaf (the raw
+value in one flat arena and every gradient in another, the slots'
+spans packed end to end.  A slot's value and gradient are views of its
+span, so ``optim.optimizer_step`` updates all parameters in one pass
+over the arenas and ``zero_grads`` is one fill.  Any other leaf (the raw
 features, h0 and c0, the saliency weights s and 1 - s, the loss
 normaliser -1/T) is a constant: ``matmul`` and ``hadamard`` skip its
 product.  The 11 recorded ops are ``matmul``, ``transpose``, ``add``,
@@ -224,24 +224,13 @@ class ParamSlot:
         return "ParamSlot(%r, dims=%r)" % (self.name, self.value.dims)
 
 
-# A span starts at a multiple of this many float64s: 64 bytes.
-_ALIGN = 8
-
-
-def _aligned_zeros(n):
-    """n float64 zeros whose first one sits on a 64-byte boundary."""
-    raw = np.zeros(n + _ALIGN)
-    skip = (-raw.ctypes.data % (8 * _ALIGN)) // 8
-    return raw[skip:skip + n]
-
-
 class ParamStore:
     """Uniquely named ParamSlots, in the order given, over two flat arenas.
 
     ``values`` holds every parameter and ``grads`` every gradient; each
     slot's ``value.data`` and ``grad`` are reshaped views of its span, so
-    a write through either is a write into the arena.  Each span starts
-    on a 64-byte boundary, and the padding between spans stays zero.  The
+    a write through either is a write into the arena.  The spans tile each
+    arena in slot order, each starting where the one before it ends.  The
     store is built once, from its ``(name, array)`` pairs, each array
     copied into its span.
     """
@@ -251,9 +240,9 @@ class ParamStore:
         spans, end = [], 0
         for _, array in pairs:
             spans.append(slice(end, end + array.size))
-            end += -(-array.size // _ALIGN) * _ALIGN
-        self.values = _aligned_zeros(end)
-        self.grads = _aligned_zeros(end)
+            end += array.size
+        self.values = np.zeros(end)
+        self.grads = np.zeros(end)
         self._slots = {}
         for (name, array), span in zip(pairs, spans):
             if name in self._slots:

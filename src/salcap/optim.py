@@ -16,7 +16,7 @@ from . import data_io
 from . import decoder as dec
 from . import numerics as nm
 from .attention import SaliencyGrid
-from .vocab import BOS_ID, EOS_ID, PAD_ID
+from .vocab import BOS_ID, EOS_ID, PAD_ID, Vocabulary, build_vocab
 
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
@@ -28,6 +28,9 @@ GRAD_CHECK_SIZES = dict(vocab_size=12, hidden_size=16, embed_size=8, feature_siz
 
 @dataclass
 class TrainConfig:
+    """One training run: the optimizer's settings, the model's desk-scale sizes and
+    variant, and the vocabulary's min_count.  ``setup`` builds it on a manifest."""
+
     learning_rate: float = 0.001
     batch_size: int = 8  # the published setting is 64; 8 suits desk-scale runs
     epochs: int = 1
@@ -36,6 +39,12 @@ class TrainConfig:
     grad_clip_norm: float = 0.0  # 0 disables clipping
     max_caption_len: int = 20
     checkpoint_every: int = 0  # 0 disables periodic checkpoints
+    hidden_size: int = 64
+    embed_size: int = 32
+    feature_size: int = 32
+    attention_size: int = 0
+    min_count: int = 5
+    variant: str = "saliency_context"
 
     def __post_init__(self):
         for name, least in (("learning_rate", 0), ("batch_size", 1), ("epochs", 0),
@@ -44,6 +53,27 @@ class TrainConfig:
             data_io.at_least(name, getattr(self, name), least)
         if self.optimizer not in ("nadam", "adam"):
             raise ValueError("optimizer must be 'nadam' or 'adam', got %r" % self.optimizer)
+        # the model's and the vocabulary's own checks, with 1 for each size the data sets
+        self.model_config(data_io.DatasetManifest(1, 1, 1, []), 1)
+        Vocabulary([], self.min_count)
+
+    def model_config(self, manifest, vocab_size):
+        """The run's ModelConfig for the manifest's features and grid."""
+        return dec.ModelConfig(
+            variant=self.variant, vocab_size=vocab_size, hidden_size=self.hidden_size,
+            embed_size=self.embed_size, feature_size=self.feature_size,
+            raw_feature_size=manifest.feature_dim, grid_rows=manifest.grid_rows,
+            grid_cols=manifest.grid_cols, attention_size=self.attention_size,
+        )
+
+    def setup(self, manifest):
+        """(vocabulary, params, examples): the train split's vocabulary at ``min_count``,
+        the parameters initialized from ``seed`` and the train split's examples."""
+        vocabulary = build_vocab(
+            [c for e in manifest.split_entries("train") for c in e.captions], self.min_count
+        )
+        params = dec.init_params(self.model_config(manifest, len(vocabulary)), self.seed)
+        return vocabulary, params, build_examples(manifest, vocabulary, "train", self)
 
 
 class OptimizerState:

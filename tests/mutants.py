@@ -164,12 +164,21 @@ MUTANTS = [
     Mutant("a grad-check size changed", "src/salcap/optim.py",
            "hidden_size=16", "hidden_size=15",
            "tests/test_optim.py::TestGradCheck::test_case_matches_the_benchmark_copy"),
-    Mutant("the run's vocabulary min_count lowered", "src/salcap/cli.py",
+    Mutant("the run's vocabulary min_count lowered", "src/salcap/optim.py",
            "min_count: int = 5", "min_count: int = 4",
-           "tests/test_cli.py::TestRunConfigSetup::test_matches_the_benchmark_copy"),
-    Mutant("the run's hidden size changed", "src/salcap/cli.py",
+           "tests/test_optim.py::TestTrainConfigSetup::test_matches_the_benchmark_copy"),
+    Mutant("the run's hidden size changed", "src/salcap/optim.py",
            "hidden_size: int = 64", "hidden_size: int = 48",
-           "tests/test_cli.py::TestRunConfigSetup::test_matches_the_benchmark_copy"),
+           "tests/test_optim.py::TestTrainConfigSetup::test_matches_the_benchmark_copy"),
+    Mutant("TrainConfig skips the model check", "src/salcap/optim.py",
+           "        self.model_config(data_io.DatasetManifest(1, 1, 1, []), 1)\n", "",
+           "tests/test_cli.py::TestMalformedInputs::test_run_config_field[values5-hidden_size]"),
+    Mutant("a span padded past its slot", "src/salcap/numerics.py",
+           "            end += array.size\n", "            end += array.size + 1\n",
+           "tests/test_numerics.py::TestParamStore::test_spans_tile_the_arenas_in_slot_order"),
+    Mutant("decoding skips the feature dims check", "src/salcap/cli.py",
+           "    if manifest.feature_dim != params.config.raw_feature_size:\n", "    if False:\n",
+           "tests/test_cli.py::TestMalformedInputs::test_features_not_matching_the_checkpoint"),
 ]
 
 

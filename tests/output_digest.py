@@ -14,8 +14,8 @@ Families, one line each as ``<family> <sha256>``:
   the case that ``optim.grad_check`` checks;
 - ``training``: three epoch losses of the acceptance criterion-4 recipe
   (32 synthetic images, saliency_context at desk sizes, B=4, Nadam),
-  which ``cli.RunConfig.setup`` builds at its defaults with batch size 4,
-  then the trained parameters;
+  which ``optim.TrainConfig.setup`` builds at its defaults with batch
+  size 4, then the trained parameters;
 - ``captions``: greedy captions of ten training images by that model;
 - ``alphas``: the ``trace_attention`` alphas of the same ten images;
 - ``checkpoint``: the name, dims and bytes of every parameter of
@@ -38,7 +38,6 @@ import numpy as np  # noqa: E402
 
 from salcap import data_io, decoder, inference, metrics, optim  # noqa: E402
 from salcap import numerics as nm  # noqa: E402
-from salcap.cli import RunConfig  # noqa: E402
 
 VARIANTS = ("soft", "saliency_pooling", "attention_on_saliency", "shared_weights",
             "saliency_context")
@@ -69,7 +68,7 @@ def trained_model(out_dir):
     """(manifest, params, epoch losses) after three criterion-4 epochs."""
     manifest = data_io.gen_synthetic(data_io.default_synthetic_spec(n_images=32, seed=SEED),
                                      out_dir)
-    run = RunConfig(epochs=EPOCHS, seed=SEED, batch_size=4)
+    run = optim.TrainConfig(epochs=EPOCHS, seed=SEED, batch_size=4)
     _, params, examples = run.setup(manifest)
     state = optim.OptimizerState()
     losses = [optim.train_epoch(examples, params, state, run, epoch).mean_loss

@@ -19,7 +19,6 @@ import pytest
 
 from salcap import data_io, decoder, inference, metrics, optim, salstats
 from salcap.attention import SaliencyGrid
-from salcap.cli import RunConfig
 from salcap.numerics import Tensor
 from salcap.optim import GRAD_CHECK_SIZES
 from salcap.vocab import BOS_ID, EOS_ID
@@ -148,7 +147,7 @@ def test_criterion_3_saliency_pooling_time_invariance():
 def overfit_run(tmp_path_factory):
     out_dir = tmp_path_factory.mktemp("overfit")
     started = time.perf_counter()
-    run = RunConfig(seed=42, epochs=300, batch_size=4)
+    run = optim.TrainConfig(seed=42, epochs=300, batch_size=4)
     spec = data_io.default_synthetic_spec(n_images=32, seed=run.seed)
     manifest = data_io.gen_synthetic(spec, str(out_dir / "data"))
     vocabulary, params, examples = run.setup(manifest)

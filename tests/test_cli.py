@@ -1,10 +1,7 @@
 import csv
-import importlib
 import json
 import os
 import shutil
-import sys
-from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -12,11 +9,8 @@ import numpy.testing as npt
 import pytest
 
 from salcap import data_io, decoder
-from salcap.cli import RunConfig, main
+from salcap.cli import main
 from salcap.vocab import build_vocab
-
-BENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "bench")
-
 
 @pytest.fixture(scope="module")
 def dataset(tmp_path_factory):
@@ -45,11 +39,11 @@ def run_config(tmp_path_factory):
     return path
 
 
-def save_tiny_checkpoint(ckpt):
+def save_tiny_checkpoint(ckpt, raw_feature_size=5):
     """A soft-attention checkpoint for the ``dataset`` fixture's images, vocabulary "a b"."""
     decoder.save_checkpoint(decoder.init_params(decoder.ModelConfig(
         variant="soft", vocab_size=6, hidden_size=4, embed_size=3, feature_size=3,
-        raw_feature_size=5, grid_rows=2, grid_cols=2,
+        raw_feature_size=raw_feature_size, grid_rows=2, grid_cols=2,
     ), rng_seed=0), ckpt, build_vocab(["a b"], min_count=1))
 
 
@@ -443,6 +437,10 @@ class TestMalformedInputs:
         ({"learning_rate": float("nan")}, "learning_rate"),
         ({"grad_clip_norm": float("nan")}, "grad_clip_norm"),
         ({"learning_rate": float("inf")}, "learning_rate"),
+        ({"attention_size": -1}, "attention_size"),
+        ({"embed_size": 0}, "embed_size"),
+        ({"feature_size": 0}, "feature_size"),
+        ({"min_count": 0}, "min_count"),
     ])
     def test_run_config_field(self, dataset, tmp_path, capsys, values, field):
         _, out_dir = dataset
@@ -645,6 +643,32 @@ class TestMalformedInputs:
         assert code == 1
         assert "%s: expected a JSON object, got list" % cfg in err
 
+    def test_run_config_unknown_variant(self, dataset, tmp_path, capsys):
+        _, out_dir = dataset
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"variant": "x"}))
+        code, err = self._run(capsys, [
+            "train", "--manifest", str(out_dir / "manifest.json"), "--config", str(cfg),
+            "--out", str(tmp_path / "run"),
+        ])
+        assert code == 1
+        assert err == "error: %s: unknown attention variant 'x'\n" % cfg
+        assert not (tmp_path / "run").exists()
+
+    @pytest.mark.parametrize("command", ["caption", "trace"])
+    def test_features_not_matching_the_checkpoint(self, dataset, tmp_path, capsys, command):
+        """A manifest whose feature_dim is not the checkpoint's exits 1 naming both files."""
+        _, out_dir = dataset
+        manifest = out_dir / "manifest.json"
+        ckpt = tmp_path / "ckpt"
+        save_tiny_checkpoint(ckpt, raw_feature_size=7)
+        code, err = self._run(capsys, [command, "--ckpt", str(ckpt), "--manifest", str(manifest),
+                                       "--out", str(tmp_path / "out")])
+        assert code == 1
+        assert err == "error: %s: feature_dim 5 does not match the raw_feature_size 7 of %s\n" % (
+            manifest, ckpt)
+        assert not (tmp_path / "out").exists()
+
     def test_checkpoint_config(self, dataset, tmp_path, capsys):
         _, out_dir = dataset
         ckpt = tmp_path / "ckpt"
@@ -714,47 +738,6 @@ class TestPeriodicCheckpoints:
         assert (ckpt / "epoch_0001" / "config.json").exists()
         assert (ckpt / "epoch_0002" / "config.json").exists()
         assert (ckpt / "final" / "config.json").exists()
-
-
-class TestRunConfigSetup:
-    @pytest.mark.parametrize("seed", [42, 7])
-    def test_matches_the_benchmark_copy(self, seed, tmp_path):
-        """``bench/workloads.py``'s ``train_recipe`` builds the criterion-4 run itself;
-        the two agree bit for bit."""
-        if BENCH not in sys.path:
-            sys.path.insert(0, BENCH)
-        workloads = importlib.import_module("workloads")
-        manifest_path = workloads.train_data(seed, str(tmp_path))
-        bench = workloads.train_recipe(seed, manifest_path)
-        run = RunConfig(seed=seed, batch_size=4, epochs=5)
-
-        def bits(array):
-            return array.dtype, array.shape, array.tobytes()
-
-        def summary(vocabulary, params, examples):
-            return (vocabulary.words, vocabulary.min_count, asdict(params.config),
-                    [(s.name, bits(s.value.data)) for s in params.store.slots()],
-                    [(e.image_id, bits(e.raw), bits(e.sal.s), e.token_ids, e.truncated)
-                     for e in examples])
-
-        assert summary(*run.setup(data_io.load_manifest(manifest_path))) == summary(
-            bench.vocabulary, decoder.init_params(bench.model_config, seed), bench.examples)
-
-    def test_vocabulary_from_the_train_split_only(self, dataset, tmp_path):
-        """A word that the test split alone holds ``min_count`` times is left out."""
-        shutil.copytree(dataset[1], tmp_path / "data")
-        path = tmp_path / "data" / "manifest.json"
-        manifest = json.loads(path.read_text())
-        for entry in manifest["entries"]:
-            if entry["split"] == "test":  # two images, so "zebra" twice
-                entry["captions"].append("a zebra")
-        path.write_text(json.dumps(manifest))
-        manifest = data_io.load_manifest(str(path))
-        assert "zebra" in build_vocab([c for e in manifest.entries for c in e.captions], 2).words
-        run = RunConfig(min_count=2, hidden_size=8, embed_size=6, feature_size=6)
-        vocabulary, params, _ = run.setup(manifest)
-        assert "zebra" not in vocabulary.words
-        assert params.config.vocab_size == len(vocabulary)
 
 
 class TestHelp:

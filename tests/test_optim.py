@@ -4,6 +4,7 @@ import json
 import math
 import os
 import sys
+from dataclasses import asdict
 
 import numpy as np
 import numpy.testing as npt
@@ -15,7 +16,6 @@ from salcap import decoder as dec
 from salcap import numerics as nm
 from salcap import optim
 from salcap.attention import VARIANTS, SaliencyGrid
-from salcap.cli import RunConfig
 from salcap.numerics import ParamStore, Tensor
 from salcap.vocab import BOS_ID, EOS_ID, PAD_ID, UNK_ID, build_vocab
 
@@ -385,7 +385,7 @@ class TestBatchEquivalence:
         (``per_step_backward``), and its gradients within 1e-12."""
         manifest = data_io.gen_synthetic(
             data_io.default_synthetic_spec(n_images=32, seed=42), str(tmp_path / "data"))
-        run = RunConfig(seed=42, batch_size=4)
+        run = optim.TrainConfig(seed=42, batch_size=4)
         _, params, examples = run.setup(manifest)
         batch = [examples[i] for i in optim._batches(examples, run, 0)[0]]
         grads = {}
@@ -404,6 +404,51 @@ class TestBatchEquivalence:
         for name in ref:
             err = np.max(np.abs(got[name] - ref[name]))
             assert err <= 1e-12 * np.max(np.abs(ref[name])), (name, err)
+
+
+class TestTrainConfigSetup:
+    @pytest.mark.parametrize("seed", [42, 7])
+    def test_matches_the_benchmark_copy(self, seed, tmp_path):
+        """``bench/workloads.py``'s ``train_recipe`` builds the criterion-4 run itself;
+        the two agree bit for bit."""
+        if BENCH not in sys.path:
+            sys.path.insert(0, BENCH)
+        workloads = importlib.import_module("workloads")
+        manifest_path = workloads.train_data(seed, str(tmp_path))
+        bench = workloads.train_recipe(seed, manifest_path)
+        run = optim.TrainConfig(seed=seed, batch_size=4, epochs=5)
+
+        def bits(array):
+            return array.dtype, array.shape, array.tobytes()
+
+        def summary(vocabulary, params, examples):
+            return (vocabulary.words, vocabulary.min_count, asdict(params.config),
+                    [(s.name, bits(s.value.data)) for s in params.store.slots()],
+                    [(e.image_id, bits(e.raw), bits(e.sal.s), e.token_ids, e.truncated)
+                     for e in examples])
+
+        assert summary(*run.setup(data_io.load_manifest(manifest_path))) == summary(
+            bench.vocabulary, dec.init_params(bench.model_config, seed), bench.examples)
+
+    def test_vocabulary_from_the_train_split_only(self, tmp_path):
+        """A word that the test split alone holds ``min_count`` times is left out."""
+        data_io.gen_synthetic(data_io.SyntheticSpec(
+            n_images=6, grid_rows=2, grid_cols=2, feature_dim=5,
+            salient_words=["cat", "dog"], context_words=["field", "lake"],
+            seed=11, split_counts={"train": 4, "test": 2},
+        ), str(tmp_path / "data"))
+        path = tmp_path / "data" / "manifest.json"
+        manifest = json.loads(path.read_text())
+        for entry in manifest["entries"]:
+            if entry["split"] == "test":  # two images, so "zebra" twice
+                entry["captions"].append("a zebra")
+        path.write_text(json.dumps(manifest))
+        manifest = data_io.load_manifest(str(path))
+        assert "zebra" in build_vocab([c for e in manifest.entries for c in e.captions], 2).words
+        run = optim.TrainConfig(min_count=2, hidden_size=8, embed_size=6, feature_size=6)
+        vocabulary, params, _ = run.setup(manifest)
+        assert "zebra" not in vocabulary.words
+        assert params.config.vocab_size == len(vocabulary)
 
 
 class TestExamples:

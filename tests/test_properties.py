@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 import make_metrics_oracle as oracle
-from salcap import cli, data_io, decoder, metrics, optim
+from salcap import data_io, decoder, metrics, optim
 from salcap import numerics as nm
 from salcap.numerics import Tensor
 from salcap.vocab import BOS_ID, EOS_ID, RESERVED_TOKENS, UNK_ID, build_vocab
@@ -190,10 +190,9 @@ def test_encode_brackets_words_with_boundaries(text):
     assert all(i >= UNK_ID for i in ids[1:-1])
 
 
-# valid arguments for each settings dataclass; RunConfig and TrainConfig take their defaults
+# valid arguments for each settings dataclass; TrainConfig takes its defaults
 VALID_SETTINGS = {
     optim.TrainConfig: {},
-    cli.RunConfig: {},
     decoder.ModelConfig: dict(variant="soft", vocab_size=6, hidden_size=4, embed_size=3,
                               feature_size=3, raw_feature_size=5, grid_rows=2, grid_cols=2),
     data_io.SyntheticSpec: dataclasses.asdict(data_io.default_synthetic_spec()),
