@@ -5,12 +5,14 @@ Five formulations share one entry point, ``attend``:
 - ``soft``                  one scoring path over all locations
 - ``saliency_pooling``      no attention; features pooled by saliency weight
 - ``attention_on_saliency`` single-path scores multiplied by saliency
-- ``shared_weights``        two paths sharing projection matrices, own v_e
-- ``saliency_context``      two fully independent paths blended by saliency
+- ``shared_weights``        two paths blended by saliency, sharing weights
+- ``saliency_context``      two paths blended by saliency
 
-A scoring path computes e_i = v_e . tanh(W_ae a_i + W_he h_prev) per
-location; softmax over locations gives the mixing weights for the
-context vector v_hat = sum_i alpha_i a_i.
+``PATHS`` alone says which scoring paths each variant has and which
+weights they share; the decoder's parameters follow from it.  A scoring
+path computes e_i = v_e . tanh(W_ae a_i + W_he h_prev) per location;
+softmax over locations gives the mixing weights for the context vector
+v_hat = sum_i alpha_i a_i.
 """
 
 import numpy as np
@@ -18,15 +20,18 @@ import numpy as np
 from . import numerics as nm
 from .numerics import ShapeError, Tensor
 
-VARIANTS = (
-    "soft",
-    "saliency_pooling",
-    "attention_on_saliency",
-    "shared_weights",
-    "saliency_context",
-)
-
-TWO_PATH_VARIANTS = ("shared_weights", "saliency_context")
+# each variant's scoring paths: AttentionParams field -> (prefix of the path's
+# W_ae and W_he, prefix of its v_e); paths naming one weight prefix share those
+# two matrices, which the decoder stores once, before the first v_e
+PATHS = {
+    "soft": {"single": ("att.single", "att.single")},
+    "saliency_pooling": {},
+    "attention_on_saliency": {"single": ("att.single", "att.single")},
+    "shared_weights": {"sal": ("att.shared", "att.sal"), "ctx": ("att.shared", "att.ctx")},
+    "saliency_context": {"sal": ("att.sal", "att.sal"), "ctx": ("att.ctx", "att.ctx")},
+}
+VARIANTS = tuple(PATHS)
+TWO_PATH_VARIANTS = tuple(v for v, paths in PATHS.items() if len(paths) == 2)
 
 
 class SaliencyGrid:
@@ -57,11 +62,8 @@ class AttentionPathParams:
 
 
 class AttentionParams:
-    """Per-variant parameter bundle.
+    """Per-variant parameter bundle: the paths PATHS[variant] names, each in its field.
 
-    ``single`` is set for soft / attention_on_saliency; ``sal`` and
-    ``ctx`` for the two-path variants.  For shared_weights, sal and ctx
-    reference the same W_ae / W_he tensors and differ only in v_e.
     ``variant`` is one of VARIANTS; ``ModelConfig`` validates it.
     """
 

@@ -17,7 +17,6 @@ from typing import Optional
 from . import data_io, decoder, inference, metrics, optim, salstats
 from .attention import VARIANTS
 from .data_io import FormatError, SyntheticSpec
-from .numerics import ShapeError
 
 
 def _env_seed(default):
@@ -86,10 +85,14 @@ def _decode_split(args, decode):
     Every image is decoded before the caller writes anything, so a failed run leaves no output.
     """
     params, vocabulary = decoder.load_checkpoint(args.ckpt)
-    manifest = data_io.load_manifest(args.manifest)
-    if manifest.feature_dim != params.config.raw_feature_size:
+    manifest, config = data_io.load_manifest(args.manifest), params.config
+    if manifest.feature_dim != config.raw_feature_size:
         raise ValueError("%s: feature_dim %d does not match the raw_feature_size %d of %s" % (
-            args.manifest, manifest.feature_dim, params.config.raw_feature_size, args.ckpt))
+            args.manifest, manifest.feature_dim, config.raw_feature_size, args.ckpt))
+    if (manifest.grid_rows, manifest.grid_cols) != (config.grid_rows, config.grid_cols):
+        raise ValueError("%s: grid %dx%d does not match the %dx%d grid of %s" % (
+            args.manifest, manifest.grid_rows, manifest.grid_cols, config.grid_rows,
+            config.grid_cols, args.ckpt))
     entries = manifest.split_entries(args.split)
     if not entries:
         raise ValueError("%s: manifest has no %r split entries" % (args.manifest, args.split))
@@ -304,11 +307,10 @@ def main(argv=None):
         raise
     try:
         return args.fn(args)
-    except (ValueError, ShapeError, FormatError, KeyError,
-            FileNotFoundError, IsADirectoryError, NotADirectoryError) as exc:
-        print("error: %s" % exc, file=sys.stderr)
+    except (ValueError, FileNotFoundError, IsADirectoryError, NotADirectoryError) as exc:
+        print("error: %s" % exc, file=sys.stderr)  # ShapeError and FormatError are ValueErrors
         return 1
-    except Exception as exc:  # pragma: no cover - defensive
+    except Exception as exc:
         print("unexpected failure: %r" % exc, file=sys.stderr)
         return 2
 

@@ -193,30 +193,36 @@ def read_map(path, kinds):
 # JSON, JSON lines and CSV
 # ---------------------------------------------------------------------------
 
-def _flagging_hooks(flagged):
-    """json.loads hooks that append to ``flagged`` each NaN, infinity or overflowing float."""
-    def parse(text):  # NaN, Infinity, -Infinity, or a number literal such as 1e400
-        value = float(text)
+def _parse_json(text, where, kind, whole_file=True):
+    """The JSON object of ``text`` read from ``where``, holding the fields of ``kind``.
+
+    A syntax error is placed at its column, and its line in a whole file; a
+    NaN, infinity or overflowing float (1e400) is flagged while parsing,
+    then ``_check_finite`` names it.
+    """
+    flagged = []
+
+    def parse(literal):  # NaN, Infinity, -Infinity, or a number literal such as 1e400
+        value = float(literal)
         if not math.isfinite(value):
-            flagged.append(text)
+            flagged.append(literal)
         return value
 
-    return {"parse_constant": parse, "parse_float": parse}
+    try:
+        obj = json.loads(text, parse_constant=parse, parse_float=parse)
+    except json.JSONDecodeError as exc:
+        at = ("line %d " % exc.lineno if whole_file else "") + "column %d" % exc.colno
+        raise FormatError("%s: malformed JSON at %s (%s)" % (where, at, exc.msg)) from exc
+    if flagged:
+        _check_finite(where, obj)
+    _check_fields(where, obj, kind)
+    return obj
 
 
 def read_json(path, kind):
     """The JSON object in a file, holding the fields of ``kind`` (see _check_fields)."""
-    flagged = []
     with open(path, "r", encoding="utf-8") as fh:
-        try:
-            obj = json.loads(fh.read(), **_flagging_hooks(flagged))
-        except json.JSONDecodeError as exc:
-            raise FormatError("%s: malformed JSON at line %d column %d (%s)"
-                              % (path, exc.lineno, exc.colno, exc.msg)) from exc
-    if flagged:
-        _check_finite(path, obj)
-    _check_fields(path, obj, kind)
-    return obj
+        return _parse_json(fh.read(), path, kind)
 
 
 def write_json(obj, path):
@@ -351,23 +357,13 @@ def read_jsonl(path, fields, key=None):
     """
     records = []
     first_seen = {}
-    flagged = []
-    hooks = _flagging_hooks(flagged)
     with open(path, "r", encoding="utf-8") as fh:
         for number, line in enumerate(fh, start=1):
             line = line.strip()
             if not line:
                 continue
             where = "%s:%d" % (path, number)
-            try:
-                obj = json.loads(line, **hooks)
-            except json.JSONDecodeError as exc:
-                raise FormatError(
-                    "%s: malformed JSON at column %d (%s)" % (where, exc.colno, exc.msg)
-                ) from exc
-            if flagged:
-                _check_finite(where, obj)
-            _check_fields(where, obj, fields)
+            obj = _parse_json(line, where, fields, whole_file=False)
             if key is not None:
                 if obj[key] in first_seen:
                     raise FormatError(

@@ -15,7 +15,7 @@ import numpy as np
 
 from . import attention, data_io
 from . import numerics as nm
-from .attention import AttentionParams, AttentionPathParams, VARIANTS
+from .attention import PATHS, VARIANTS, AttentionParams, AttentionPathParams
 from .data_io import FormatError
 from .numerics import ParamStore, ShapeError
 from .vocab import Vocabulary
@@ -111,14 +111,6 @@ def _zeros(rng, *dims):
     return np.zeros(dims)
 
 
-# each variant's attention paths: AttentionParams field -> parameter name
-# prefix; shared_weights' two paths share one W_ae and one W_he, "att.shared"
-_SINGLE = {"single": "att.single"}
-_TWO = {"sal": "att.sal", "ctx": "att.ctx"}
-_PATHS = {"soft": _SINGLE, "attention_on_saliency": _SINGLE, "saliency_context": _TWO,
-          "shared_weights": _TWO, "saliency_pooling": {}}
-
-
 def _param_specs(config):
     """(name, init, dims) of every parameter, in store order."""
     h, e, d = config.hidden_size, config.embed_size, config.feature_size
@@ -132,15 +124,13 @@ def _param_specs(config):
                   ("lstm.W_w.%s" % gate, _gaussian, (h, e)),
                   ("lstm.W_h.%s" % gate, _orthogonal, (h, h)),
                   ("lstm.b.%s" % gate, _zeros, (h,))]
-    shared = config.variant == "shared_weights"
-    if shared:
-        specs += [("att.shared.W_ae", _gaussian, (d_att, d)),
-                  ("att.shared.W_he", _orthogonal, (d_att, h))]
-    for prefix in _PATHS[config.variant].values():
-        if not shared:
-            specs += [("%s.W_ae" % prefix, _gaussian, (d_att, d)),
-                      ("%s.W_he" % prefix, _orthogonal, (d_att, h))]
-        specs.append(("%s.v_e" % prefix, _zeros, (d_att,)))
+    stored = set()
+    for weights, v_e in PATHS[config.variant].values():
+        if weights not in stored:  # a shared pair once, before the first v_e
+            stored.add(weights)
+            specs += [("%s.W_ae" % weights, _gaussian, (d_att, d)),
+                      ("%s.W_he" % weights, _orthogonal, (d_att, h))]
+        specs.append(("%s.v_e" % v_e, _zeros, (d_att,)))
     return specs
 
 
@@ -159,13 +149,10 @@ def _build_params(config, value):
     lstm = LstmParams(*({gate: leaf("lstm.%s.%s" % (kind, gate)) for gate in GATES}
                         for kind in ("W_v", "W_w", "W_h", "b")))
 
-    def path(prefix):
-        weights = "att.shared" if config.variant == "shared_weights" else prefix
-        return AttentionPathParams(leaf(weights + ".W_ae"), leaf(weights + ".W_he"),
-                                   leaf(prefix + ".v_e"))
-
     attention = AttentionParams(config.variant, **{
-        field: path(prefix) for field, prefix in _PATHS[config.variant].items()})
+        field: AttentionPathParams(leaf(weights + ".W_ae"), leaf(weights + ".W_he"),
+                                   leaf(v_e + ".v_e"))
+        for field, (weights, v_e) in PATHS[config.variant].items()})
     return DecoderParams(config, store, leaf("proj.W"), leaf("proj.b"), leaf("emb"),
                          leaf("out.W_p"), lstm, attention)
 

@@ -177,8 +177,16 @@ MUTANTS = [
            "            end += array.size\n", "            end += array.size + 1\n",
            "tests/test_numerics.py::TestParamStore::test_spans_tile_the_arenas_in_slot_order"),
     Mutant("decoding skips the feature dims check", "src/salcap/cli.py",
-           "    if manifest.feature_dim != params.config.raw_feature_size:\n", "    if False:\n",
+           "    if manifest.feature_dim != config.raw_feature_size:\n", "    if False:\n",
            "tests/test_cli.py::TestMalformedInputs::test_features_not_matching_the_checkpoint"),
+    Mutant("decoding skips the grid check", "src/salcap/cli.py",
+           "    if (manifest.grid_rows, manifest.grid_cols) != (config.grid_rows, config.grid_cols):\n",
+           "    if False:\n",
+           "tests/test_cli.py::TestMalformedInputs::test_grid_not_matching_the_checkpoint"),
+    Mutant("saliency_context's paths swapped in the table", "src/salcap/attention.py",
+           '"saliency_context": {"sal": ("att.sal", "att.sal"), "ctx": ("att.ctx", "att.ctx")}',
+           '"saliency_context": {"ctx": ("att.ctx", "att.ctx"), "sal": ("att.sal", "att.sal")}',
+           "tests/test_decoder.py::TestInitParams::test_parameter_layout_pinned"),
 ]
 
 

@@ -39,11 +39,11 @@ def run_config(tmp_path_factory):
     return path
 
 
-def save_tiny_checkpoint(ckpt, raw_feature_size=5):
+def save_tiny_checkpoint(ckpt, raw_feature_size=5, grid_cols=2):
     """A soft-attention checkpoint for the ``dataset`` fixture's images, vocabulary "a b"."""
     decoder.save_checkpoint(decoder.init_params(decoder.ModelConfig(
         variant="soft", vocab_size=6, hidden_size=4, embed_size=3, feature_size=3,
-        raw_feature_size=raw_feature_size, grid_rows=2, grid_cols=2,
+        raw_feature_size=raw_feature_size, grid_rows=2, grid_cols=grid_cols,
     ), rng_seed=0), ckpt, build_vocab(["a b"], min_count=1))
 
 
@@ -655,19 +655,33 @@ class TestMalformedInputs:
         assert err == "error: %s: unknown attention variant 'x'\n" % cfg
         assert not (tmp_path / "run").exists()
 
-    @pytest.mark.parametrize("command", ["caption", "trace"])
-    def test_features_not_matching_the_checkpoint(self, dataset, tmp_path, capsys, command):
-        """A manifest whose feature_dim is not the checkpoint's exits 1 naming both files."""
+    def _decode_misfit(self, dataset, tmp_path, capsys, command, **checkpoint):
+        """``command`` with a checkpoint not made for the dataset: it exits 1 and writes nothing.
+
+        Returns the manifest, the checkpoint and what went to stderr."""
         _, out_dir = dataset
         manifest = out_dir / "manifest.json"
         ckpt = tmp_path / "ckpt"
-        save_tiny_checkpoint(ckpt, raw_feature_size=7)
+        save_tiny_checkpoint(ckpt, **checkpoint)
         code, err = self._run(capsys, [command, "--ckpt", str(ckpt), "--manifest", str(manifest),
                                        "--out", str(tmp_path / "out")])
         assert code == 1
+        assert not (tmp_path / "out").exists()
+        return manifest, ckpt, err
+
+    @pytest.mark.parametrize("command", ["caption", "trace"])
+    def test_features_not_matching_the_checkpoint(self, dataset, tmp_path, capsys, command):
+        """A manifest whose feature_dim is not the checkpoint's exits 1 naming both files."""
+        manifest, ckpt, err = self._decode_misfit(dataset, tmp_path, capsys, command,
+                                                  raw_feature_size=7)
         assert err == "error: %s: feature_dim 5 does not match the raw_feature_size 7 of %s\n" % (
             manifest, ckpt)
-        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command", ["caption", "trace"])
+    def test_grid_not_matching_the_checkpoint(self, dataset, tmp_path, capsys, command):
+        """A manifest whose grid is not the checkpoint's exits 1 naming both files."""
+        manifest, ckpt, err = self._decode_misfit(dataset, tmp_path, capsys, command, grid_cols=3)
+        assert err == "error: %s: grid 2x2 does not match the 2x3 grid of %s\n" % (manifest, ckpt)
 
     def test_checkpoint_config(self, dataset, tmp_path, capsys):
         _, out_dir = dataset
@@ -763,6 +777,22 @@ class TestHelp:
 class TestErrorPaths:
     def test_unknown_flag_is_validation_failure(self, capsys):
         assert main(["caption", "--nonsense"]) == 1
+
+    def test_program_fault_is_an_unexpected_failure(self, dataset, tmp_path, monkeypatch,
+                                                     capsys):
+        """A KeyError is a fault of the program, not of its input: it exits 2."""
+        _, out_dir = dataset
+        ckpt = tmp_path / "ckpt"
+        save_tiny_checkpoint(ckpt)
+
+        def faulty(path):
+            raise KeyError("grid")
+
+        monkeypatch.setattr(data_io, "load_manifest", faulty)
+        assert main(["caption", "--ckpt", str(ckpt), "--manifest", str(out_dir / "manifest.json"),
+                     "--out", str(tmp_path / "c.jsonl")]) == 2
+        assert capsys.readouterr().err == "unexpected failure: KeyError('grid')\n"
+        assert not (tmp_path / "c.jsonl").exists()
 
     def test_missing_manifest(self, tmp_path):
         assert main([

@@ -234,6 +234,25 @@ class TestInitParams:
         assert params.attention.sal.w_he is params.attention.ctx.w_he
         assert params.attention.sal.v_e is not params.attention.ctx.v_e
 
+    def test_parameter_layout_pinned(self):
+        """Store order fixes the initial draws and the checkpoint file names."""
+        common = ["proj.W", "proj.b", "emb", "out.W_p"] + [
+            "lstm.%s.%s" % (kind, gate) for gate in "ifog" for kind in ("W_v", "W_w", "W_h", "b")]
+        single = ["att.single.W_ae", "att.single.W_he", "att.single.v_e"]
+        assert VARIANTS == ("soft", "saliency_pooling", "attention_on_saliency",
+                            "shared_weights", "saliency_context")
+        for variant, attention in [
+            ("soft", single),
+            ("saliency_pooling", []),
+            ("attention_on_saliency", single),
+            ("shared_weights", ["att.shared.W_ae", "att.shared.W_he", "att.sal.v_e",
+                                "att.ctx.v_e"]),
+            ("saliency_context", ["att.sal.W_ae", "att.sal.W_he", "att.sal.v_e",
+                                  "att.ctx.W_ae", "att.ctx.W_he", "att.ctx.v_e"]),
+        ]:
+            names = [name for name, _, _ in dec._param_specs(tiny_config(variant=variant))]
+            assert names == common + attention, variant
+
     def test_bad_sizes_rejected(self):
         with pytest.raises(ValueError):
             tiny_config(hidden_size=0)
