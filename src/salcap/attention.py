@@ -1,18 +1,19 @@
 """Attention over the L x D feature tensor a, conditioned on a saliency grid.
 
-Five formulations share one entry point, ``attend``:
+Five formulations share one entry point, ``attend``, and one formula.  A
+scoring path computes e_i = v_e . tanh(W_ae a_i + W_he h_prev) per
+location; the scores are the sum over the variant's paths of each path's
+scores, weighted location-wise by 1, s_i or z_i = 1 - s_i:
 
-- ``soft``                  one scoring path over all locations
-- ``saliency_pooling``      no attention; features pooled by saliency weight
-- ``attention_on_saliency`` single-path scores multiplied by saliency
-- ``shared_weights``        two paths blended by saliency, sharing weights
-- ``saliency_context``      two paths blended by saliency
+    e = s * e_sal + (1 - s) * e_ctx   (shared_weights, saliency_context)
+    e = s * e_single                  (attention_on_saliency)
+    e = e_single                      (soft)
 
-``PATHS`` alone says which scoring paths each variant has and which
-weights they share; the decoder's parameters follow from it.  A scoring
-path computes e_i = v_e . tanh(W_ae a_i + W_he h_prev) per location;
-softmax over locations gives the mixing weights for the context vector
-v_hat = sum_i alpha_i a_i.
+Softmax over locations gives the mixing weights for the context vector
+v_hat = sum_i alpha_i a_i.  A variant with no path (saliency_pooling)
+pools instead: v_hat = sum_i s_i a_i.  ``PATHS`` alone says which paths
+each variant has, which weights they share and how saliency weights
+them; the decoder's parameters follow from it.
 """
 
 import numpy as np
@@ -21,14 +22,17 @@ from . import numerics as nm
 from .numerics import ShapeError, Tensor
 
 # each variant's scoring paths: AttentionParams field -> (prefix of the path's
-# W_ae and W_he, prefix of its v_e); paths naming one weight prefix share those
-# two matrices, which the decoder stores once, before the first v_e
+# W_ae and W_he, prefix of its v_e, the SaliencyGrid leaf that weights its
+# scores or None for weight 1); paths naming one weight prefix share those two
+# matrices, which the decoder stores once, before the first v_e
 PATHS = {
-    "soft": {"single": ("att.single", "att.single")},
+    "soft": {"single": ("att.single", "att.single", None)},
     "saliency_pooling": {},
-    "attention_on_saliency": {"single": ("att.single", "att.single")},
-    "shared_weights": {"sal": ("att.shared", "att.sal"), "ctx": ("att.shared", "att.ctx")},
-    "saliency_context": {"sal": ("att.sal", "att.sal"), "ctx": ("att.ctx", "att.ctx")},
+    "attention_on_saliency": {"single": ("att.single", "att.single", "s_leaf")},
+    "shared_weights": {"sal": ("att.shared", "att.sal", "s_leaf"),
+                       "ctx": ("att.shared", "att.ctx", "z_leaf")},
+    "saliency_context": {"sal": ("att.sal", "att.sal", "s_leaf"),
+                         "ctx": ("att.ctx", "att.ctx", "z_leaf")},
 }
 VARIANTS = tuple(PATHS)
 TWO_PATH_VARIANTS = tuple(v for v, paths in PATHS.items() if len(paths) == 2)
@@ -75,7 +79,7 @@ class AttentionParams:
 
 
 class AttentionOutput:
-    """Scores, per-path scores (two-path variants), mixing weights, context vector."""
+    """Scores, mixing weights, context vector; the sal and ctx paths' scores, or None."""
 
     def __init__(self, e, alpha, v_hat, e_sal=None, e_ctx=None):
         self.e = e
@@ -93,38 +97,26 @@ def score_path(a, h_prev, path):
     return nm.matmul(nm.tanh(shifted), path.v_e)
 
 
-def combine_saliency_context(e_sal, e_ctx, sal):
-    """Blend path scores location-wise: e_i = s_i e_sal_i + (1 - s_i) e_ctx_i."""
-    return nm.add(nm.hadamard(e_sal, sal.s_leaf), nm.hadamard(e_ctx, sal.z_leaf))
-
-
 def attend(a, sal, h_prev, params):
     """One pass over the L x D features ``a`` of the attention variant ``params`` was built for.
 
     Returns the scores, the mixing weights and the context vector.
     """
-    variant = params.variant
     if len(sal) != a.data.shape[0]:
         raise ShapeError(
             "saliency length %d does not match grid L=%d" % (len(sal), a.data.shape[0])
         )
+    paths = PATHS[params.variant]
+    if not paths:  # no attention: v_hat = sum_i s_i a_i, independent of the decoder state
+        return AttentionOutput(e=None, alpha=None, v_hat=nm.matmul(nm.transpose(a), sal.s_leaf))
 
-    if variant == "saliency_pooling":
-        # no attention: v_hat = sum_i s_i a_i, independent of the decoder state
-        v_hat = nm.matmul(nm.transpose(a), sal.s_leaf)
-        return AttentionOutput(e=None, alpha=None, v_hat=v_hat)
-
-    if variant == "soft":
-        e = score_path(a, h_prev, params.single)
-        e_sal = e_ctx = None
-    elif variant == "attention_on_saliency":
-        e = nm.hadamard(score_path(a, h_prev, params.single), sal.s_leaf)
-        e_sal = e_ctx = None
-    else:  # shared_weights, saliency_context
-        e_sal = score_path(a, h_prev, params.sal)
-        e_ctx = score_path(a, h_prev, params.ctx)
-        e = combine_saliency_context(e_sal, e_ctx, sal)
-
+    # every path's scores, then each weighted and summed, in PATHS order: the order fixes the bits
+    scores = {field: score_path(a, h_prev, getattr(params, field)) for field in paths}
+    e = None
+    for field, (_, _, weight) in paths.items():
+        term = scores[field] if weight is None else nm.hadamard(scores[field], getattr(sal, weight))
+        e = term if e is None else nm.add(e, term)
     alpha = nm.softmax_vec(e)
     v_hat = nm.matmul(nm.transpose(a), alpha)
-    return AttentionOutput(e=e, alpha=alpha, v_hat=v_hat, e_sal=e_sal, e_ctx=e_ctx)
+    return AttentionOutput(e=e, alpha=alpha, v_hat=v_hat,
+                           e_sal=scores.get("sal"), e_ctx=scores.get("ctx"))

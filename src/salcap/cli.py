@@ -248,13 +248,13 @@ def build_parser():
     p.add_argument("--seed", type=int)
     p.add_argument("--batch-size", type=int, dest="batch_size")
     p.add_argument("--learning-rate", type=float, dest="learning_rate")
-    p.add_argument("--optimizer", choices=["nadam", "adam"])
+    p.add_argument("--optimizer", choices=optim.OPTIMIZERS)
     p.set_defaults(fn=cmd_train)
 
     p = sub.add_parser("caption", help="greedy-decode captions for a split")
     p.add_argument("--ckpt", required=True)
     p.add_argument("--manifest", required=True)
-    p.add_argument("--split", default="test", choices=["train", "val", "test"])
+    p.add_argument("--split", default="test", choices=data_io.VALID_SPLITS)
     p.add_argument("--out", required=True, help="output captions JSONL")
     p.add_argument("--max-len", type=int, default=20, dest="max_len")
     p.set_defaults(fn=cmd_caption)
@@ -262,7 +262,7 @@ def build_parser():
     p = sub.add_parser("trace", help="per-image attention-path trace CSVs")
     p.add_argument("--ckpt", required=True)
     p.add_argument("--manifest", required=True)
-    p.add_argument("--split", default="test", choices=["train", "val", "test"])
+    p.add_argument("--split", default="test", choices=data_io.VALID_SPLITS)
     p.add_argument("--out", required=True, help="output directory")
     p.add_argument("--max-len", type=int, default=20, dest="max_len")
     p.add_argument("--alphas", action="store_true", help="also dump attention tensors")
@@ -307,7 +307,8 @@ def main(argv=None):
         raise
     try:
         return args.fn(args)
-    except (ValueError, FileNotFoundError, IsADirectoryError, NotADirectoryError) as exc:
+    except (ValueError, FileNotFoundError, FileExistsError, IsADirectoryError,
+            NotADirectoryError) as exc:
         print("error: %s" % exc, file=sys.stderr)  # ShapeError and FormatError are ValueErrors
         return 1
     except Exception as exc:

@@ -125,7 +125,7 @@ def _param_specs(config):
                   ("lstm.W_h.%s" % gate, _orthogonal, (h, h)),
                   ("lstm.b.%s" % gate, _zeros, (h,))]
     stored = set()
-    for weights, v_e in PATHS[config.variant].values():
+    for weights, v_e, _ in PATHS[config.variant].values():
         if weights not in stored:  # a shared pair once, before the first v_e
             stored.add(weights)
             specs += [("%s.W_ae" % weights, _gaussian, (d_att, d)),
@@ -152,7 +152,7 @@ def _build_params(config, value):
     attention = AttentionParams(config.variant, **{
         field: AttentionPathParams(leaf(weights + ".W_ae"), leaf(weights + ".W_he"),
                                    leaf(v_e + ".v_e"))
-        for field, (weights, v_e) in PATHS[config.variant].items()})
+        for field, (weights, v_e, _) in PATHS[config.variant].items()})
     return DecoderParams(config, store, leaf("proj.W"), leaf("proj.b"), leaf("emb"),
                          leaf("out.W_p"), lstm, attention)
 
@@ -265,4 +265,9 @@ def load_checkpoint(directory):
         if fname.endswith(".tnsr") and fname not in read:
             raise FormatError("%s: %s model has no parameter stored in this file"
                               % (os.path.join(directory, fname), config.variant))
-    return params, Vocabulary.load(os.path.join(directory, "vocab.json"))
+    path = os.path.join(directory, "vocab.json")
+    vocabulary = Vocabulary.load(path)
+    if len(vocabulary) != config.vocab_size:
+        raise FormatError("%s: %d ids, but the model's vocab_size is %d; the two must be equal"
+                          % (path, len(vocabulary), config.vocab_size))
+    return params, vocabulary

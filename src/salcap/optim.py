@@ -21,6 +21,7 @@ from .vocab import BOS_ID, EOS_ID, PAD_ID, Vocabulary, build_vocab
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
+OPTIMIZERS = ("nadam", "adam")
 # acceptance criterion 1: model sizes small enough to perturb every scalar
 GRAD_CHECK_SIZES = dict(vocab_size=12, hidden_size=16, embed_size=8, feature_size=8,
                         raw_feature_size=10, grid_rows=2, grid_cols=3)
@@ -51,7 +52,7 @@ class TrainConfig:
                             ("seed", 0), ("grad_clip_norm", 0), ("max_caption_len", 1),
                             ("checkpoint_every", 0)):
             data_io.at_least(name, getattr(self, name), least)
-        if self.optimizer not in ("nadam", "adam"):
+        if self.optimizer not in OPTIMIZERS:
             raise ValueError("optimizer must be 'nadam' or 'adam', got %r" % self.optimizer)
         # the model's and the vocabulary's own checks, with 1 for each size the data sets
         self.model_config(data_io.DatasetManifest(1, 1, 1, []), 1)

@@ -60,8 +60,12 @@ MUTANTS = [
            'report["cider"] = cider(corpus, cider_multiplier)', 'report["cider"] = cider(corpus)',
            "tests/test_properties.py::test_evaluate_corpus_equals_the_standalone_metrics"),
     Mutant("context path weighted by s, not 1 - s", "src/salcap/attention.py",
-           "nm.hadamard(e_ctx, sal.z_leaf)", "nm.hadamard(e_ctx, sal.s_leaf)",
+           '("att.ctx", "att.ctx", "z_leaf")', '("att.ctx", "att.ctx", "s_leaf")',
            "tests/test_acceptance.py::test_criterion_2_reduction_equivalences"),
+    Mutant("attention_on_saliency loses its saliency weight", "src/salcap/attention.py",
+           '"attention_on_saliency": {"single": ("att.single", "att.single", "s_leaf")}',
+           '"attention_on_saliency": {"single": ("att.single", "att.single", None)}',
+           "tests/test_attention.py::TestOneFormula::test_scores"),
     Mutant("decoding never flags truncation", "src/salcap/inference.py",
            "truncated=emitted[-1] != EOS_ID", "truncated=False",
            "tests/test_inference.py::TestGreedyDecode::test_max_len_cap_flags_truncation"),
@@ -184,9 +188,18 @@ MUTANTS = [
            "    if False:\n",
            "tests/test_cli.py::TestMalformedInputs::test_grid_not_matching_the_checkpoint"),
     Mutant("saliency_context's paths swapped in the table", "src/salcap/attention.py",
-           '"saliency_context": {"sal": ("att.sal", "att.sal"), "ctx": ("att.ctx", "att.ctx")}',
-           '"saliency_context": {"ctx": ("att.ctx", "att.ctx"), "sal": ("att.sal", "att.sal")}',
+           '"sal": ("att.sal", "att.sal", "s_leaf"),\n'
+           '                         "ctx": ("att.ctx", "att.ctx", "z_leaf")}',
+           '"ctx": ("att.ctx", "att.ctx", "z_leaf"),\n'
+           '                         "sal": ("att.sal", "att.sal", "s_leaf")}',
            "tests/test_decoder.py::TestInitParams::test_parameter_layout_pinned"),
+    Mutant("FileExistsError treated as a program fault", "src/salcap/cli.py",
+           "(ValueError, FileNotFoundError, FileExistsError, IsADirectoryError,",
+           "(ValueError, FileNotFoundError, IsADirectoryError,",
+           "tests/test_cli.py::TestErrorPaths::test_out_naming_a_file"),
+    Mutant("checkpoint vocabulary size not checked", "src/salcap/decoder.py",
+           "    if len(vocabulary) != config.vocab_size:\n", "    if False:\n",
+           "tests/test_decoder.py::TestCheckpoint::test_vocabulary_size_must_match_the_model"),
 ]
 
 

@@ -6,16 +6,19 @@ from salcap import decoder as dec
 from salcap import numerics as nm
 from salcap import optim
 from salcap.attention import (
+    PATHS,
+    TWO_PATH_VARIANTS,
     VARIANTS,
     AttentionParams,
     AttentionPathParams,
     SaliencyGrid,
     attend,
-    combine_saliency_context,
     score_path,
 )
 from salcap.numerics import ShapeError, Tensor
 from salcap.vocab import BOS_ID, EOS_ID
+
+SCORING_VARIANTS = [v for v in VARIANTS if PATHS[v]]
 
 
 def leaf_path(w_ae, w_he, v_e):
@@ -84,30 +87,37 @@ class TestScorePath:
             score_path(a, Tensor(np.ones(2)), path)
 
 
-class TestCombine:
-    def test_selector(self):
-        e = combine_saliency_context(
-            Tensor([2.0, 5.0]), Tensor([7.0, 3.0]), SaliencyGrid(np.array([1.0, 0.0]))
-        )
-        npt.assert_array_equal(e.data, [2.0, 3.0])
+def random_params(rng, variant, d, h, d_att):
+    """Random leaves for each path PATHS[variant] names; paths naming one weight prefix share it."""
+    weights, fields = {}, {}
+    for field, (prefix, _, _) in PATHS[variant].items():
+        if prefix not in weights:
+            weights[prefix] = (Tensor(rng.normal(size=(d_att, d))), Tensor(rng.normal(size=(d_att, h))))
+        fields[field] = AttentionPathParams(*weights[prefix], Tensor(rng.normal(size=d_att)))
+    return AttentionParams(variant, **fields)
 
-    def test_midpoint(self):
-        e = combine_saliency_context(
-            Tensor([2.0, 4.0]), Tensor([6.0, 0.0]), SaliencyGrid(np.full(2, 0.5))
-        )
-        npt.assert_array_equal(e.data, [4.0, 2.0])
 
-    def test_convex_fixed_point(self):
-        rng = np.random.default_rng(1)
-        scores = rng.normal(size=6)
-        for _ in range(10):
-            s = SaliencyGrid(rng.uniform(size=6))
-            e = combine_saliency_context(Tensor(scores), Tensor(scores.copy()), s)
-            npt.assert_allclose(e.data, scores, atol=1e-12)
+class TestOneFormula:
+    """``attend``'s scores are its path scores weighted by 1, s or 1 - s and summed, bit for bit."""
 
-    def test_length_mismatch(self):
-        with pytest.raises(ShapeError, match=r"hadamard: mismatched dims \[2\] vs \[1\]"):
-            combine_saliency_context(Tensor([1.0]), Tensor([1.0, 2.0]), SaliencyGrid(np.array([0.5])))
+    @pytest.mark.parametrize("fill", [None, 1.0, 0.0, 0.5])
+    @pytest.mark.parametrize("variant", SCORING_VARIANTS)
+    def test_scores(self, variant, fill):
+        rng = np.random.default_rng(11)
+        a, h_prev = Tensor(rng.normal(size=(6, 3))), Tensor(rng.normal(size=4))
+        params = random_params(rng, variant, 3, 4, 5)
+        sal = SaliencyGrid(rng.uniform(size=6) if fill is None else np.full(6, fill))
+        out = attend(a, sal, h_prev, params)
+        if variant in TWO_PATH_VARIANTS:
+            for got, path in ((out.e_sal, params.sal), (out.e_ctx, params.ctx)):
+                assert got.data.tobytes() == score_path(a, h_prev, path).data.tobytes()
+            expected = sal.s * out.e_sal.data + sal.z * out.e_ctx.data
+        else:
+            assert out.e_sal is None and out.e_ctx is None
+            expected = score_path(a, h_prev, params.single).data
+            if variant == "attention_on_saliency":
+                expected = sal.s * expected
+        assert out.e.data.tobytes() == expected.tobytes()
 
 
 class TestContextVector:
@@ -215,7 +225,7 @@ class TestAttendVariants:
         params = AttentionParams("saliency_pooling")
         out = attend(a, SaliencyGrid(np.ones(2)), Tensor(np.zeros(4)), params)
         npt.assert_array_equal(out.v_hat.data, [1.0, 1.0])
-        assert out.alpha is None and out.e is None
+        assert out.alpha is out.e is out.e_sal is out.e_ctx is None
 
     def test_saliency_pooling_time_invariant(self):
         params = AttentionParams("saliency_pooling")
@@ -234,20 +244,9 @@ class TestAttendVariants:
         npt.assert_array_equal(out.e.data, np.zeros(self.L))
         npt.assert_allclose(out.alpha.data, np.full(self.L, 1 / self.L), atol=1e-15)
 
-    @pytest.mark.parametrize("variant", ["soft", "attention_on_saliency", "shared_weights", "saliency_context"])
+    @pytest.mark.parametrize("variant", SCORING_VARIANTS)
     def test_vhat_in_convex_hull(self, variant):
-        if variant in ("soft", "attention_on_saliency"):
-            params = AttentionParams(variant, single=random_path(self.rng, self.D, self.H, self.D_ATT))
-        elif variant == "saliency_context":
-            params = make_two_path(self.rng, self.D, self.H, self.D_ATT)
-        else:
-            w_ae = Tensor(self.rng.normal(size=(self.D_ATT, self.D)))
-            w_he = Tensor(self.rng.normal(size=(self.D_ATT, self.H)))
-            params = AttentionParams(
-                variant,
-                sal=AttentionPathParams(w_ae, w_he, Tensor(self.rng.normal(size=self.D_ATT))),
-                ctx=AttentionPathParams(w_ae, w_he, Tensor(self.rng.normal(size=self.D_ATT))),
-            )
+        params = random_params(self.rng, variant, self.D, self.H, self.D_ATT)
         for _ in range(20):
             s = SaliencyGrid(self.rng.uniform(size=self.L))
             out = attend(self.a, s, Tensor(self.rng.normal(size=self.H)), params)

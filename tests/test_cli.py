@@ -39,10 +39,10 @@ def run_config(tmp_path_factory):
     return path
 
 
-def save_tiny_checkpoint(ckpt, raw_feature_size=5, grid_cols=2):
-    """A soft-attention checkpoint for the ``dataset`` fixture's images, vocabulary "a b"."""
+def save_tiny_checkpoint(ckpt, raw_feature_size=5, grid_cols=2, variant="soft"):
+    """A checkpoint for the ``dataset`` fixture's images, vocabulary "a b"."""
     decoder.save_checkpoint(decoder.init_params(decoder.ModelConfig(
-        variant="soft", vocab_size=6, hidden_size=4, embed_size=3, feature_size=3,
+        variant=variant, vocab_size=6, hidden_size=4, embed_size=3, feature_size=3,
         raw_feature_size=raw_feature_size, grid_rows=2, grid_cols=grid_cols,
     ), rng_seed=0), ckpt, build_vocab(["a b"], min_count=1))
 
@@ -705,9 +705,14 @@ class TestMalformedInputs:
          "config.json"),
         (lambda ckpt: (ckpt / "vocab.json").write_text(
             json.dumps({"words": ["a", "a"], "min_count": 1})), "vocab.json"),
+        (lambda ckpt: (ckpt / "vocab.json").write_text(
+            json.dumps({"words": ["a"], "min_count": 1})), "vocab.json"),
+        (lambda ckpt: (ckpt / "vocab.json").write_text(
+            json.dumps({"words": ["a", "b", "c"], "min_count": 1})), "vocab.json"),
     ], ids=["missing_tensor", "wrong_dims", "extra_tensor", "missing_vocab", "zero_hidden_size",
-            "duplicate_vocab_word"])
+            "duplicate_vocab_word", "too_few_vocab_ids", "too_many_vocab_ids"])
     def test_bad_checkpoint_file_named(self, dataset, tmp_path, capsys, edit, named):
+        """A checkpoint file that breaks its format exits 1 naming it, and no captions are written."""
         _, out_dir = dataset
         ckpt = tmp_path / "ckpt"
         save_tiny_checkpoint(ckpt)
@@ -718,6 +723,7 @@ class TestMalformedInputs:
         ])
         assert code == 1
         assert str(ckpt / named) in err
+        assert not (tmp_path / "c.jsonl").exists()
 
 
 class TestGradCheckCommand:
@@ -824,6 +830,30 @@ class TestErrorPaths:
         assert main(argv + ["--out", str(tmp_path / "out")]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: [Errno ") and reason in err and str(named) in err
+
+    @pytest.mark.parametrize("command", ["train", "trace", "analyze-saliency"])
+    def test_out_naming_a_file(self, dataset, run_config, tmp_path, capsys, command):
+        """An existing file given as the output directory exits 1 naming it, and is left as it was."""
+        _, out_dir = dataset
+        manifest = out_dir / "manifest.json"
+        ckpt = tmp_path / "ckpt"
+        save_tiny_checkpoint(ckpt, variant="saliency_context")
+        data_io.write_segm(np.ones((4, 4), dtype=int), tmp_path / "img0.segm")
+        data_io.write_pgm(np.full((4, 4), 255, dtype=np.uint8), tmp_path / "img0.pgm")
+        pairs = tmp_path / "pairs.json"
+        pairs.write_text(json.dumps({"pairs": [{"segmentation": "img0.segm", "saliency": "img0.pgm"}]}))
+        out = tmp_path / "out"
+        out.write_text("kept\n")
+        argv = {
+            "train": ["train", "--manifest", str(manifest), "--config", str(run_config),
+                      "--epochs", "0"],
+            "trace": ["trace", "--ckpt", str(ckpt), "--manifest", str(manifest)],
+            "analyze-saliency": ["analyze-saliency", "--pairs", str(pairs), "--min-occ", "1"],
+        }[command]
+        assert main(argv + ["--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: [Errno ") and "File exists" in err and str(out) in err
+        assert out.read_text() == "kept\n"
 
     def test_train_without_train_entries(self, dataset, tmp_path, capsys):
         _, out_dir = dataset

@@ -272,7 +272,7 @@ class TestInitParams:
 class TestCheckpoint:
     def _saved(self, tmp_path, config=None, rng_seed=0):
         params = dec.init_params(config or tiny_config(), rng_seed=rng_seed)
-        dec.save_checkpoint(params, tmp_path / "ckpt", build_vocab(["a b"], min_count=1))
+        dec.save_checkpoint(params, tmp_path / "ckpt", build_vocab(["a b c d e f g h"], min_count=1))
         return tmp_path / "ckpt"
 
     def _edit_config(self, ckpt, **values):
@@ -284,7 +284,7 @@ class TestCheckpoint:
     def test_round_trip(self, tmp_path, variant):
         config = tiny_config(variant=variant)
         params = dec.init_params(config, rng_seed=11)
-        vocabulary = build_vocab(["a b c", "a b", "a"], min_count=1)
+        vocabulary = build_vocab(["a b c d e f g h", "a b c", "a"], min_count=1)
         dec.save_checkpoint(params, tmp_path / "ckpt", vocabulary)
         loaded, loaded_vocab = dec.load_checkpoint(tmp_path / "ckpt")
         assert loaded.config == config
@@ -366,6 +366,15 @@ class TestCheckpoint:
         ckpt = self._saved(tmp_path)
         (ckpt / "vocab.json").unlink()
         with pytest.raises(FileNotFoundError, match=re.escape(str(ckpt / "vocab.json"))):
+            dec.load_checkpoint(ckpt)
+
+    @pytest.mark.parametrize("words", [7, 9])
+    def test_vocabulary_size_must_match_the_model(self, tmp_path, words):
+        ckpt = self._saved(tmp_path)
+        build_vocab([" ".join("w%d" % i for i in range(words))], min_count=1).save(ckpt / "vocab.json")
+        message = "%s: %d ids, but the model's vocab_size is 12; the two must be equal" % (
+            ckpt / "vocab.json", words + 4)
+        with pytest.raises(FormatError, match=re.escape(message)):
             dec.load_checkpoint(ckpt)
 
     def test_non_finite_value_named(self, tmp_path):

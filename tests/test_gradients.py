@@ -19,7 +19,6 @@ from salcap.attention import (
     AttentionPathParams,
     SaliencyGrid,
     attend,
-    combine_saliency_context,
     score_path,
 )
 from salcap.numerics import ParamStore, Tensor
@@ -87,17 +86,6 @@ def build_score_path(rng):
     weights = rng.normal(size=3)
     loss = lambda: nm.tsum(nm.hadamard(score_path(a, h_prev, path), Tensor(weights)))
     return [a, h_prev] + path_leaves(path), loss
-
-
-def build_combine(rng):
-    e_sal = param(rng.normal(size=4))
-    e_ctx = param(rng.normal(size=4))
-    sal = SaliencyGrid(rng.uniform(size=4))
-    weights = rng.normal(size=4)
-    loss = lambda: nm.tsum(
-        nm.hadamard(combine_saliency_context(e_sal, e_ctx, sal), Tensor(weights))
-    )
-    return [e_sal, e_ctx], loss
 
 
 def build_attend(variant):
@@ -198,7 +186,6 @@ def build_sequence_nll(rng):
 
 CASES = [
     ("score_path", build_score_path),
-    ("combine_saliency_context", build_combine),
     ("attend_soft", build_attend("soft")),
     ("attend_saliency_pooling", build_attend("saliency_pooling")),
     ("attend_on_saliency", build_attend("attention_on_saliency")),
